@@ -13,9 +13,9 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
 from .discrete import (LnCharpoly, PropositionReport, VonBelowReport,
                        ln_charpoly, ln_eigenvalues, ln_isospectral,
                        proposition_check, von_below_check)
-from .exact import (ExactError, ProjectivePoly, RationalMatrix, charpoly_exact,
-                    det_exact, poly_mul, poly_normalize, poly_pow,
-                    poly_roots_unit_circle, polymat_det, squarefree_factors)
+from .exact import (ExactError, ProjectivePoly, RationalMatrix, det_exact,
+                    poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
+                    polymat_det, squarefree_factors)
 from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      betti, canonical_form, chop_vertex, components,
                      discrete_betti, discrete_components, discrete_from_adj,

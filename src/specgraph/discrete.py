@@ -1,9 +1,11 @@
 """Normalized-Laplacian spectra of discrete graphs and their relation to
 the metric spectrum of the corresponding unilateral graph.
 
-The characteristic polynomial is computed exactly for I - D^{-1}A, which
-is similar to the symmetric normalized Laplacian I - D^{-1/2}AD^{-1/2}
-and therefore has the same spectrum while keeping rational entries.
+The characteristic polynomial of I - D^{-1}A, which is similar to the
+symmetric normalized Laplacian I - D^{-1/2}AD^{-1/2} and therefore has
+the same spectrum, is det(mu D - (D - A)) / det D.  It is computed
+exactly as the determinant of that integer matrix pencil, by the same
+evaluation-interpolation kernel as the secular polynomial.
 Generic metric eigenvalues k^2 (k not a multiple of pi) satisfy
 1 - cos(k) = mu for some normalized-Laplacian eigenvalue mu.
 """
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import charpoly_exact
+from .exact import polymat_det
 from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, components, to_discrete
 from .secular import spectrum_report
 
@@ -40,14 +42,22 @@ class LnCharpoly:
 
 @lru_cache(maxsize=4096)
 def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
-    """Exact charpoly of I - D^{-1}A (same spectrum as the normalized Laplacian)."""
+    """Exact charpoly of I - D^{-1}A (same spectrum as the normalized Laplacian).
+
+    Computed as det(mu D - (D - A)), degree n with leading coefficient
+    det D, made monic.
+    """
     degrees = d.degrees()
     if any(deg == 0 for deg in degrees):
         raise GraphError("degree zero vertex")
-    n = d.n
-    m = [[(1 if i == j else 0) - Fraction(d.adj[i][j], degrees[i]) for j in range(n)]
-         for i in range(n)]
-    return LnCharpoly(tuple(charpoly_exact(m)))
+
+    def pencil(mu: int) -> list[list[int]]:
+        return [[a + (mu - 1) * deg if i == j else a for j, a in enumerate(row)]
+                for i, (row, deg) in enumerate(zip(d.adj, degrees))]
+
+    det = polymat_det(pencil, d.n, d.n)
+    lead = det.coeffs[-1]
+    return LnCharpoly(tuple(Fraction(c, lead) for c in det.coeffs))
 
 
 def ln_eigenvalues(d: DiscreteGraph) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Exact rational linear algebra and integer polynomials.
 
 Everything here is exact: rationals are `fractions.Fraction`, matrices are
-plain row-major lists of Fractions, and polynomials are coefficient lists
-with the constant term first.  The only floating point lives in
-`poly_roots_unit_circle`, which locates roots numerically after the
-multiplicity structure has been extracted exactly.
+plain row-major lists of ints and Fractions, and polynomials are
+coefficient lists with the constant term first.  Both exact spectral
+keys, the secular polynomial and the normalized-Laplacian charpoly, are
+determinants of V x V integer matrix pencils and share one kernel,
+`polymat_det`: Bareiss determinants at integer sample points, Newton
+interpolation and certification at one extra point.  The only floating
+point lives in `poly_roots_unit_circle`, which locates roots numerically
+after the multiplicity structure has been extracted exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-RationalMatrix = Sequence[Sequence[Fraction]]
+RationalMatrix = Sequence[Sequence[Fraction | int]]
 
 
 class ExactError(ValueError):
@@ -123,7 +127,7 @@ def _deflate_linear(coeffs: list[int], root: int) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
-# exact determinants and characteristic polynomials
+# exact determinants
 # ---------------------------------------------------------------------------
 
 def _check_square(m: RationalMatrix) -> int:
@@ -166,31 +170,12 @@ def det_exact(m: RationalMatrix) -> Fraction:
     scale = 1
     int_rows: list[list[int]] = []
     for row in m:
-        den = math.lcm(*(Fraction(x).denominator for x in row))
+        den = math.lcm(*(x.denominator for x in row))
         scale *= den
-        int_rows.append([int(Fraction(x) * den) for x in row])
+        int_rows.append([x.numerator * (den // x.denominator) for x in row])
     if n == 1:
         return Fraction(int_rows[0][0], scale)
     return Fraction(_bareiss_det(int_rows), scale)
-
-
-def charpoly_exact(m: RationalMatrix) -> list[Fraction]:
-    """Exact characteristic polynomial det(uI - m), constant term first.
-
-    Uses the Faddeev-LeVerrier recurrence; the result is monic of degree n.
-    """
-    n = _check_square(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    high_first = [Fraction(1)]
-    for k in range(1, n + 1):
-        work = [[sum(rows[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-        c = -sum(work[i][i] for i in range(n)) / k
-        high_first.append(c)
-        for i in range(n):
-            work[i][i] += c
-    return high_first[::-1]
 
 
 def _interpolate(points: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
@@ -213,15 +198,15 @@ def _interpolate(points: Sequence[int], values: Sequence[Fraction]) -> list[Frac
     return coeffs
 
 
-def polymat_det(entry_eval: Callable[[Fraction], RationalMatrix],
+def polymat_det(entry_eval: Callable[[int], RationalMatrix],
                 size: int,
                 degree_bound: int) -> ProjectivePoly:
     """Exact determinant of a polynomial matrix by evaluation-interpolation.
 
     `entry_eval(z0)` must return the size x size rational matrix at the
-    sample point z0.  The determinant is evaluated exactly at degree_bound+1
-    consecutive integers, interpolated, and certified at one extra point;
-    a mismatch means the stated degree bound is wrong.
+    integer sample point z0.  The determinant is evaluated exactly at
+    degree_bound+1 consecutive integers, interpolated, and certified at one
+    extra point; a mismatch means the stated degree bound is wrong.
     """
     if degree_bound < 0:
         raise ExactError("degree bound must be nonnegative")
@@ -229,7 +214,7 @@ def polymat_det(entry_eval: Callable[[Fraction], RationalMatrix],
     points = list(range(start, start + degree_bound + 2))
     values = []
     for z0 in points:
-        m = entry_eval(Fraction(z0))
+        m = entry_eval(z0)
         if _check_square(m) != size:
             raise ExactError(f"entry_eval returned wrong size at z={z0}")
         values.append(det_exact(m))

@@ -1,9 +1,15 @@
 """Secular polynomials of unilateral metric graphs and exact isospectrality.
 
 For a graph with all edge lengths 1 the Laplacian spectrum is encoded by
-the secular polynomial det(E(z) - S_v), where E(z) couples the two ends
-of each edge by z and S_v is the block-diagonal vertex scattering matrix
-with blocks (2/d)J - I for standard (Kirchhoff) conditions.  Nonzero
+the secular polynomial det(E(z) - S_v) of the 2N x 2N bond-scattering
+matrix.  It reduces to the V x V vertex determinant
+
+    secular(z) ~ (z^2 - 1)^(N - V) * det(2z A - (z^2 + 1) D)
+
+with A the adjacency matrix (a loop adds 2 to its diagonal entry) and D
+the degree matrix (von Below, LAA 71, 1985; Kottos and Smilansky, Ann.
+Phys. 274, 1999), which is what is computed here.  When N < V (forest
+components) the power is negative and is divided out exactly.  Nonzero
 eigenvalues are (k + 2*pi*m)^2 for each unit-circle root z = e^{ik}; the
 eigenvalue 0 has multiplicity equal to the number of components.
 """
@@ -14,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ProjectivePoly, polymat_det, poly_roots_unit_circle
-from .graphs import GraphError, MetricGraph, components, unit_subdivided
+from .exact import (ProjectivePoly, _deflate_linear, poly_mul, poly_normalize,
+                    poly_pow, polymat_det, poly_roots_unit_circle)
+from .graphs import GraphError, MetricGraph, components, to_discrete, unit_subdivided
 
 
 class SecularError(GraphError):
@@ -24,29 +31,27 @@ class SecularError(GraphError):
 
 @dataclass(frozen=True)
 class SecularMatrixSpec:
-    """Structure of the 2N x 2N matrix E(z) - S_v for a unilateral graph.
+    """Structure of the V x V vertex matrix 2zA - (z^2 + 1)D of a unilateral graph.
 
-    `pairs` lists the endpoint index pairs receiving the z entries (one per
-    edge); `blocks` lists each vertex's endpoint indices, whose scattering
-    block is (2/d)J - I with d the vertex degree.
+    `adj` is the discrete adjacency matrix (loops count 2 on the diagonal),
+    `degrees` its row sums and `n_edges` the number of unit edges, which
+    fixes the power of (z^2 - 1) relating the determinant to the secular
+    polynomial.
     """
 
-    size: int
-    pairs: tuple[tuple[int, int], ...]
-    blocks: tuple[tuple[int, ...], ...]
+    adj: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
+    n_edges: int
 
-    def entry_matrix(self, z: Fraction) -> list[list[Fraction]]:
-        m = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for a, b in self.pairs:
-            m[a][b] += z
-            m[b][a] += z
-        for block in self.blocks:
-            d = len(block)
-            off = Fraction(2, d)
-            for a in block:
-                for b in block:
-                    m[a][b] -= off - (1 if a == b else 0)
-        return m
+    @property
+    def size(self) -> int:
+        return len(self.adj)
+
+    def entry_matrix(self, z: Fraction | int) -> list[list[Fraction | int]]:
+        two_z, diag = 2 * z, z * z + 1
+        return [[two_z * a - diag * deg if i == j else two_z * a
+                 for j, a in enumerate(row)]
+                for i, (row, deg) in enumerate(zip(self.adj, self.degrees))]
 
 
 def build_secular_matrix(g: MetricGraph) -> SecularMatrixSpec:
@@ -54,19 +59,32 @@ def build_secular_matrix(g: MetricGraph) -> SecularMatrixSpec:
     if not g.is_unilateral:
         raise SecularError(
             "graph not unilateral; subdivide integer lengths into unit edges first")
-    pairs = tuple((2 * i, 2 * i + 1) for i in range(g.n_edges))
-    return SecularMatrixSpec(2 * g.n_edges, pairs, g.vertices)
+    d = to_discrete(g)
+    return SecularMatrixSpec(d.adj, d.degrees(), g.n_edges)
 
 
 def _as_unilateral(g: MetricGraph) -> MetricGraph:
     if g.is_unilateral:
         return g
-    try:
-        return unit_subdivided(g)
-    except GraphError:
+    if any(l.denominator != 1 for l in g.lengths):
         raise SecularError(
             "graph not unilateral and lengths are not integers; "
-            "secular analysis needs unit edges") from None
+            "secular analysis needs unit edges")
+    return unit_subdivided(g)
+
+
+def _times_z2_minus_1(p: ProjectivePoly, power: int) -> ProjectivePoly:
+    """p * (z^2 - 1)^power; a negative power must divide p exactly."""
+    if power >= 0:
+        return poly_normalize(poly_mul(list(p.coeffs), poly_pow([-1, 0, 1], power)))
+    coeffs: list[int] | None = list(p.coeffs)
+    for _ in range(-power):
+        for root in (1, -1):
+            coeffs = _deflate_linear(coeffs, root)
+            if coeffs is None:
+                raise SecularError(
+                    f"vertex determinant not divisible by (z^2 - 1)^{-power}")
+    return poly_normalize(coeffs)
 
 
 @lru_cache(maxsize=4096)
@@ -76,9 +94,9 @@ def secular_poly(g: MetricGraph) -> ProjectivePoly:
     Integer edge lengths are subdivided into unit edges first (the metric
     space, hence the spectrum, is unchanged); other lengths are rejected.
     """
-    gu = _as_unilateral(g)
-    layout = build_secular_matrix(gu)
-    return polymat_det(layout.entry_matrix, layout.size, layout.size)
+    spec = build_secular_matrix(_as_unilateral(g))
+    det = polymat_det(spec.entry_matrix, spec.size, 2 * spec.size)
+    return _times_z2_minus_1(det, spec.n_edges - spec.size)
 
 
 def metric_isospectral(g1: MetricGraph, g2: MetricGraph) -> bool:

@@ -1,0 +1,85 @@
+"""Slow reference paths for the exact spectral keys, used only as oracles.
+
+`scattering_secular_poly` is the secular polynomial as the determinant of
+the 2N x 2N bond-scattering matrix E(z) - S_v, where E(z) couples the two
+ends of each edge by z and S_v is block diagonal with blocks (2/d)J - I
+for standard (Kirchhoff) conditions.  `faddeev_ln_charpoly` is the
+normalized-Laplacian charpoly by the Faddeev-LeVerrier recurrence on
+I - D^{-1}A.  The library computes both keys from V x V determinants
+instead; these formulations share no matrix with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from specgraph import (DiscreteGraph, LnCharpoly, MetricGraph, ProjectivePoly,
+                       polymat_det, unit_subdivided)
+
+
+@dataclass(frozen=True)
+class ScatteringMatrixSpec:
+    """Structure of the 2N x 2N matrix E(z) - S_v for a unilateral graph.
+
+    `pairs` lists the endpoint index pairs receiving the z entries (one per
+    edge); `blocks` lists each vertex's endpoint indices, whose scattering
+    block is (2/d)J - I with d the vertex degree.
+    """
+
+    size: int
+    pairs: tuple[tuple[int, int], ...]
+    blocks: tuple[tuple[int, ...], ...]
+
+    def entry_matrix(self, z: Fraction) -> list[list[Fraction]]:
+        m = [[Fraction(0)] * self.size for _ in range(self.size)]
+        for a, b in self.pairs:
+            m[a][b] += z
+            m[b][a] += z
+        for block in self.blocks:
+            d = len(block)
+            off = Fraction(2, d)
+            for a in block:
+                for b in block:
+                    m[a][b] -= off - (1 if a == b else 0)
+        return m
+
+
+def build_scattering_matrix(g: MetricGraph) -> ScatteringMatrixSpec:
+    """Scattering matrix structure of a unilateral graph."""
+    assert g.is_unilateral
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(g.n_edges))
+    return ScatteringMatrixSpec(2 * g.n_edges, pairs, g.vertices)
+
+
+def scattering_secular_poly(g: MetricGraph) -> ProjectivePoly:
+    """Secular polynomial of an integer-length graph from the 2N x 2N matrix."""
+    layout = build_scattering_matrix(g if g.is_unilateral else unit_subdivided(g))
+    return polymat_det(layout.entry_matrix, layout.size, layout.size)
+
+
+def charpoly_exact(m: list[list[Fraction]]) -> list[Fraction]:
+    """Exact characteristic polynomial det(uI - m), constant term first.
+
+    Uses the Faddeev-LeVerrier recurrence; the result is monic of degree n.
+    """
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    high_first = [Fraction(1)]
+    for k in range(1, n + 1):
+        work = [[sum(rows[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+        c = -sum(work[i][i] for i in range(n)) / k
+        high_first.append(c)
+        for i in range(n):
+            work[i][i] += c
+    return high_first[::-1]
+
+
+def faddeev_ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
+    """Charpoly of I - D^{-1}A by Faddeev-LeVerrier."""
+    degrees = d.degrees()
+    m = [[(1 if i == j else 0) - Fraction(d.adj[i][j], degrees[i]) for j in range(d.n)]
+         for i in range(d.n)]
+    return LnCharpoly(tuple(charpoly_exact(m)))

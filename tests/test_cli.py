@@ -60,6 +60,14 @@ class TestBasicVerbs:
     def test_unknown_flag_rejected(self, capsys):
         assert invoke(capsys, "secular", "x.g", "--frobnicate")[0] == 2
 
+    def test_subdivision_budget_exits_2(self, tmp_path, capsys):
+        # the budget check runs before any unit edge is built
+        path = tmp_path / "long.g"
+        path.write_text("graph long\nvertex a\nvertex b\nedge a b 1000000000\n")
+        code, out, err = invoke(capsys, "secular", str(path))
+        assert code == 2 and out == ""
+        assert "1000000000 unit edges, above the budget of 10000" in err
+
 
 class TestCompare:
     @pytest.fixture(autouse=True)

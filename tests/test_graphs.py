@@ -175,6 +175,12 @@ class TestSubdivideSuppress:
         with pytest.raises(GraphError, match="not an integer"):
             unit_subdivided(from_edge_list(2, [(0, 1, Fraction(1, 2))]))
 
+    def test_unit_subdivision_budget(self):
+        g = from_edge_list(2, [(0, 1, 3), (0, 1, 2)])
+        assert unit_subdivided(g, max_unit_edges=5).n_edges == 5
+        with pytest.raises(GraphError, match="5 unit edges, above the budget of 4"):
+            unit_subdivided(g, max_unit_edges=4)
+
 
 class TestJoinPoints:
     def test_two_midpoints_on_cycle(self):

@@ -5,13 +5,17 @@ from fractions import Fraction
 import pytest
 
 from specgraph import (SecularError, betti, build_secular_matrix, components,
-                       from_edge_list, metric_isospectral, poly_mul,
-                       poly_normalize, poly_pow, poly_roots_unit_circle,
-                       scale_lengths, secular_poly, spectrum_report,
-                       subdivide_edge, unit_subdivided)
+                       from_edge_list, ln_charpoly, metric_isospectral,
+                       poly_mul, poly_normalize, poly_pow,
+                       poly_roots_unit_circle, polymat_det, scale_lengths, secular_poly,
+                       spectrum_report, subdivide_edge, to_discrete,
+                       unit_subdivided)
 from specgraph.constructions import catalog
+from specgraph.secular import _times_z2_minus_1
 
 from conftest import random_connected_multigraph
+from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly,
+                            scattering_secular_poly)
 
 K5_FACTORS = poly_mul(poly_mul(poly_pow([-1, 1], 7), poly_pow([1, 1], 5)),
                       poly_pow([2, 1, 2], 4))
@@ -20,20 +24,22 @@ PAIR_FACTORS = poly_mul(poly_mul(poly_pow([-1, 1], 6), poly_pow([1, 1], 4)),
 
 
 class TestSecularMatrix:
+    """The 2N x 2N scattering matrix, kept in the tests as the oracle."""
+
     def test_single_edge_blocks(self):
-        layout = build_secular_matrix(from_edge_list(2, [(0, 1)]))
+        layout = build_scattering_matrix(from_edge_list(2, [(0, 1)]))
         assert layout.pairs == ((0, 1),)
         m = layout.entry_matrix(Fraction(2))
         assert m == [[Fraction(-1), Fraction(2)], [Fraction(2), Fraction(-1)]]
 
     def test_loop_block(self):
-        layout = build_secular_matrix(from_edge_list(1, [(0, 0)]))
+        layout = build_scattering_matrix(from_edge_list(1, [(0, 0)]))
         m = layout.entry_matrix(Fraction(3))
         # E couples the two ends by z; the degree-2 block is J - I
         assert m == [[Fraction(0), Fraction(2)], [Fraction(2), Fraction(0)]]
 
     def test_k5_blocks_are_half_j_minus_i(self):
-        layout = build_secular_matrix(catalog("K5"))
+        layout = build_scattering_matrix(catalog("K5"))
         m = layout.entry_matrix(Fraction(0))
         for block in layout.blocks:
             assert len(block) == 4
@@ -48,6 +54,99 @@ class TestSecularMatrix:
             build_secular_matrix(g)
         with pytest.raises(SecularError, match="unit edges"):
             secular_poly(g)
+
+
+class TestVertexMatrix:
+    """The V x V vertex matrix 2zA - (z^2 + 1)D."""
+
+    def test_single_edge(self):
+        layout = build_secular_matrix(from_edge_list(2, [(0, 1)]))
+        assert (layout.size, layout.n_edges) == (2, 1)
+        assert layout.degrees == (1, 1)
+        assert layout.entry_matrix(Fraction(2)) == [[-5, 4], [4, -5]]
+
+    def test_loop_counts_twice(self):
+        layout = build_secular_matrix(from_edge_list(1, [(0, 0)]))
+        assert layout.adj == ((2,),) and layout.degrees == (2,)
+        # 2z * 2 - (z^2 + 1) * 2 = -2 (z - 1)^2
+        assert layout.entry_matrix(Fraction(3)) == [[-8]]
+
+    def test_path(self):
+        layout = build_secular_matrix(from_edge_list(3, [(0, 1), (1, 2)]))
+        assert layout.degrees == (1, 2, 1)
+        z = Fraction(1, 2)
+        assert layout.entry_matrix(z) == [[Fraction(-5, 4), 1, 0],
+                                          [1, Fraction(-5, 2), 1],
+                                          [0, 1, Fraction(-5, 4)]]
+
+    def test_forest_divides_out_z2_minus_1(self):
+        # a path has E = V - 1: det = (z^2 - 1)^2 (z^2 + 1), secular z^4 - 1
+        path = from_edge_list(3, [(0, 1), (1, 2)])
+        layout = build_secular_matrix(path)
+        det = polymat_det(layout.entry_matrix, 3, 6)
+        assert det == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1]))
+        assert secular_poly(path).coeffs == (-1, 0, 0, 0, 1)
+
+    def test_failed_division_raises(self):
+        with pytest.raises(SecularError, match="not divisible"):
+            _times_z2_minus_1(poly_normalize([1, 0, 1]), -1)
+
+
+
+def _random_component(rng, tree):
+    """Vertex count and edges of a random tree, or of a tree plus extra edges
+    (loops and parallels allowed)."""
+    n = rng.randint(2, 4) if tree else rng.randint(1, 4)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    if not tree:
+        for _ in range(rng.randint(1 if n == 1 else 0, 3)):
+            edges.append((rng.randrange(n), rng.randrange(n)))
+    return n, edges
+
+
+ORACLE_SHAPES = {
+    "multigraph": lambda rng: [False],
+    "tree": lambda rng: [True],
+    "forest": lambda rng: [True] * rng.randint(2, 3),
+    "union": lambda rng: [False, rng.random() < 0.5],
+}
+
+
+def random_kernel_case(rng, shape):
+    """A random graph of the given shape; a third get edge lengths 2-3."""
+    n_total, edges = 0, []
+    for tree in ORACLE_SHAPES[shape](rng):
+        n, part = _random_component(rng, tree)
+        edges += [(u + n_total, v + n_total) for u, v in part]
+        n_total += n
+    lengths = [1] * len(edges)
+    if rng.random() < 1 / 3:
+        lengths = [rng.choice((1, 2, 3)) for _ in edges]
+        if sum(lengths) > 12:
+            lengths = [1] * len(edges)
+    return from_edge_list(n_total, [(u, v, l) for (u, v), l in zip(edges, lengths)])
+
+
+class TestVertexKernelOracle:
+    def test_matches_scattering_and_faddeev_oracles(self):
+        rng = random.Random(2112)
+        seen = {"loop": 0, "parallel": 0, "forest": 0, "disconnected": 0, "long": 0}
+        cases = 0
+        for _ in range(50):
+            for shape in ORACLE_SHAPES:
+                g = random_kernel_case(rng, shape)
+                ends = [tuple(sorted((u, v))) for u, v, _ in g.edge_list()]
+                seen["loop"] += any(u == v for u, v in ends)
+                seen["parallel"] += len(set(ends)) < len(ends)
+                seen["forest"] += betti(g) == 0
+                seen["disconnected"] += components(g) > 1
+                seen["long"] += any(l > 1 for l in g.lengths)
+                assert secular_poly(g) == scattering_secular_poly(g), g
+                d = to_discrete(g)
+                assert ln_charpoly(d) == faddeev_ln_charpoly(d), g
+                cases += 1
+        assert cases == 200
+        assert min(seen.values()) >= 20, seen
 
 
 class TestSecularPoly:
