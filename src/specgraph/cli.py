@@ -51,6 +51,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _env_jobs() -> int:
+    text = os.environ.get("SPECGRAPH_JOBS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SPECGRAPH_JOBS must be an integer, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specgraph",
@@ -92,8 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi", action="store_true")
     p.add_argument("--max-edges", type=int, default=8)
     p.add_argument("--key", choices=("secular", "ln"), default="secular")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("SPECGRAPH_JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=_env_jobs())
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("catalog", help="emit a named catalog graph")
@@ -298,13 +305,11 @@ _COMMANDS = {
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.verb](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return _COMMANDS[args.verb](args)
     except (GraphError, ExactError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

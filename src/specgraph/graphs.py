@@ -484,19 +484,61 @@ CANONICAL_BOUND = 8
 def canonical_form(d: DiscreteGraph, bound: int = CANONICAL_BOUND) -> bytes:
     """Minimal row-major adjacency encoding over all vertex permutations.
 
-    Equal byte strings certify isomorphism; brute force over n! orderings,
-    so n is capped (default 8).
+    Equal byte strings certify isomorphism.  The search fills positions
+    in order and keeps the unplaced vertices as an ordered list of cells; a
+    minimal encoding lists each cell before the next.  Position i takes a
+    vertex v of the first cell.  Its row is then fixed up to the order
+    inside cells, so the least it can be is a[v][prefix], a[v][v] and each
+    cell's entries a[v][u] sorted.  Only vertices with the least row are
+    tried, skipping twins of one already tried (equal rows make a[v][v]
+    equal, so swapping twins is an automorphism that fixes the prefix).
+    Every cell is then split by a[v][u] in ascending order, and the
+    ordering is complete once each cell is a single vertex.  A branch whose
+    encoding is already above the best one found is cut.  The worst case
+    is still exponential, so n is capped (default 8).
     """
     if d.n > bound:
         raise GraphError("exhaustive canonicalization bound exceeded")
     if any(x > 255 for row in d.adj for x in row):
         raise GraphError("multiplicity too large for byte encoding")
-    best: bytes | None = None
-    for perm in permutations(range(d.n)):
-        enc = bytes(d.adj[perm[i]][perm[j]] for i in range(d.n) for j in range(d.n))
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
+    a = d.adj
+    best = b""
+
+    def twins(v: int, w: int) -> bool:
+        return all(a[v][x] == a[w][x] for x in range(d.n) if x != v and x != w)
+
+    def descend(prefix: list[int], cells: list[list[int]], enc: bytes) -> None:
+        nonlocal best
+        if all(len(cell) == 1 for cell in cells):
+            order = prefix + [cell[0] for cell in cells]
+            enc = bytes(a[v][u] for v in order for u in order)
+            if not best or enc < best:
+                best = enc
+            return
+        rows = {}
+        for v in cells[0]:
+            r = a[v]
+            rows[v] = bytes([r[u] for u in prefix] + [r[v]] + [
+                x for cell in cells for x in sorted([r[u] for u in cell if u != v])])
+        low = min(rows.values())
+        enc += low
+        if best and enc > best[:len(enc)]:
+            return
+        tried: list[int] = []
+        for v in cells[0]:
+            if rows[v] != low or any(twins(v, w) for w in tried):
+                continue
+            tried.append(v)
+            split = []
+            for cell in cells:
+                parts: dict[int, list[int]] = {}
+                for u in cell:
+                    if u != v:
+                        parts.setdefault(a[v][u], []).append(u)
+                split.extend(parts[x] for x in sorted(parts))
+            descend(prefix + [v], split, enc)
+
+    descend([], [list(range(d.n))] if d.n else [], b"")
     return best
 
 

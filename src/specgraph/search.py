@@ -1,18 +1,21 @@
 """Exhaustive enumeration of small graphs and isospectral classification.
 
-Connected simple graphs are enumerated by edge-subset bitmask with
-canonical-form deduplication; connected multigraphs by breadth-first
-augmentation (add a loop, a parallel edge, or a pendant vertex), which
-reaches every class because any connected multigraph loses an edge to a
-connected parent.  Classification groups graphs by exact spectral keys.
+Connected simple graphs are grown one vertex at a time: each class on k
+vertices gains vertex k joined to a non-empty subset of the others, and
+every level keeps one graph per canonical form.  That reaches every class,
+because a connected graph has a vertex whose deletion leaves it connected
+(a leaf of a spanning tree).  Connected multigraphs come from a
+breadth-first augmentation (add a loop, a parallel edge, or a pendant
+vertex), which reaches every class because any connected multigraph loses
+an edge to a connected parent; its levels are deduplicated by the same
+canonical form.  Classification groups graphs by exact spectral keys.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal
 
 from .discrete import ln_charpoly
 from .graphs import (DiscreteGraph, GraphError, canonical_form, discrete_betti,
@@ -25,89 +28,29 @@ MULTI_EDGE_BOUND = 8
 
 
 # ---------------------------------------------------------------------------
-# fast invariant canonical keys (refinement-pruned; used only for dedup)
-# ---------------------------------------------------------------------------
-
-def _refined_blocks(d: DiscreteGraph) -> list[list[int]]:
-    """Vertex classes of an iterated neighborhood-coloring, in invariant order."""
-    n = d.n
-    colors = [(sum(d.adj[v]), d.adj[v][v]) for v in range(n)]
-    ranks = _rank(colors)
-    for _ in range(n):
-        signatures = [
-            (ranks[v],
-             tuple(sorted((d.adj[v][u], ranks[u]) for u in range(n)
-                          if u != v and d.adj[v][u])))
-            for v in range(n)]
-        new_ranks = _rank(signatures)
-        if len(set(new_ranks)) == len(set(ranks)):
-            ranks = new_ranks
-            break
-        ranks = new_ranks
-    blocks: dict[int, list[int]] = {}
-    for v in range(n):
-        blocks.setdefault(ranks[v], []).append(v)
-    return [blocks[r] for r in sorted(blocks)]
-
-
-def _rank(values: Sequence) -> list[int]:
-    order = {val: i for i, val in enumerate(sorted(set(values)))}
-    return [order[val] for val in values]
-
-
-def _fast_canonical(d: DiscreteGraph) -> bytes:
-    """Complete isomorphism invariant: minimal encoding over block-respecting
-    orderings of the refined coloring (usually far fewer than n!)."""
-    blocks = _refined_blocks(d)
-    best: tuple[int, ...] | None = None
-    for choice in product(*(permutations(block) for block in blocks)):
-        perm = [v for block in choice for v in block]
-        enc = tuple(d.adj[perm[i]][perm[j]]
-                    for i in range(d.n) for j in range(d.n))
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return bytes(best) if max(best, default=0) < 256 else repr(best).encode()
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
 def enumerate_connected_simple(n: int) -> Iterator[DiscreteGraph]:
-    """One representative per isomorphism class of connected simple graphs."""
+    """One representative per isomorphism class of connected simple graphs,
+    in canonical-form order."""
     if n < 1:
         raise GraphError("need at least one vertex")
     if n > SIMPLE_BOUND:
         raise GraphError(f"enumeration bound: n <= {SIMPLE_BOUND}")
-    if n == 1:
-        yield discrete_from_adj([[0]])
-        return
-    pairs = list(combinations(range(n), 2))
-    seen: set[bytes] = set()
-    for mask in range(1, 1 << len(pairs)):
-        if mask.bit_count() < n - 1:
-            continue
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        adj = [[0] * n for _ in range(n)]
-        for p, (u, v) in enumerate(pairs):
-            if mask >> p & 1:
-                adj[u][v] = adj[v][u] = 1
-                parent[find(u)] = find(v)
-        if len({find(v) for v in range(n)}) != 1:
-            continue
-        d = discrete_from_adj(adj)
-        key = _fast_canonical(d)
-        if key not in seen:
-            seen.add(key)
-            yield d
+    single = discrete_from_adj([[0]])
+    level = {canonical_form(single): single}
+    for k in range(1, n):
+        nxt: dict[bytes, DiscreteGraph] = {}
+        for d in level.values():
+            for mask in range(1, 1 << k):
+                col = [mask >> u & 1 for u in range(k)]
+                child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
+                                          + [col + [0]])
+                nxt.setdefault(canonical_form(child), child)
+        level = nxt
+    for key in sorted(level):
+        yield level[key]
 
 
 def enumerate_connected_multi(n: int, m_max: int,
@@ -125,10 +68,10 @@ def enumerate_connected_multi(n: int, m_max: int,
     if not 1 <= m_max <= edge_bound:
         raise GraphError(f"enumeration bound: m_max <= {edge_bound}")
     loop = discrete_from_adj([[2]])
-    level: dict[bytes, DiscreteGraph] = {_fast_canonical(loop): loop}
+    level: dict[bytes, DiscreteGraph] = {canonical_form(loop): loop}
     if n >= 2:
         edge = discrete_from_adj([[0, 1], [1, 0]])
-        level[_fast_canonical(edge)] = edge
+        level[canonical_form(edge)] = edge
     for m in range(1, m_max + 1):
         for key in sorted(level):
             d = level[key]
@@ -139,9 +82,7 @@ def enumerate_connected_multi(n: int, m_max: int,
         nxt: dict[bytes, DiscreteGraph] = {}
         for d in level.values():
             for child in _augmentations(d, n):
-                ckey = _fast_canonical(child)
-                if ckey not in nxt:
-                    nxt[ckey] = child
+                nxt.setdefault(canonical_form(child), child)
         level = nxt
 
 

@@ -7,12 +7,15 @@ for standard (Kirchhoff) conditions.  `faddeev_ln_charpoly` is the
 normalized-Laplacian charpoly by the Faddeev-LeVerrier recurrence on
 I - D^{-1}A.  The library computes both keys from V x V determinants
 instead; these formulations share no matrix with it.
+`brute_force_canonical_form` is the canonical form by definition: the
+least row-major adjacency encoding over all n! vertex orderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from specgraph import (DiscreteGraph, LnCharpoly, MetricGraph, ProjectivePoly,
                        polymat_det, unit_subdivided)
@@ -83,3 +86,9 @@ def faddeev_ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     m = [[(1 if i == j else 0) - Fraction(d.adj[i][j], degrees[i]) for j in range(d.n)]
          for i in range(d.n)]
     return LnCharpoly(tuple(charpoly_exact(m)))
+
+
+def brute_force_canonical_form(d: DiscreteGraph) -> bytes:
+    """Least row-major adjacency encoding over every vertex ordering."""
+    return min(bytes(d.adj[p[i]][p[j]] for i in range(d.n) for j in range(d.n))
+               for p in permutations(range(d.n)))

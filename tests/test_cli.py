@@ -163,6 +163,14 @@ class TestSearchVerb:
         args = _build_parser().parse_args(["search", "--vertices", "3"])
         assert args.jobs == 3
 
+    def test_non_integer_jobs_variable_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPECGRAPH_JOBS", "two")
+        for argv in (["search", "--vertices", "3"], ["catalog", "K5"]):
+            code, out, err = invoke(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: SPECGRAPH_JOBS must be an integer, got 'two'\n"
+
 
 class TestConstructVerbs:
     def test_chop_emits_parsable_graph(self, tmp_path, capsys):

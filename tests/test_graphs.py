@@ -12,8 +12,10 @@ from specgraph import (GraphError, GraphFormatError, MetricGraph,
                        subdivide_edge, suppress_degree2, to_discrete,
                        unit_subdivided, validate)
 from specgraph.constructions import catalog
+from specgraph.graphs import discrete_components
 
 from conftest import random_connected_multigraph
+from kernel_oracles import brute_force_canonical_form
 
 
 def k5():
@@ -260,6 +262,47 @@ class TestCanonicalForm:
             shuffled = discrete_from_adj(
                 [[d.adj[perm[i]][perm[j]] for j in range(d.n)] for i in range(d.n)])
             assert canonical_form(shuffled) == base
+
+    def test_multiplicity_above_byte_rejected(self):
+        with pytest.raises(GraphError, match="multiplicity too large"):
+            canonical_form(discrete_from_adj([[0, 256], [256, 0]]))
+
+
+def random_multigraph_adj(rng: random.Random, n: int, draws: int) -> list[list[int]]:
+    """n vertices and `draws` random vertex pairs, each adding an edge (a
+    loop when u == v, which the two increments count twice)."""
+    adj = [[0] * n for _ in range(n)]
+    for _ in range(draws):
+        u, v = rng.randrange(n), rng.randrange(n)
+        adj[u][v] += 1
+        adj[v][u] += 1
+    return adj
+
+
+class TestCanonicalFormOracle:
+    def test_matches_brute_force_and_relabelling(self):
+        rng = random.Random(1998)
+        seen = {"loop": 0, "parallel": 0, "disconnected": 0, "edgeless": 0, "n7": 0}
+        for _ in range(520):
+            n = rng.randint(1, 7)
+            draws = 0 if rng.random() < 0.08 else rng.randint(1, 3 * n)
+            d = discrete_from_adj(random_multigraph_adj(rng, n, draws))
+            seen["loop"] += any(d.adj[v][v] for v in range(n))
+            seen["parallel"] += any(d.adj[u][v] > 1 for u in range(n) for v in range(u))
+            seen["disconnected"] += discrete_components(d) > 1
+            seen["edgeless"] += d.n_edges == 0
+            seen["n7"] += n == 7
+            form = canonical_form(d)
+            assert form == brute_force_canonical_form(d), d.adj
+            perm = list(range(n))
+            rng.shuffle(perm)
+            shuffled = discrete_from_adj(
+                [[d.adj[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+            assert canonical_form(shuffled) == form, d.adj
+        assert min(seen.values()) >= 20, seen
+
+    def test_empty_graph(self):
+        assert canonical_form(discrete_from_adj([])) == b""
 
 
 class TestTextFormat:

@@ -59,6 +59,19 @@ class TestEnumerateSimple:
         with pytest.raises(GraphError, match="enumeration bound"):
             list(enumerate_connected_simple(8))
 
+    def test_counts_and_n7_classes_match_graph_atlas(self):
+        nx = pytest.importorskip("networkx")
+        atlas: dict[int, list[bytes]] = {}
+        for g in nx.graph_atlas_g()[1:]:
+            if nx.is_connected(g):
+                adj = nx.to_numpy_array(g, nodelist=sorted(g), dtype=int).tolist()
+                atlas.setdefault(g.number_of_nodes(), []).append(
+                    canonical_form(discrete_from_adj(adj)))
+        for n, count in enumerate([1, 1, 2, 6, 21, 112, 853], start=1):
+            forms = [canonical_form(d) for d in enumerate_connected_simple(n)]
+            assert len(set(forms)) == len(forms) == len(atlas[n]) == count
+            assert set(forms) == set(atlas[n])
+
 
 class TestEnumerateMulti:
     def test_single_vertex_loops(self):
