@@ -7,17 +7,30 @@ blocks and a Schur complement over the interior vertices.  Its
 eigenvalues at fixed real lambda are the Steklov eigenvalues; their zero
 crossings as lambda increases mark the detectable part of the spectrum.
 
+Evaluation is stacked: `_Kernel` takes a whole array of lambdas, builds
+every vertex-indexed derivative map T(lambda) as one array (edge blocks
+once per distinct length, added edge by edge in edge order), and runs the
+conditioning SVD, the solve, the Schur complement and eigvalsh as stacked
+numpy calls, a fixed number of lambdas at a time.  Every value is the one
+a separate evaluation at each lambda gives, bit for bit: the stacked
+LAPACK calls run the same routine on each matrix, np.sin and np.cos agree
+with math.sin and math.cos, and the hyperbolic blocks for lambda < 0 stay
+on math.tanh and math.sinh because np.tanh and np.sinh do not.
+`m_function` is the one-lambda case; `tests/kernel_oracles.py` keeps the
+per-lambda assembly as the oracle.
+
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +40,14 @@ from .secular import spectrum_report
 EDGE_SINGULAR_TOL = 1e-10
 INTERIOR_COND_LIMIT = 1e10
 CLUSTER_TOL = 1e-7
+
+#: largest number of lambda samples one sweep, detect grid or set of
+#: detect pole probes may take; checked before any sample is built,
+#: overridable by keyword
+MAX_DETECT_SAMPLES = 100_000
+
+#: lambdas per stacked evaluation, which bounds its working arrays
+_CHUNK = 256
 
 #: sample set used by default for equivalence checks: the negative half
 #: line is pole-free, a few positive values catch sign conventions.
@@ -71,46 +92,155 @@ class MFunEval:
     regular: bool
 
 
-def _assemble(g: MetricGraph, lam: float) -> np.ndarray | None:
-    """Vertex-indexed derivative map T(lambda), or None if an edge is singular."""
-    n = g.n_vertices
-    t = np.zeros((n, n))
-    for u, v, length in g.edge_list():
-        block = edge_m_block(length, lam)
-        if block is None:
+def _edge_terms(lengths: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge block entries per length and lambda, and the edge-singular lambdas.
+
+    Row i holds the diagonal entry a for lengths[i] and row
+    len(lengths) + i the off-diagonal entry b, with the formulas and the
+    order of operations of edge_m_block.  The trigonometric formulas run
+    over the whole stack; lambda <= 0 is then overwritten one value at a
+    time.
+    """
+    nl = len(lengths)
+    ab = np.empty((2 * nl, len(lams)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.sqrt(lams)
+        kl = k * lengths.reshape(-1, 1)
+        s = np.sin(kl)
+        np.divide(-k * np.cos(kl), s, out=ab[:nl])
+        np.divide(k, s, out=ab[nl:])
+    singular = np.logical_or.reduce(np.abs(s) < EDGE_SINGULAR_TOL, axis=0)
+    for j in (lams <= 0).nonzero()[0]:
+        singular[j] = False
+        if lams[j] == 0:
+            ab[:nl, j] = -1.0 / lengths
+            ab[nl:, j] = 1.0 / lengths
+            continue
+        kappa = math.sqrt(-float(lams[j]))
+        for i, l in enumerate(lengths.tolist()):
+            x = kappa * l
+            ab[i, j] = -kappa / math.tanh(x)
+            ab[nl + i, j] = kappa / math.sinh(x) if x < 350.0 else 0.0
+    return ab, singular
+
+
+class _MChunk(NamedTuple):
+    """Stacked M-function values at consecutive lambdas.
+
+    regular[i] says whether M exists at the i-th lambda; the rows of
+    matrices and eigs at singular lambdas are NaN.  interior_neg[i] is the
+    number of negative eigenvalues of the interior block of T (-1 where an
+    edge is singular).  eigs and interior_neg are None unless requested.
+    """
+
+    regular: np.ndarray
+    matrices: np.ndarray
+    eigs: np.ndarray | None
+    interior_neg: np.ndarray | None
+
+
+class _Kernel:
+    """Stacked M-function evaluation of one graph over arrays of lambdas.
+
+    The constructor does the per-graph work once.  Edge e adds a to
+    T[u, u] and T[v, v] and b to T[u, v] and T[v, u], in that order;
+    `slots` lists these flat positions in T edge by edge and `picks` the
+    row of the matching entry in the array of _edge_terms.
+    """
+
+    def __init__(self, g: MetricGraph) -> None:
+        if not g.contacts:
+            raise GraphError("empty contact set")
+        n = self.n = g.n_vertices
+        lengths = [float(l) for l in g.lengths]
+        distinct = sorted(set(lengths))
+        row = {l: i for i, l in enumerate(distinct)}
+        slots: list[int] = []
+        picks: list[int] = []
+        for (u, v, _), l in zip(g.edge_list(), lengths):
+            i = row[l]
+            slots += (u * n + u, v * n + v, u * n + v, v * n + u)
+            picks += (i, i, i + len(distinct), i + len(distinct))
+        self.lengths = np.array(distinct)
+        self.slots = np.array(slots, dtype=np.intp).reshape(-1, 1)
+        self.picks = np.array(picks, dtype=np.intp)
+        contact_set = set(g.contacts)
+        self.contact = np.array(g.contacts, dtype=np.intp).reshape(-1, 1)
+        self.inner = np.array([v for v in range(n) if v not in contact_set],
+                              dtype=np.intp).reshape(-1, 1)
+
+    def assemble(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T(lambda) for every lambda as one stack, and the edge-singular lambdas.
+
+        The terms are listed edge by edge, and np.bincount adds the
+        weights of each bin in input order starting from 0.0, so every
+        entry of T is summed edge by edge, as one assembly per lambda
+        would.  Rows at edge-singular lambdas hold meaningless values.
+        """
+        terms, singular = _edge_terms(self.lengths, lams)
+        size = self.n * self.n
+        bins = (self.slots + np.arange(0, len(lams) * size, size)).ravel()
+        t = np.bincount(bins, terms[self.picks].ravel(), len(lams) * size)
+        return t.reshape(len(lams), self.n, self.n), singular
+
+    def chunks(self, lams: Sequence[float], eigs: bool = False,
+               interior: bool = False) -> Iterator[_MChunk]:
+        """M at every lambda, _CHUNK lambdas per yielded chunk.
+
+        Interior vertices are eliminated by a Schur complement; a lambda is
+        singular when an edge block is singular or the interior block is
+        numerically non-invertible (interior Dirichlet eigenvalue).
+        """
+        lams = np.asarray(lams, dtype=float)
+        if not np.isfinite(lams).all():
+            raise GraphError("lambda must be finite")
+        for start in range(0, len(lams), _CHUNK):
+            yield self._chunk(lams[start:start + _CHUNK], eigs, interior)
+
+    def _chunk(self, lams: np.ndarray, eigs: bool, interior: bool) -> _MChunk:
+        contact, inner = self.contact, self.inner
+        t, singular = self.assemble(lams)
+        m = t[:, contact, contact.T]
+        rows = (~singular).nonzero()[0]
+        c = t[rows.reshape(-1, 1, 1), inner, inner.T]
+        interior_neg = None
+        if interior:
+            interior_neg = np.full(len(lams), -1)
+            interior_neg[rows] = np.sum(np.linalg.eigvalsh(c) < 0.0, axis=1)
+        if len(inner):
+            sv = np.linalg.svd(c, compute_uv=False)
+            keep = ~(sv[:, -1] < np.maximum(1.0, sv[:, 0]) / INTERIOR_COND_LIMIT)
+            rows, c = rows[keep], c[keep]
+            b = t[rows.reshape(-1, 1, 1), contact, inner.T]
+            m[rows] = m[rows] - b @ np.linalg.solve(c, b.transpose(0, 2, 1))
+        regular = np.zeros(len(lams), dtype=bool)
+        regular[rows] = True
+        m[~regular] = np.nan
+        ev = None
+        if eigs:
+            ev = np.full(m.shape[:2], np.nan)
+            ev[rows] = np.linalg.eigvalsh(m[rows])
+        return _MChunk(regular, m, ev, interior_neg)
+
+    def interior_count(self, lam: float) -> int | None:
+        """Negative eigenvalues of the interior block of T, None if an edge is singular."""
+        t, singular = self.assemble(np.array([lam]))
+        if singular[0]:
             return None
-        a, b = block[0, 0], block[0, 1]
-        t[u, u] += a
-        t[v, v] += a
-        t[u, v] += b
-        t[v, u] += b
-    return t
+        return int(np.sum(np.linalg.eigvalsh(t[0][self.inner, self.inner.T]) < 0.0))
 
 
 def m_function(g: MetricGraph, lam: float) -> MFunEval:
     """M-function of g on its contact set at real lambda.
 
-    Interior vertices are eliminated by a Schur complement; the evaluation
-    is flagged singular when an edge block is singular or the interior
-    block is numerically non-invertible (interior Dirichlet eigenvalue).
+    The one-lambda case of the stacked evaluation; the result is flagged
+    singular when an edge block is singular or the interior block is
+    numerically non-invertible (interior Dirichlet eigenvalue).
     """
-    if not g.contacts:
-        raise GraphError("empty contact set")
-    t = _assemble(g, lam)
-    if t is None:
+    chunk = next(_Kernel(g).chunks([lam]))
+    if not chunk.regular[0]:
         return MFunEval(lam, None, False)
-    contact = list(g.contacts)
-    interior = [v for v in range(g.n_vertices) if v not in set(contact)]
-    a = t[np.ix_(contact, contact)]
-    if not interior:
-        return MFunEval(lam, a, True)
-    b = t[np.ix_(contact, interior)]
-    c = t[np.ix_(interior, interior)]
-    sv = np.linalg.svd(c, compute_uv=False)
-    if sv[-1] < max(1.0, sv[0]) / INTERIOR_COND_LIMIT:
-        return MFunEval(lam, None, False)
-    m = a - b @ np.linalg.solve(c, b.T)
-    return MFunEval(lam, m, True)
+    return MFunEval(lam, chunk.matrices[0], True)
 
 
 def steklov_eigs(g: MetricGraph, lam: float) -> np.ndarray | None:
@@ -137,19 +267,31 @@ class SteklovCurve:
         return sum(1 for b in self.branches if b is None)
 
 
+def _check_samples(count: float, max_samples: int) -> None:
+    if count > max_samples:
+        raise GraphError(f"{count:.6g} lambda samples requested, "
+                         f"above the budget of {max_samples}")
+
+
 def steklov_sweep(g: MetricGraph, lambda_min: float, lambda_max: float,
-                  steps: int) -> SteklovCurve:
-    """Uniform sweep of the Steklov branches over [lambda_min, lambda_max]."""
+                  steps: int, max_samples: int = MAX_DETECT_SAMPLES) -> SteklovCurve:
+    """Uniform sweep of the Steklov branches over [lambda_min, lambda_max].
+
+    At most `max_samples` steps are taken; more raise GraphError.
+    """
+    if not (math.isfinite(lambda_min) and math.isfinite(lambda_max)):
+        raise GraphError("sweep bounds must be finite")
     if not lambda_min < lambda_max:
         raise GraphError("need lambda_min < lambda_max")
     if steps < 2:
         raise GraphError("need at least two steps")
+    _check_samples(steps, max_samples)
     grid = [lambda_min + (lambda_max - lambda_min) * i / (steps - 1)
             for i in range(steps)]
     branches: list[tuple[float, ...] | None] = []
-    for lam in grid:
-        eigs = steklov_eigs(g, lam)
-        branches.append(None if eigs is None else tuple(float(x) for x in eigs))
+    for chunk in _Kernel(g).chunks(grid, eigs=True):
+        branches += [tuple(e.tolist()) if ok else None
+                     for ok, e in zip(chunk.regular, chunk.eigs)]
     return SteklovCurve(tuple(grid), tuple(branches))
 
 
@@ -172,12 +314,33 @@ def _negative_count(g: MetricGraph, k: float) -> int | None:
     return int(np.sum(eigs < 0.0))
 
 
+def _grid_counts(kernel: _Kernel, ks: Sequence[float]
+                 ) -> tuple[list[int | None], list[int | None]]:
+    """Counts at lambda = k^2 for every k, from one stacked evaluation.
+
+    The first list counts negative Steklov eigenvalues, the second the
+    negative eigenvalues of the interior block of T; both are None where
+    M is singular.
+    """
+    k = np.array(ks, dtype=float)
+    counts: list[int | None] = []
+    interior: list[int | None] = []
+    for chunk in kernel.chunks(k * k, eigs=True, interior=True):
+        negative = np.sum(chunk.eigs < 0.0, axis=1)
+        for ok, n, n_inner in zip(chunk.regular, negative.tolist(),
+                                  chunk.interior_neg.tolist()):
+            counts.append(n if ok else None)
+            interior.append(n_inner if ok else None)
+    return counts, interior
+
+
 _POLE_MAGNITUDE = 1e4
 
 
 def detectable_spectrum(g: MetricGraph, k_max: float,
                         grid_step: float = 0.01,
-                        refine_tol: float = 1e-8) -> DetectionResult:
+                        refine_tol: float = 1e-8,
+                        max_samples: int = MAX_DETECT_SAMPLES) -> DetectionResult:
     """Detectable eigenvalues k in (grid_step, k_max] with multiplicities.
 
     Tracks the number of negative Steklov eigenvalues along a k grid and
@@ -187,19 +350,33 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     candidate points are checked separately by counting branches that pass
     through zero from both sides of the pole.  Remaining brackets with
     flagged singular samples are skipped and reported; the exact secular
-    route is the authority for zeros merged with interior poles.
+    route is the authority for zeros merged with interior poles.  The grid
+    and the edge poles probed may each hold at most `max_samples` points;
+    more raise GraphError before any sample is taken.
     """
     if not g.contacts:
         raise GraphError("empty contact set")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise GraphError(f"grid step must be positive and finite, got {grid_step}")
+    if not math.isfinite(k_max):
+        raise GraphError(f"k_max must be finite, got {k_max}")
+    if not refine_tol >= 0:
+        raise GraphError(f"refinement tolerance must be non-negative, got {refine_tol}")
+    _check_samples(k_max / grid_step, max_samples)
+    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)), max_samples)
     raw: list[tuple[float, int, bool]] = []
     notes: list[str] = []
 
+    # The grid is accumulated, k += grid_step, drift included: printed
+    # points depend on these exact k values, so i * grid_step would change
+    # reference outputs.
     ks: list[float] = []
     k = grid_step
     while k <= k_max + 1e-12:
         ks.append(k)
         k += grid_step
-    counts = [_negative_count(g, k) for k in ks]
+    kernel = _Kernel(g)
+    counts, interior_counts = _grid_counts(kernel, ks)
 
     def crossing_at(k0: float, fallback: int) -> tuple[int, bool]:
         return _crossing_multiplicity(g, k0, fallback)
@@ -249,7 +426,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     # (the pole jump cancels them), so pole locations are probed explicitly
     eps = 1e-4
     candidates = _edge_pole_candidates(g, k_max)
-    candidates += _interior_pole_candidates(g, ks, counts, refine_tol)
+    candidates += _interior_pole_candidates(kernel, ks, interior_counts, refine_tol)
     for k0 in sorted(candidates):
         if k0 <= grid_step + eps:
             continue
@@ -273,20 +450,25 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
 
 
 def _edge_pole_candidates(g: MetricGraph, k_max: float) -> list[float]:
-    """Distinct k values in (0, k_max] where some edge block is singular."""
+    """Distinct k values in (0, k_max] where some edge block is singular.
+
+    A pole within 1e-9 of one already kept is dropped; `out` stays sorted,
+    so only the two neighbours of the insertion point need checking.
+    """
     out: list[float] = []
     for length in sorted(set(g.lengths)):
         step = math.pi / float(length)
         m = 1
         while m * step <= k_max + 1e-12:
             k0 = m * step
-            if not any(abs(k0 - other) < 1e-9 for other in out):
-                out.append(k0)
+            i = bisect.bisect_left(out, k0)
+            if not any(abs(k0 - other) < 1e-9 for other in out[max(i - 1, 0):i + 1]):
+                out.insert(i, k0)
             m += 1
-    return sorted(out)
+    return out
 
 
-def _interior_pole_candidates(g: MetricGraph, ks: Sequence[float],
+def _interior_pole_candidates(kernel: _Kernel, ks: Sequence[float],
                               counts: Sequence[int | None],
                               refine_tol: float) -> list[float]:
     """Interior Dirichlet eigenvalues in k, the poles of the Schur complement.
@@ -294,17 +476,13 @@ def _interior_pole_candidates(g: MetricGraph, ks: Sequence[float],
     The interior block C(lambda) has nondecreasing eigenvalue branches
     between edge poles, so its zero crossings are bracketed by the drop in
     its negative-eigenvalue count, exactly like the detectable spectrum.
+    counts[i] is that count at ks[i] (None to skip the point).
     """
-    contact_set = set(g.contacts)
-    interior = [v for v in range(g.n_vertices) if v not in contact_set]
-    if not interior:
+    if not len(kernel.inner):
         return []
 
     def neg_count(k: float) -> int | None:
-        t = _assemble(g, k * k)
-        if t is None:
-            return None
-        return int(np.sum(np.linalg.eigvalsh(t[np.ix_(interior, interior)]) < 0.0))
+        return kernel.interior_count(k * k)
 
     poles: list[float] = []
 
@@ -325,8 +503,7 @@ def _interior_pole_candidates(g: MetricGraph, ks: Sequence[float],
         refine(mid, n_mid, k2, n2)
 
     prev: tuple[float, int] | None = None
-    for k, main_count in zip(ks, counts):
-        n = neg_count(k) if main_count is not None else None
+    for k, n in zip(ks, counts):
         if n is None:
             prev = None
             continue
@@ -371,15 +548,27 @@ def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
     for p, q in bijection:
         sigma[p] = q
     worst = 0.0
-    for lam in samples:
-        e1 = m_function(g1, lam)
-        e2 = m_function(g2, lam)
-        if not (e1.regular and e2.regular):
-            raise SingularSampleError(
-                f"singular sample lambda={lam}; choose different samples")
-        permuted = e2.matrix[np.ix_(sigma, sigma)]
-        worst = max(worst, float(np.max(np.abs(e1.matrix - permuted))))
+    for _, (m1, m2) in _sample_matrices((g1, g2), samples):
+        permuted = m2[np.ix_(sigma, sigma)]
+        worst = max(worst, float(np.max(np.abs(m1 - permuted))))
     return EquivalenceResult(worst < tol, worst)
+
+
+def _sample_matrices(graphs: Sequence[MetricGraph], samples: Sequence[float]
+                     ) -> Iterator[tuple[float, list[np.ndarray]]]:
+    """(lambda, M of every graph) per sample, from one stacked evaluation each.
+
+    Raises SingularSampleError at the first sample where any M is singular.
+    """
+    samples = list(samples)
+    it = iter(samples)
+    for chunks in zip(*(_Kernel(g).chunks(samples) for g in graphs)):
+        for i in range(len(chunks[0].regular)):
+            lam = next(it)
+            if not all(c.regular[i] for c in chunks):
+                raise SingularSampleError(
+                    f"singular sample lambda={lam}; choose different samples")
+            yield lam, [c.matrices[i] for c in chunks]
 
 
 def _crossing_multiplicity(g: MetricGraph, k: float, fallback: int,
@@ -470,14 +659,8 @@ def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph,
     if not len(k_graph.contacts) == len(q1.contacts) == len(q2.contacts):
         raise GraphError("contact counts differ")
     out: list[Method3Sample] = []
-    for lam in samples:
-        ek = m_function(k_graph, lam)
-        e1 = m_function(q1, lam)
-        e2 = m_function(q2, lam)
-        if not (ek.regular and e1.regular and e2.regular):
-            raise SingularSampleError(
-                f"singular sample lambda={lam}; choose different samples")
-        w, vecs = np.linalg.eigh(ek.matrix)
+    for lam, (mk, m1, m2) in _sample_matrices((k_graph, q1, q2), samples):
+        w, vecs = np.linalg.eigh(mk)
         clusters: list[list[int]] = [[0]]
         for i in range(1, len(w)):
             if w[i] - w[clusters[-1][0]] < CLUSTER_TOL:
@@ -486,13 +669,13 @@ def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph,
                 clusters.append([i])
         best = max(clusters, key=len)
         degenerate = len(best) > 1
-        w1 = np.linalg.eigvalsh(e1.matrix)
-        w2 = np.linalg.eigvalsh(e2.matrix)
+        w1 = np.linalg.eigvalsh(m1)
+        w2 = np.linalg.eigvalsh(m2)
         eig_match = bool(np.max(np.abs(w1 - w2)) < tol)
         if degenerate:
             comp_idx = [i for i in range(len(w)) if i not in best]
             comp = vecs[:, comp_idx]
-            diff = comp.T @ (e1.matrix - e2.matrix) @ comp
+            diff = comp.T @ (m1 - m2) @ comp
             comp_match = bool(
                 diff.size == 0 or np.linalg.norm(diff, 2) < tol)
         else:

@@ -9,6 +9,9 @@ I - D^{-1}A.  The library computes both keys from V x V determinants
 instead; these formulations share no matrix with it.
 `brute_force_canonical_form` is the canonical form by definition: the
 least row-major adjacency encoding over all n! vertex orderings.
+`reference_m_function` is the M-function evaluated one lambda at a time:
+a Python assembly of T(lambda) from `edge_m_block`, then the Schur
+complement over the interior vertices; the library stacks both steps.
 """
 
 from __future__ import annotations
@@ -17,8 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from specgraph import (DiscreteGraph, LnCharpoly, MetricGraph, ProjectivePoly,
-                       polymat_det, unit_subdivided)
+import numpy as np
+
+from specgraph import (DiscreteGraph, LnCharpoly, MFunEval, MetricGraph,
+                       ProjectivePoly, edge_m_block, polymat_det, unit_subdivided)
+from specgraph.mfunction import INTERIOR_COND_LIMIT
 
 
 @dataclass(frozen=True)
@@ -92,3 +98,42 @@ def brute_force_canonical_form(d: DiscreteGraph) -> bytes:
     """Least row-major adjacency encoding over every vertex ordering."""
     return min(bytes(d.adj[p[i]][p[j]] for i in range(d.n) for j in range(d.n))
                for p in permutations(range(d.n)))
+
+
+def reference_assemble(g: MetricGraph, lam: float) -> np.ndarray | None:
+    """Vertex-indexed derivative map T(lambda), or None if an edge is singular."""
+    n = g.n_vertices
+    t = np.zeros((n, n))
+    for u, v, length in g.edge_list():
+        block = edge_m_block(length, lam)
+        if block is None:
+            return None
+        a, b = block[0, 0], block[0, 1]
+        t[u, u] += a
+        t[v, v] += a
+        t[u, v] += b
+        t[v, u] += b
+    return t
+
+
+def interior_vertices(g: MetricGraph) -> list[int]:
+    return [v for v in range(g.n_vertices) if v not in set(g.contacts)]
+
+
+def reference_m_function(g: MetricGraph, lam: float) -> MFunEval:
+    """M-function at one lambda by assembly and Schur complement."""
+    t = reference_assemble(g, lam)
+    if t is None:
+        return MFunEval(lam, None, False)
+    contact = list(g.contacts)
+    interior = interior_vertices(g)
+    a = t[np.ix_(contact, contact)]
+    if not interior:
+        return MFunEval(lam, a, True)
+    b = t[np.ix_(contact, interior)]
+    c = t[np.ix_(interior, interior)]
+    sv = np.linalg.svd(c, compute_uv=False)
+    if sv[-1] < max(1.0, sv[0]) / INTERIOR_COND_LIMIT:
+        return MFunEval(lam, None, False)
+    m = a - b @ np.linalg.solve(c, b.T)
+    return MFunEval(lam, m, True)

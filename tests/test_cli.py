@@ -138,6 +138,21 @@ class TestNumericVerbs:
         assert float(k) == pytest.approx(math.pi, abs=1e-6)
         assert mult == "1"
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--kmax", "4.0", "--step", "0"),
+        ("detect", "--kmax", "4.0", "--step", "-0.01"),
+        ("detect", "--kmax", "inf"),
+        ("sweep", "--lmin", "0", "--lmax", "inf", "--steps", "10"),
+        ("mfun", "--lambda", "nan")])
+    def test_unbounded_numeric_input_exits_2(self, tmp_path, capsys, argv):
+        # each is rejected before any lambda sample is taken
+        path = tmp_path / "p2.g"
+        _, out, _ = invoke(capsys, "catalog", "path_2")
+        path.write_text(out)
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestSearchVerb:
     def test_search_n4_and_job_independence(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
                        edge_m_block, from_edge_list, glue,
@@ -11,8 +14,10 @@ from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import catalog
+from specgraph.mfunction import _grid_counts, _Kernel
 
 from conftest import random_connected_multigraph
+from kernel_oracles import interior_vertices, reference_assemble, reference_m_function
 
 
 def regular_k_samples(count, lo=0.1, hi=3.0, avoid=0.05):
@@ -269,3 +274,202 @@ class TestMethod3:
         report = method3_verify(host, q, q)
         assert not any(s.degenerate_found for s in report.samples)
         assert not report.ok
+
+
+ORACLE_LENGTHS = (1, 2, 3, Fraction(3, 2))
+
+
+def oracle_graph(rng, i):
+    """Random connected multigraph with contacts; i % 3 picks all, one or some."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randrange(v), v, rng.choice(ORACLE_LENGTHS)) for v in range(1, n)]
+    for _ in range(rng.randint(1 if n == 1 else 0, 4)):
+        edges.append((rng.randrange(n), rng.randrange(n), rng.choice(ORACLE_LENGTHS)))
+    if i % 3 == 0:
+        contacts = list(range(n))
+    elif i % 3 == 1:
+        contacts = [rng.randrange(n)]
+    else:
+        contacts = rng.sample(range(n), rng.randint(1, n))
+    return from_edge_list(n, edges, contacts)
+
+
+def oracle_lambdas(rng, g):
+    """Both half-lines, zero, and exact and near poles of every edge length."""
+    lams = [0.0, -0.0, -1e6, -(349.0 ** 2), -rng.uniform(0.01, 60),
+            -rng.uniform(60, 2000), rng.uniform(0.01, 5), rng.uniform(5, 200)]
+    for length in set(g.lengths):
+        for m in (1, 2):
+            k = m * math.pi / float(length)
+            lams += [k * k, (k + 1e-11) ** 2, (k + 1e-7) ** 2, (k / 2) ** 2]
+    rng.shuffle(lams)
+    return lams
+
+
+def interior_negative(g, t):
+    """Negative eigenvalues of the interior block of an assembled T."""
+    inner = interior_vertices(g)
+    return int(np.sum(np.linalg.eigvalsh(t[np.ix_(inner, inner)]) < 0.0))
+
+
+def stacked(g, lams):
+    """All chunks of one stacked evaluation, joined."""
+    chunks = list(_Kernel(g).chunks(lams, eigs=True, interior=True))
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+class TestStackedKernelOracle:
+    """The stacked kernel against the per-lambda oracle, bit for bit."""
+
+    def test_stack_equals_reference_bit_for_bit(self):
+        rng = random.Random(4104)
+        graphs = [oracle_graph(rng, i) for i in range(150)]
+        # stars with an interior hub hit interior Dirichlet poles at k*l = pi/2
+        graphs += [catalog("S3"), catalog("Q1"),
+                   from_edge_list(4, [(0, 3, 3), (1, 3, 3), (2, 3, 3)], (0, 1, 2)),
+                   from_edge_list(3, [(0, 2, "3/2"), (1, 2, "3/2")], (1, 0))]
+        seen = Counter()
+        for g in graphs:
+            pairs = Counter(frozenset((u, v)) for u, v, _ in g.edge_list())
+            seen["loop"] += any(u == v for u, v, _ in g.edge_list())
+            seen["parallel"] += any(c > 1 for c in pairs.values())
+            seen["no interior"] += not interior_vertices(g)
+            seen["one contact"] += len(g.contacts) == 1
+            seen.update(f"length {l}" for l in set(g.lengths))
+            lams = oracle_lambdas(rng, g)
+            regular, matrices, eigs, interior_neg = stacked(g, lams)
+            for i, lam in enumerate(lams):
+                ref = reference_m_function(g, lam)
+                one = m_function(g, lam)
+                assert regular[i] == ref.regular == one.regular, (g, lam)
+                t = reference_assemble(g, lam)
+                if t is None:
+                    seen["edge singular"] += 1
+                    assert interior_neg[i] == -1
+                    continue
+                assert interior_neg[i] == interior_negative(g, t), (g, lam)
+                if not ref.regular:
+                    seen["interior singular"] += 1
+                    continue
+                assert np.array_equal(matrices[i], ref.matrix), (g, lam)
+                assert np.array_equal(one.matrix, ref.matrix), (g, lam)
+                assert np.array_equal(eigs[i], np.linalg.eigvalsh(ref.matrix)), (g, lam)
+                seen["regular"] += 1
+        for kind in ("loop", "parallel", "no interior", "one contact", "length 1",
+                     "length 2", "length 3", "length 3/2", "edge singular", "regular"):
+            assert seen[kind] >= 20, (kind, seen)
+        assert seen["interior singular"] >= 4, seen
+
+    def test_detect_grid_counts_equal_reference(self):
+        rng = random.Random(4105)
+        graphs = [catalog("Gamma1"), catalog("Q1"), catalog("S3")]
+        graphs += [oracle_graph(rng, i) for i in range(12)]
+        # the accumulated grid of detectable_spectrum, spanning three chunks
+        ks = []
+        k = 0.01
+        while k <= 6.3 + 1e-12:
+            ks.append(k)
+            k += 0.01
+        for g in graphs:
+            counts, interior = _grid_counts(_Kernel(g), ks)
+            for k, n, n_inner in zip(ks, counts, interior):
+                ref = reference_m_function(g, k * k)
+                if not ref.regular:
+                    assert n is None and n_inner is None
+                    continue
+                assert n == int(np.sum(np.linalg.eigvalsh(ref.matrix) < 0.0)), (g, k)
+                assert n_inner == interior_negative(g, reference_assemble(g, k * k)), (g, k)
+
+    def test_sweep_branches_equal_reference(self):
+        rng = random.Random(4106)
+        for i in range(8):
+            g = oracle_graph(rng, i)
+            curve = steklov_sweep(g, -5.0, 60.0, 600)
+            for lam, branches in zip(curve.grid, curve.branches):
+                ref = reference_m_function(g, lam)
+                if not ref.regular:
+                    assert branches is None
+                    continue
+                assert branches == tuple(np.linalg.eigvalsh(ref.matrix).tolist())
+
+
+@st.composite
+def graphs_with_contacts(draw):
+    """Connected multigraphs with loops, parallel edges, mixed lengths."""
+    n = draw(st.integers(1, 6))
+    length = st.sampled_from(ORACLE_LENGTHS)
+    edges = [(draw(st.integers(0, v - 1)), v, draw(length)) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex, length),
+                           min_size=1 if n == 1 else 0, max_size=4))
+    contacts = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    return from_edge_list(n, edges, contacts)
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(graphs_with_contacts(), st.floats(-60.0, 60.0))
+    def test_m_function_symmetric(self, g, lam):
+        ev = m_function(g, lam)
+        assume(ev.regular)
+        # the Schur complement is symmetric up to rounding amplified by the
+        # condition of the interior block
+        t = reference_assemble(g, lam)
+        inner = interior_vertices(g)
+        cond = np.linalg.cond(t[np.ix_(inner, inner)]) if inner else 1.0
+        assume(cond < 1e6)
+        scale = 1.0 + np.max(np.abs(t))
+        assert np.max(np.abs(ev.matrix - ev.matrix.T)) <= 1e-12 * cond * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graphs_with_contacts(), st.floats(-80.0, -1.0))
+    def test_branches_increase_with_lambda_on_negative_axis(self, g, lmin):
+        # M'(lambda) is positive definite and there are no poles for lambda < 0,
+        # so every branch strictly increases with lambda (decreases out along
+        # the negative half-line); detect reads its crossings from count drops
+        curve = steklov_sweep(g, lmin, -0.05, 30)
+        assert curve.n_singular == 0
+        for prev, cur in zip(curve.branches, curve.branches[1:]):
+            assert all(c > p for p, c in zip(prev, cur)), (g, prev, cur)
+
+
+class TestBudgets:
+    def test_detect_sample_budget(self):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        # 5.0 / 0.01 = 500 samples
+        assert detectable_spectrum(g, 5.0, max_samples=500).points
+        with pytest.raises(GraphError, match="above the budget of 499"):
+            detectable_spectrum(g, 5.0, max_samples=499)
+
+    def test_edge_pole_budget(self):
+        # 4.0 * 100 / pi = 127 poles of the long edge, but only 40 grid points
+        g = from_edge_list(2, [(0, 1, 100)], contacts=(0, 1))
+        with pytest.raises(GraphError, match="above the budget of 100"):
+            detectable_spectrum(g, 4.0, grid_step=0.1, max_samples=100)
+
+    def test_sweep_sample_budget(self):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        assert len(steklov_sweep(g, -1.0, 1.0, 11, max_samples=11).grid) == 11
+        with pytest.raises(GraphError, match="above the budget of 10"):
+            steklov_sweep(g, -1.0, 1.0, 11, max_samples=10)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid_step": 0.0}, {"grid_step": -0.01}, {"grid_step": math.inf},
+        {"grid_step": math.nan}, {"k_max": math.inf}, {"k_max": math.nan},
+        {"refine_tol": -1e-8}, {"refine_tol": math.nan}])
+    def test_detect_rejects_unbounded_grids(self, kwargs):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        args = {"k_max": 4.0, **kwargs}
+        with pytest.raises(GraphError):
+            detectable_spectrum(g, **args)
+
+    def test_sweep_rejects_infinite_bounds(self):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        with pytest.raises(GraphError, match="finite"):
+            steklov_sweep(g, -1.0, math.inf, 10)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        with pytest.raises(GraphError, match="lambda must be finite"):
+            m_function(g, lam)
