@@ -254,10 +254,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.op == "chop":
         g = _load(args.file)
+        if not 0 <= args.vertex < g.n_vertices:
+            raise GraphError(f"vertex {args.vertex} out of range 0..{g.n_vertices - 1}")
         cls = g.vertices[args.vertex]
         parts = []
         for chunk in args.parts.split("|"):
-            parts.append([cls[int(i)] for i in chunk.split(",")])
+            slots = [int(i) for i in chunk.split(",")]
+            if any(not 0 <= i < len(cls) for i in slots):
+                raise GraphError(f"slot index out of range 0..{len(cls) - 1} "
+                                 f"at vertex {args.vertex}")
+            parts.append([cls[i] for i in slots])
         _emit(format_graph(chop_vertex(g, args.vertex, parts), "chopped"), args.out)
         return 0
     if args.op == "glue":

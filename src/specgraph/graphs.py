@@ -171,6 +171,8 @@ def chop_vertex(g: MetricGraph, v: int, parts: Sequence[Iterable[int]]) -> Metri
     nonempty sets.  The first part occupies v's slot in the vertex order,
     the rest are appended; v's contact status is dropped.
     """
+    if not 0 <= v < g.n_vertices:
+        raise GraphError("vertex index out of range")
     part_tuples = [tuple(p) for p in parts]
     flat = [e for p in part_tuples for e in p]
     if (len(part_tuples) < 2 or any(not p for p in part_tuples)

@@ -378,9 +378,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     kernel = _Kernel(g)
     counts, interior_counts = _grid_counts(kernel, ks)
 
-    def crossing_at(k0: float, fallback: int) -> tuple[int, bool]:
-        return _crossing_multiplicity(g, k0, fallback)
-
     def refine(k1: float, n1: int, k2: float, n2: int) -> None:
         if n1 == n2:
             return
@@ -388,7 +385,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
             drop = n1 - n2
             if drop > 0:
                 k0 = (k1 + k2) / 2
-                mult, at_pole = crossing_at(k0, drop)
+                mult, at_pole = _crossing_multiplicity(g, k0, drop)
                 raw.append((k0, mult, at_pole))
             # a negative net change this tight is a pole, not a crossing
             return
@@ -432,7 +429,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
             continue
         if any(abs(k0 - kp) < 10 * eps for kp, _, _ in raw):
             continue
-        mult = _pole_crossing_count(g, k0, eps=eps)
+        mult, _ = _crossing_multiplicity(g, k0, 0, eps=eps)
         if mult > 0:
             raw.append((k0, mult, True))
 
@@ -595,10 +592,6 @@ def _crossing_multiplicity(g: MetricGraph, k: float, fallback: int,
             f"asymmetric crossing count at pole k={k:.6g}: {nb} before, {na} after",
             stacklevel=2)
     return min(nb, na), True
-
-
-def _pole_crossing_count(g: MetricGraph, k: float, eps: float = 1e-4) -> int:
-    return _crossing_multiplicity(g, k, 0, eps=eps)[0]
 
 
 def invisible_multiplicity(g: MetricGraph, k: float) -> int:

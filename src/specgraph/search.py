@@ -1,14 +1,14 @@
 """Exhaustive enumeration of small graphs and isospectral classification.
 
-Connected simple graphs are grown one vertex at a time: each class on k
-vertices gains vertex k joined to a non-empty subset of the others, and
-every level keeps one graph per canonical form.  That reaches every class,
-because a connected graph has a vertex whose deletion leaves it connected
-(a leaf of a spanning tree).  Connected multigraphs come from a
-breadth-first augmentation (add a loop, a parallel edge, or a pendant
-vertex), which reaches every class because any connected multigraph loses
-an edge to a connected parent; its levels are deduplicated by the same
-canonical form.  Classification groups graphs by exact spectral keys.
+Connected graphs are grown one vertex at a time: each class on k vertices
+gains a vertex k with some loops and a non-zero column of multiplicities
+to the others, and every level keeps one graph per canonical form.  Simple
+graphs are the case of columns over {0, 1} and no loops.  That reaches
+every class, because a connected graph has a vertex whose deletion, with
+its loops, leaves it connected (a leaf of a spanning tree).  For
+multigraphs with at most m edges a vertex may use only the edges left
+after one for each vertex still to come.  Classification groups graphs by
+exact spectral keys.
 """
 
 from __future__ import annotations
@@ -38,19 +38,7 @@ def enumerate_connected_simple(n: int) -> Iterator[DiscreteGraph]:
         raise GraphError("need at least one vertex")
     if n > SIMPLE_BOUND:
         raise GraphError(f"enumeration bound: n <= {SIMPLE_BOUND}")
-    single = discrete_from_adj([[0]])
-    level = {canonical_form(single): single}
-    for k in range(1, n):
-        nxt: dict[bytes, DiscreteGraph] = {}
-        for d in level.values():
-            for mask in range(1, 1 << k):
-                col = [mask >> u & 1 for u in range(k)]
-                child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
-                                          + [col + [0]])
-                nxt.setdefault(canonical_form(child), child)
-        level = nxt
-    for key in sorted(level):
-        yield level[key]
+    yield from _grow(n, n * (n - 1) // 2, multi=False)
 
 
 def enumerate_connected_multi(n: int, m_max: int,
@@ -58,52 +46,57 @@ def enumerate_connected_multi(n: int, m_max: int,
                               edge_bound: int = MULTI_EDGE_BOUND,
                               ) -> Iterator[DiscreteGraph]:
     """One representative per class of connected multigraphs (loops allowed)
-    on exactly n vertices with 1..m_max edges.
+    on exactly n vertices with 1..m_max edges, in canonical-form order.
 
-    The default bounds keep the breadth-first augmentation desk-sized;
-    raise them explicitly for larger one-off runs.
+    The default bounds keep the vertex-growth search desk-sized; raise
+    them explicitly for larger one-off runs.
     """
     if not 1 <= n <= vertex_bound:
         raise GraphError(f"enumeration bound: n <= {vertex_bound}")
     if not 1 <= m_max <= edge_bound:
         raise GraphError(f"enumeration bound: m_max <= {edge_bound}")
-    loop = discrete_from_adj([[2]])
-    level: dict[bytes, DiscreteGraph] = {canonical_form(loop): loop}
-    if n >= 2:
-        edge = discrete_from_adj([[0, 1], [1, 0]])
-        level[canonical_form(edge)] = edge
-    for m in range(1, m_max + 1):
-        for key in sorted(level):
-            d = level[key]
-            if d.n == n:
-                yield d
-        if m == m_max:
-            break
+    yield from _grow(n, m_max, multi=True)
+
+
+def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
+    """Connected graphs on n vertices with at most m_max edges, grown one
+    vertex at a time; without `multi`, no loops and multiplicities 0 or 1.
+
+    Vertex k gets l loops and a non-zero column c over 0..k-1.  Each later
+    vertex needs an edge, so l + sum(c) is at most m_max - e - (n - 1 - k)
+    for a parent with e edges.  For n = 1 the edgeless graph is dropped
+    unless `multi` is off.
+    """
+    top = m_max if multi else 1
+    level: dict[bytes, DiscreteGraph] = {}
+    for loops in range(int(n == 1), m_max - (n - 1) + 1) if multi else (0,):
+        d = discrete_from_adj([[2 * loops]])
+        level[canonical_form(d)] = d
+    for k in range(1, n):
         nxt: dict[bytes, DiscreteGraph] = {}
         for d in level.values():
-            for child in _augmentations(d, n):
-                nxt.setdefault(canonical_form(child), child)
+            budget = m_max - d.n_edges - (n - 1 - k)
+            for col in _columns(k, top, budget):
+                if not any(col):
+                    continue
+                for loops in range(budget - sum(col) + 1) if multi else (0,):
+                    child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
+                                              + [col + (2 * loops,)])
+                    nxt.setdefault(canonical_form(child), child)
         level = nxt
+    for key in sorted(level):
+        yield level[key]
 
 
-def _augmentations(d: DiscreteGraph, max_vertices: int) -> Iterator[DiscreteGraph]:
-    rows = [list(r) for r in d.adj]
-    for u in range(d.n):
-        bumped = [r[:] for r in rows]
-        bumped[u][u] += 2
-        yield discrete_from_adj(bumped)
-        for v in range(u + 1, d.n):
-            bumped = [r[:] for r in rows]
-            bumped[u][v] += 1
-            bumped[v][u] += 1
-            yield discrete_from_adj(bumped)
-    if d.n < max_vertices:
-        grown = [r[:] + [0] for r in rows]
-        grown.append([0] * (d.n + 1))
-        for u in range(d.n):
-            bumped = [r[:] for r in grown]
-            bumped[u][d.n] = bumped[d.n][u] = 1
-            yield discrete_from_adj(bumped)
+def _columns(k: int, top: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of length k with entries in 0..top and sum at most budget,
+    the first entry varying fastest."""
+    if k == 0:
+        yield ()
+        return
+    for last in range(min(top, budget) + 1):
+        for rest in _columns(k - 1, top, budget - last):
+            yield rest + (last,)
 
 
 # ---------------------------------------------------------------------------

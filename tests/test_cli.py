@@ -198,6 +198,17 @@ class TestConstructVerbs:
         chopped = parse_graph(out)
         assert chopped.n_vertices == 6
 
+    @pytest.mark.parametrize("vertex, parts", [("9", "0|1"), ("-1", "0|1"),
+                                               ("4", "0|5"), ("4", "0|-1")])
+    def test_chop_out_of_range_exits_2(self, tmp_path, capsys, vertex, parts):
+        path = tmp_path / "k5.g"
+        _, out, _ = invoke(capsys, "catalog", "K5")
+        path.write_text(out)
+        code, out, err = invoke(capsys, "construct", "chop", str(path),
+                                "--vertex", vertex, "--parts", parts)
+        assert code == 2 and out == ""
+        assert "out of range" in err
+
     def test_glue_two_paths(self, tmp_path, capsys):
         path = tmp_path / "p.g"
         _, out, _ = invoke(capsys, "catalog", "path_2")

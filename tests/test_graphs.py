@@ -96,6 +96,13 @@ class TestChop:
         with pytest.raises(GraphError, match="not a partition"):
             chop_vertex(g, 4, [cls])
 
+    def test_vertex_out_of_range(self):
+        g = k5().with_contacts([4])
+        cls = g.vertices[4]
+        for v in (-1, 5):
+            with pytest.raises(GraphError, match="out of range"):
+                chop_vertex(g, v, [cls[:2], cls[2:]])
+
     def test_contact_status_dropped(self):
         g = k5().with_contacts([4])
         cls = g.vertices[4]

@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -8,6 +8,8 @@ from specgraph import (GraphError, canonical_form, catalog, classify,
                        discrete_from_adj, enumerate_connected_multi,
                        enumerate_connected_simple, to_discrete)
 from specgraph.graphs import DiscreteGraph, discrete_components
+
+from kernel_oracles import brute_force_canonical_form
 
 
 def labeled_connected_count(n: int) -> int:
@@ -97,6 +99,25 @@ class TestEnumerateMulti:
             list(enumerate_connected_multi(5, 3))
         with pytest.raises(GraphError, match="enumeration bound"):
             list(enumerate_connected_multi(2, 9))
+
+    @pytest.mark.parametrize("n, m_max, classes", [(1, 5, 5), (2, 6, 34), (3, 6, 93),
+                                                   (4, 6, 149), (5, 5, 23)])
+    def test_classes_match_labelled_brute_force(self, n, m_max, classes):
+        # every labelled multigraph is a multiset of 1..m_max slots (u <= v)
+        slots = [(u, v) for u in range(n) for v in range(u, n)]
+        expected = set()
+        for m in range(1, m_max + 1):
+            for edges in combinations_with_replacement(slots, m):
+                adj = [[0] * n for _ in range(n)]
+                for u, v in edges:
+                    adj[u][v] += 1
+                    adj[v][u] += 1
+                d = discrete_from_adj(adj)
+                if discrete_components(d) == 1:
+                    expected.add(brute_force_canonical_form(d))
+        forms = [canonical_form(d) for d in enumerate_connected_multi(n, m_max, vertex_bound=5)]
+        assert len(forms) == len(set(forms)) == len(expected) == classes
+        assert set(forms) == expected
 
     def test_unit_shadows_of_simplest_pair_appear(self):
         # needs the vertex bound raised beyond the default
