@@ -10,9 +10,8 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
                             build_clarifying_example, catalog,
                             inner_symmetry_quotient, method1_extend,
                             method2_exchange, method2_permute, substitute)
-from .discrete import (LnCharpoly, PropositionReport, VonBelowReport,
-                       ln_charpoly, ln_eigenvalues, ln_isospectral,
-                       proposition_check, von_below_check)
+from .discrete import (LnCharpoly, PropositionReport, ln_charpoly,
+                       ln_eigenvalues, ln_isospectral, proposition_check)
 from .exact import (ExactError, ProjectivePoly, RationalMatrix, det_exact,
                     poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
                     polymat_det, squarefree_factors)

@@ -3,11 +3,13 @@ the metric spectrum of the corresponding unilateral graph.
 
 The characteristic polynomial of I - D^{-1}A, which is similar to the
 symmetric normalized Laplacian I - D^{-1/2}AD^{-1/2} and therefore has
-the same spectrum, is det(mu D - (D - A)) / det D.  It is computed
-exactly as the determinant of that integer matrix pencil, by the same
-evaluation-interpolation kernel as the secular polynomial.
-Generic metric eigenvalues k^2 (k not a multiple of pi) satisfy
-1 - cos(k) = mu for some normalized-Laplacian eigenvalue mu.
+the same spectrum, is det(mu D - (D - A)) / det D.  That matrix is the
+pencil A - cD of `secular.SecularMatrixSpec` at c = 1 - mu, so both
+exact keys come from one degree-V integer pencil and one
+evaluation-interpolation kernel.  Generic metric eigenvalues k^2 (k not
+a multiple of pi) satisfy 1 - cos(k) = mu for some normalized-Laplacian
+eigenvalue mu; together with the first Betti number this decides metric
+isospectrality (`proposition_check`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import polymat_det
-from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, components, to_discrete
-from .secular import spectrum_report
+from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, to_discrete
+from .secular import SecularMatrixSpec
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,14 @@ class LnCharpoly:
 def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     """Exact charpoly of I - D^{-1}A (same spectrum as the normalized Laplacian).
 
-    Computed as det(mu D - (D - A)), degree n with leading coefficient
-    det D, made monic.
+    Computed as det(mu D - (D - A)), the pencil A - cD at c = 1 - mu,
+    degree n with leading coefficient det D, made monic.
     """
     degrees = d.degrees()
     if any(deg == 0 for deg in degrees):
         raise GraphError("degree zero vertex")
-
-    def pencil(mu: int) -> list[list[int]]:
-        return [[a + (mu - 1) * deg if i == j else a for j, a in enumerate(row)]
-                for i, (row, deg) in enumerate(zip(d.adj, degrees))]
-
-    det = polymat_det(pencil, d.n, d.n)
+    spec = SecularMatrixSpec(d.adj, degrees, d.n_edges)
+    det = polymat_det(lambda mu: spec.entry_matrix(1 - mu), d.n, d.n)
     lead = det.coeffs[-1]
     return LnCharpoly(tuple(Fraction(c, lead) for c in det.coeffs))
 
@@ -76,50 +74,6 @@ def ln_isospectral(d1: DiscreteGraph, d2: DiscreteGraph) -> bool:
     if d1.n != d2.n:
         return False
     return ln_charpoly(d1) == ln_charpoly(d2)
-
-
-GENERIC_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class VonBelowReport:
-    """Residuals |1 - cos(k) - mu_nearest| for each generic fundamental root."""
-
-    residuals: tuple[tuple[float, float], ...]
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return all(r < self.tol for _, r in self.residuals)
-
-    @property
-    def max_residual(self) -> float:
-        return max((r for _, r in self.residuals), default=0.0)
-
-
-def _is_pi_multiple(k: float) -> bool:
-    return abs(k / math.pi - round(k / math.pi)) < GENERIC_TOL
-
-
-def von_below_check(g: MetricGraph, tol: float = 1e-8) -> VonBelowReport:
-    """Check 1 - cos(k) against the normalized-Laplacian spectrum.
-
-    Every fundamental secular root k that is not a multiple of pi (the
-    generic case) must map onto an eigenvalue of the normalized Laplacian
-    of the discrete shadow.  Returns the per-root residuals.
-    """
-    if not g.is_unilateral:
-        raise GraphError("graph not unilateral")
-    if components(g) != 1:
-        raise GraphError("graph not connected")
-    mus = ln_eigenvalues(to_discrete(g))
-    residuals = []
-    for k, _ in spectrum_report(g).fundamental_roots:
-        if _is_pi_multiple(k):
-            continue
-        target = 1.0 - math.cos(k)
-        residuals.append((k, float(np.min(np.abs(mus - target)))))
-    return VonBelowReport(tuple(residuals), tol)
 
 
 @dataclass(frozen=True)

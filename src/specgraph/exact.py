@@ -3,12 +3,15 @@
 Everything here is exact: rationals are `fractions.Fraction`, matrices are
 plain row-major lists of ints and Fractions, and polynomials are
 coefficient lists with the constant term first.  Both exact spectral
-keys, the secular polynomial and the normalized-Laplacian charpoly, are
-determinants of V x V integer matrix pencils and share one kernel,
-`polymat_det`: Bareiss determinants at integer sample points, Newton
-interpolation and certification at one extra point.  The only floating
-point lives in `poly_roots_unit_circle`, which locates roots numerically
-after the multiplicity structure has been extracted exactly.
+keys, the secular polynomial and the normalized-Laplacian charpoly, come
+from the V x V integer pencil det(A - cD) and share one kernel,
+`polymat_det`: Bareiss determinants at consecutive integer sample points,
+Newton forward differences divided exactly by j!, and certification at
+one extra point.  On integer matrices the whole kernel stays in `int`;
+a Fraction appears only where a matrix entry or a value is not an
+integer.  The only floating point lives in `poly_roots_unit_circle`,
+which locates roots numerically after the multiplicity structure has
+been extracted exactly.
 """
 
 from __future__ import annotations
@@ -79,22 +82,23 @@ class ProjectivePoly:
 def poly_normalize(coeffs: Sequence[Fraction | int]) -> ProjectivePoly:
     """Normalize rational coefficients to the projective representative.
 
-    Clears denominators, divides out the integer content and flips the
-    global sign so the leading coefficient is positive.  Rejects the zero
-    polynomial.
+    Clears denominators (integer input stays in int), divides out the
+    integer content and flips the global sign so the leading coefficient
+    is positive.  Rejects the zero polynomial.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
-    if not fracs:
+    ints = list(coeffs)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints:
         raise ExactError("zero polynomial not projective")
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
+    if not all(isinstance(c, int) for c in ints):
+        fracs = [Fraction(c) for c in ints]
+        den = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
     content = math.gcd(*ints)
-    ints = [c // content for c in ints]
     if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ProjectivePoly(tuple(ints))
+        content = -content
+    return ProjectivePoly(tuple(c // content for c in ints))
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -137,12 +141,12 @@ def _check_square(m: RationalMatrix) -> int:
     return n
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Fraction-free Bareiss elimination; exact determinant of an int matrix."""
     n = len(rows)
     sign = 1
     prev = 1
-    a = [row[:] for row in rows]
+    a = [list(row) for row in rows]
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -164,37 +168,49 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def det_exact(m: RationalMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+def det_exact(m: RationalMatrix) -> int | Fraction:
+    """Exact determinant of a square rational matrix; an int for an int matrix."""
     n = _check_square(m)
+    if all(type(x) is int for row in m for x in row):
+        return m[0][0] if n == 1 else _bareiss_det(m)
     scale = 1
     int_rows: list[list[int]] = []
     for row in m:
         den = math.lcm(*(x.denominator for x in row))
         scale *= den
         int_rows.append([x.numerator * (den // x.denominator) for x in row])
-    if n == 1:
-        return Fraction(int_rows[0][0], scale)
-    return Fraction(_bareiss_det(int_rows), scale)
+    det = int_rows[0][0] if n == 1 else _bareiss_det(int_rows)
+    return Fraction(det, scale)
 
 
-def _interpolate(points: Sequence[int], values: Sequence[Fraction]) -> list[Fraction]:
-    """Newton interpolation through (points[i], values[i]), monomial coefficients."""
-    n = len(points)
-    dd = [Fraction(v) for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (points[i] - points[i - j])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for i in range(n):
-        for t, b in enumerate(basis):
-            coeffs[t] += dd[i] * b
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, b in enumerate(basis):
-            nxt[t] -= points[i] * b
-            nxt[t + 1] += b
-        basis = nxt
+def _interpolate(start: int, values: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """Monomial coefficients of the polynomial through (start + i, values[i]).
+
+    Newton's forward-difference form at the consecutive points: the j-th
+    coefficient is the j-th difference divided by j!.  The division is
+    exact for a polynomial with integer coefficients, so integer values
+    give int coefficients; a Fraction appears only where it does not
+    divide.
+    """
+    diffs = list(values)
+    newton = [diffs[0]]
+    fact = 1
+    for j in range(1, len(diffs)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        fact *= j
+        d = diffs[0]
+        newton.append(d // fact if isinstance(d, int) and d % fact == 0
+                      else Fraction(d, fact))
+    # Horner in the Newton basis: p = n0 + (x - s)(n1 + (x - s - 1)(n2 + ...))
+    coeffs = [newton[-1]]
+    for j in range(len(newton) - 2, -1, -1):
+        node = start + j
+        nxt = [0] * (len(coeffs) + 1)
+        for t, c in enumerate(coeffs):
+            nxt[t] -= node * c
+            nxt[t + 1] += c
+        nxt[0] += newton[j]
+        coeffs = nxt
     return coeffs
 
 
@@ -211,15 +227,15 @@ def polymat_det(entry_eval: Callable[[int], RationalMatrix],
     if degree_bound < 0:
         raise ExactError("degree bound must be nonnegative")
     start = -(degree_bound // 2)
-    points = list(range(start, start + degree_bound + 2))
+    points = range(start, start + degree_bound + 2)
     values = []
     for z0 in points:
         m = entry_eval(z0)
         if _check_square(m) != size:
             raise ExactError(f"entry_eval returned wrong size at z={z0}")
         values.append(det_exact(m))
-    coeffs = _interpolate(points[:-1], values[:-1])
-    check = Fraction(0)
+    coeffs = _interpolate(start, values[:-1])
+    check = 0
     for c in reversed(coeffs):
         check = check * points[-1] + c
     if check != values[-1]:

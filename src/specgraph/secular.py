@@ -8,10 +8,17 @@ matrix.  It reduces to the V x V vertex determinant
 
 with A the adjacency matrix (a loop adds 2 to its diagonal entry) and D
 the degree matrix (von Below, LAA 71, 1985; Kottos and Smilansky, Ann.
-Phys. 274, 1999), which is what is computed here.  When N < V (forest
-components) the power is negative and is divided out exactly.  Nonzero
-eigenvalues are (k + 2*pi*m)^2 for each unit-circle root z = e^{ik}; the
-eigenvalue 0 has multiplicity equal to the number of components.
+Phys. 274, 1999).  Since 2z A - (z^2 + 1) D = 2z (A - cD) with
+c = (z^2 + 1) / 2z, the cosine of k for z = e^{ik}, what is computed is
+the degree-V pencil q(c) = det(A - cD), the same pencil that gives the
+normalized-Laplacian charpoly at c = 1 - mu, followed by the z-transform
+
+    det(2z A - (z^2 + 1) D) = sum_j q_j (z^2 + 1)^j (2z)^(V - j).
+
+When N < V (forest components) the power of (z^2 - 1) is negative and is
+divided out exactly.  Nonzero eigenvalues are (k + 2*pi*m)^2 for each
+unit-circle root z = e^{ik}; the eigenvalue 0 has multiplicity equal to
+the number of components.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .exact import (ProjectivePoly, _deflate_linear, poly_mul, poly_normalize,
                     poly_pow, polymat_det, poly_roots_unit_circle)
@@ -31,12 +39,12 @@ class SecularError(GraphError):
 
 @dataclass(frozen=True)
 class SecularMatrixSpec:
-    """Structure of the V x V vertex matrix 2zA - (z^2 + 1)D of a unilateral graph.
+    """Structure of the V x V pencil A - cD of a unilateral graph.
 
     `adj` is the discrete adjacency matrix (loops count 2 on the diagonal),
     `degrees` its row sums and `n_edges` the number of unit edges, which
-    fixes the power of (z^2 - 1) relating the determinant to the secular
-    polynomial.
+    fixes the power of (z^2 - 1) relating the pencil's determinant to the
+    secular polynomial.
     """
 
     adj: tuple[tuple[int, ...], ...]
@@ -47,10 +55,9 @@ class SecularMatrixSpec:
     def size(self) -> int:
         return len(self.adj)
 
-    def entry_matrix(self, z: Fraction | int) -> list[list[Fraction | int]]:
-        two_z, diag = 2 * z, z * z + 1
-        return [[two_z * a - diag * deg if i == j else two_z * a
-                 for j, a in enumerate(row)]
+    def entry_matrix(self, c: Fraction | int) -> list[list[Fraction | int]]:
+        """The matrix A - cD."""
+        return [[a - c * deg if i == j else a for j, a in enumerate(row)]
                 for i, (row, deg) in enumerate(zip(self.adj, self.degrees))]
 
 
@@ -73,18 +80,31 @@ def _as_unilateral(g: MetricGraph) -> MetricGraph:
     return unit_subdivided(g)
 
 
-def _times_z2_minus_1(p: ProjectivePoly, power: int) -> ProjectivePoly:
-    """p * (z^2 - 1)^power; a negative power must divide p exactly."""
+def _c_to_z(q: Sequence[int], size: int) -> list[int]:
+    """Coefficients of (2z)^size * q((z^2 + 1) / 2z), i.e. of
+    sum_j q_j (z^2 + 1)^j (2z)^(size - j), by homogeneous Horner."""
+    q = list(q) + [0] * (size + 1 - len(q))
+    acc = [q[size]]
+    for i in range(1, size + 1):
+        acc = acc + [0, 0]
+        for t in range(len(acc) - 3, -1, -1):
+            acc[t + 2] += acc[t]
+        acc[i] += q[size - i] << i
+    return acc
+
+
+def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
+    """coeffs * (z^2 - 1)^power; a negative power must divide exactly."""
     if power >= 0:
-        return poly_normalize(poly_mul(list(p.coeffs), poly_pow([-1, 0, 1], power)))
-    coeffs: list[int] | None = list(p.coeffs)
+        return poly_normalize(poly_mul(coeffs, poly_pow([-1, 0, 1], power)))
+    quot: list[int] | None = coeffs
     for _ in range(-power):
         for root in (1, -1):
-            coeffs = _deflate_linear(coeffs, root)
-            if coeffs is None:
+            quot = _deflate_linear(quot, root)
+            if quot is None:
                 raise SecularError(
                     f"vertex determinant not divisible by (z^2 - 1)^{-power}")
-    return poly_normalize(coeffs)
+    return poly_normalize(quot)
 
 
 @lru_cache(maxsize=4096)
@@ -95,8 +115,8 @@ def secular_poly(g: MetricGraph) -> ProjectivePoly:
     space, hence the spectrum, is unchanged); other lengths are rejected.
     """
     spec = build_secular_matrix(_as_unilateral(g))
-    det = polymat_det(spec.entry_matrix, spec.size, 2 * spec.size)
-    return _times_z2_minus_1(det, spec.n_edges - spec.size)
+    q = polymat_det(spec.entry_matrix, spec.size, spec.size)
+    return _times_z2_minus_1(_c_to_z(q.coeffs, spec.size), spec.n_edges - spec.size)
 
 
 def metric_isospectral(g1: MetricGraph, g2: MetricGraph) -> bool:

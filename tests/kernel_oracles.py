@@ -12,18 +12,27 @@ least row-major adjacency encoding over all n! vertex orderings.
 `reference_m_function` is the M-function evaluated one lambda at a time:
 a Python assembly of T(lambda) from `edge_m_block`, then the Schur
 complement over the interior vertices; the library stacks both steps.
+`reference_interpolate` is Newton divided-difference interpolation in
+Fractions at arbitrary points; the library uses integer forward
+differences at consecutive points.  `von_below_check` maps numeric
+secular roots k onto the numeric normalized-Laplacian spectrum by
+1 - cos(k) = mu, a root-finding check of the identity the library's
+pencil A - cD is built on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
-from specgraph import (DiscreteGraph, LnCharpoly, MFunEval, MetricGraph,
-                       ProjectivePoly, edge_m_block, polymat_det, unit_subdivided)
+from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
+                       ProjectivePoly, components, edge_m_block, ln_eigenvalues,
+                       polymat_det, spectrum_report, to_discrete, unit_subdivided)
 from specgraph.mfunction import INTERIOR_COND_LIMIT
 
 
@@ -92,6 +101,71 @@ def faddeev_ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     m = [[(1 if i == j else 0) - Fraction(d.adj[i][j], degrees[i]) for j in range(d.n)]
          for i in range(d.n)]
     return LnCharpoly(tuple(charpoly_exact(m)))
+
+
+def reference_interpolate(points: Sequence[int],
+                          values: Sequence[Fraction | int]) -> list[Fraction]:
+    """Newton interpolation through (points[i], values[i]), monomial coefficients."""
+    n = len(points)
+    dd = [Fraction(v) for v in values]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (points[i] - points[i - j])
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)]
+    for i in range(n):
+        for t, b in enumerate(basis):
+            coeffs[t] += dd[i] * b
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for t, b in enumerate(basis):
+            nxt[t] -= points[i] * b
+            nxt[t + 1] += b
+        basis = nxt
+    return coeffs
+
+
+GENERIC_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class VonBelowReport:
+    """Residuals |1 - cos(k) - mu_nearest| for each generic fundamental root."""
+
+    residuals: tuple[tuple[float, float], ...]
+    tol: float
+
+    @property
+    def ok(self) -> bool:
+        return all(r < self.tol for _, r in self.residuals)
+
+    @property
+    def max_residual(self) -> float:
+        return max((r for _, r in self.residuals), default=0.0)
+
+
+def _is_pi_multiple(k: float) -> bool:
+    return abs(k / math.pi - round(k / math.pi)) < GENERIC_TOL
+
+
+def von_below_check(g: MetricGraph, tol: float = 1e-8) -> VonBelowReport:
+    """Check 1 - cos(k) against the normalized-Laplacian spectrum.
+
+    Every fundamental secular root k that is not a multiple of pi (the
+    generic case) must map onto an eigenvalue of the normalized Laplacian
+    of the discrete shadow.  Returns the per-root residuals.
+    """
+    if not g.is_unilateral:
+        raise GraphError("graph not unilateral")
+    if components(g) != 1:
+        raise GraphError("graph not connected")
+    mus = ln_eigenvalues(to_discrete(g))
+    residuals = []
+    for k, _ in spectrum_report(g).fundamental_roots:
+        if _is_pi_multiple(k):
+            continue
+        target = 1.0 - math.cos(k)
+        residuals.append((k, float(np.min(np.abs(mus - target)))))
+    return VonBelowReport(tuple(residuals), tol)
 
 
 def brute_force_canonical_form(d: DiscreteGraph) -> bytes:

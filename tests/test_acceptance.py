@@ -16,11 +16,11 @@ from specgraph import (betti, canonical_form, catalog, classify, components,
                        metric_from_discrete, metric_isospectral, poly_mul,
                        poly_normalize, poly_pow, poly_roots_unit_circle,
                        secular_poly, spectrum_report, steklov_sweep,
-                       to_discrete, von_below_check)
+                       to_discrete)
 from specgraph.constructions import ComposedHost, Slot, assemble, \
     build_clarifying_example, method2_exchange
 from conftest import random_connected_multigraph
-from kernel_oracles import scattering_secular_poly
+from kernel_oracles import scattering_secular_poly, von_below_check
 import random
 
 

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from specgraph import parse_graph, secular_poly
+from specgraph import format_graph, from_edge_list, parse_graph, secular_poly
 from specgraph.cli import run
 from specgraph.constructions import catalog
 
@@ -250,3 +251,40 @@ class TestConstructVerbs:
             "--swap", "0,1")
         assert code == 0
         assert parse_graph(out).n_edges == 2 + 2 + 4
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return from_edge_list(rows * cols, edges)
+
+
+# sha256 of CLI output that rests on both exact keys; a change in these
+# bytes means a key, or the way it is printed, changed
+PINNED_OUTPUTS = {
+    "search-secular-6": (["search", "--vertices", "6", "--key", "secular"], None,
+                         "6f597da2c1b7feb6d4368b52462163321a4263ba75453d3b0b915dd974bcc563"),
+    "search-ln-6": (["search", "--vertices", "6", "--key", "ln"], None,
+                    "03816a831d07055949e36b82c7bbda5d89311d2c160bcc1f90b5f86e1ed5af20"),
+    "search-multi-4-7": (["search", "--multi", "--vertices", "4", "--max-edges", "7"], None,
+                         "7b8279c7af2ad676398d5f58549bdd2bfef73f6cf7f794cac13aa6d4c53d49d2"),
+    "secular-K5": (["secular"], lambda: catalog("K5"),
+                   "e111347a4f74b24da84aaf61149c9773a51ee86f1dee959d505db9df7765f965"),
+    "secular-Gamma1": (["secular"], lambda: catalog("Gamma1"),
+                       "5ad6049b34bcdafb389ecc134e111f9d28feb23aa4c238c4465bc0e2422b53d0"),
+    "secular-grid5x5": (["secular"], lambda: _grid(5, 5),
+                        "fa08ecae838736ee2e23a55161521f50338e29fc8aaaf09c0e8437594b9524de"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_output_bytes_pinned(case, tmp_path, capsys):
+    argv, make_graph, digest = PINNED_OUTPUTS[case]
+    argv = list(argv)
+    if make_graph is not None:
+        path = tmp_path / "g.g"
+        path.write_text(format_graph(make_graph()))
+        argv.append(str(path))
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from specgraph.exact import (ExactError, ProjectivePoly, det_exact, poly_mul,
-                             poly_normalize, poly_pow, poly_roots_unit_circle,
+from specgraph.exact import (ExactError, ProjectivePoly, _interpolate, det_exact,
+                             poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
                              polymat_det, squarefree_factors)
 
-from kernel_oracles import charpoly_exact
+from kernel_oracles import charpoly_exact, reference_interpolate
 
 
 def frac_poly_mul(a, b):
@@ -121,6 +121,86 @@ class TestPolymatDet:
         for _ in range(5):
             x = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
             assert det_exact(entries(x)) == scale * p(x)
+
+
+def evaluate(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestInterpolationOracle:
+    """Integer forward differences against Fraction Newton interpolation."""
+
+    def test_integer_polynomials_stay_int(self):
+        rng = random.Random(1985)
+        for degree in range(21):
+            for _ in range(4):
+                bound = 10 ** rng.choice((1, 3, 12, 30))
+                coeffs = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+                coeffs[-1] = coeffs[-1] or 1
+                start = -(degree // 2)
+                points = list(range(start, start + degree + 1))
+                values = [evaluate(coeffs, x) for x in points]
+                got = _interpolate(start, values)
+                assert got == coeffs
+                assert all(type(c) is int for c in got)
+                assert got == reference_interpolate(points, values)
+                p = polymat_det(lambda z: [[evaluate(coeffs, z)]], 1, degree)
+                assert p == poly_normalize(coeffs)
+                assert all(type(c) is int for c in p.coeffs)
+
+    def test_rational_values_take_the_same_path(self):
+        rng = random.Random(1997)
+        for degree in range(13):
+            for _ in range(4):
+                coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 40))
+                          for _ in range(degree + 1)]
+                coeffs[-1] = coeffs[-1] or Fraction(1, 3)
+                start = rng.randint(-5, 5)
+                points = list(range(start, start + degree + 1))
+                values = [evaluate(coeffs, Fraction(x)) for x in points]
+                assert _interpolate(start, values) == coeffs
+                assert reference_interpolate(points, values) == coeffs
+                p = polymat_det(lambda z: [[evaluate(coeffs, Fraction(z))]], 1, degree)
+                assert p == poly_normalize(coeffs)
+
+    def test_integer_valued_polynomial_with_fraction_coefficients(self):
+        # binomial(z, j) takes integer values at integers but its
+        # coefficients are not integers: the j! division must not truncate
+        for j in range(1, 9):
+            falling = [1]
+            for i in range(j):
+                falling = poly_mul(falling, [-i, 1])
+            coeffs = [Fraction(c, math.factorial(j)) for c in falling]
+            points = range(-3, j - 2)
+            values = [evaluate(falling, x) // math.factorial(j) for x in points]
+            assert _interpolate(-3, values) == coeffs
+            assert reference_interpolate(points, values) == coeffs
+
+    def test_matrices_against_reference(self):
+        rng = random.Random(2021)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            integer = rng.random() < 0.5
+            rows = [[(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)]
+                    for _ in range(n)]
+            dens = [[1 if integer else rng.randint(1, 4) for _ in range(n)] for _ in range(n)]
+
+            def entries(z):
+                return [[Fraction(c0 + c1 * z, d) if d > 1 else c0 + c1 * z
+                         for (c0, c1), d in zip(row, drow)] for row, drow in zip(rows, dens)]
+
+            start = -(n // 2)
+            points = list(range(start, start + n + 1))
+            values = [det_exact(entries(z)) for z in points]
+            if integer:
+                assert all(type(v) is int for v in values)
+            if not any(values):
+                continue
+            assert polymat_det(entries, n, n) == poly_normalize(
+                reference_interpolate(points, values))
 
 
 class TestCharpoly:

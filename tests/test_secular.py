@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import specgraph
 from specgraph import (SecularError, betti, build_secular_matrix, components,
                        from_edge_list, ln_charpoly, metric_isospectral,
                        poly_mul, poly_normalize, poly_pow,
@@ -11,7 +12,7 @@ from specgraph import (SecularError, betti, build_secular_matrix, components,
                        spectrum_report, subdivide_edge, to_discrete,
                        unit_subdivided)
 from specgraph.constructions import catalog
-from specgraph.secular import _times_z2_minus_1
+from specgraph.secular import _c_to_z, _times_z2_minus_1
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly,
@@ -57,40 +58,65 @@ class TestSecularMatrix:
 
 
 class TestVertexMatrix:
-    """The V x V vertex matrix 2zA - (z^2 + 1)D."""
+    """The V x V pencil A - cD.  At c = (z^2 + 1) / 2z, 2z (A - cD) is the
+    vertex matrix 2zA - (z^2 + 1)D, so the expected values are those of
+    the vertex matrix at z."""
+
+    @staticmethod
+    def vertex_matrix(layout, z):
+        c = (z * z + 1) / (2 * z)
+        return [[2 * z * x for x in row] for row in layout.entry_matrix(c)]
 
     def test_single_edge(self):
         layout = build_secular_matrix(from_edge_list(2, [(0, 1)]))
         assert (layout.size, layout.n_edges) == (2, 1)
         assert layout.degrees == (1, 1)
-        assert layout.entry_matrix(Fraction(2)) == [[-5, 4], [4, -5]]
+        assert layout.entry_matrix(2) == [[-2, 1], [1, -2]]
+        assert self.vertex_matrix(layout, Fraction(2)) == [[-5, 4], [4, -5]]
 
     def test_loop_counts_twice(self):
         layout = build_secular_matrix(from_edge_list(1, [(0, 0)]))
         assert layout.adj == ((2,),) and layout.degrees == (2,)
         # 2z * 2 - (z^2 + 1) * 2 = -2 (z - 1)^2
-        assert layout.entry_matrix(Fraction(3)) == [[-8]]
+        assert self.vertex_matrix(layout, Fraction(3)) == [[-8]]
 
     def test_path(self):
         layout = build_secular_matrix(from_edge_list(3, [(0, 1), (1, 2)]))
         assert layout.degrees == (1, 2, 1)
         z = Fraction(1, 2)
-        assert layout.entry_matrix(z) == [[Fraction(-5, 4), 1, 0],
-                                          [1, Fraction(-5, 2), 1],
-                                          [0, 1, Fraction(-5, 4)]]
+        assert self.vertex_matrix(layout, z) == [[Fraction(-5, 4), 1, 0],
+                                                 [1, Fraction(-5, 2), 1],
+                                                 [0, 1, Fraction(-5, 4)]]
 
     def test_forest_divides_out_z2_minus_1(self):
         # a path has E = V - 1: det = (z^2 - 1)^2 (z^2 + 1), secular z^4 - 1
         path = from_edge_list(3, [(0, 1), (1, 2)])
         layout = build_secular_matrix(path)
-        det = polymat_det(layout.entry_matrix, 3, 6)
-        assert det == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1]))
+        q = polymat_det(layout.entry_matrix, 3, 3)
+        assert (poly_normalize(_c_to_z(q.coeffs, 3))
+                == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1])))
         assert secular_poly(path).coeffs == (-1, 0, 0, 0, 1)
 
     def test_failed_division_raises(self):
         with pytest.raises(SecularError, match="not divisible"):
-            _times_z2_minus_1(poly_normalize([1, 0, 1]), -1)
+            _times_z2_minus_1([1, 0, 1], -1)
 
+    def test_one_degree_v_determinant_per_key(self, monkeypatch):
+        calls = []
+
+        def counting(entry_eval, size, degree_bound):
+            calls.append((size, degree_bound))
+            return polymat_det(entry_eval, size, degree_bound)
+
+        monkeypatch.setattr(specgraph.secular, "polymat_det", counting)
+        monkeypatch.setattr(specgraph.discrete, "polymat_det", counting)
+        g = from_edge_list(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2, 2)])
+        secular_poly.cache_clear()
+        ln_charpoly.cache_clear()
+        secular_poly(g)
+        ln_charpoly(to_discrete(g))
+        # the length-2 edge subdivides into V = 4; the shadow has 3 vertices
+        assert calls == [(4, 4), (3, 3)]
 
 
 def _random_component(rng, tree):
