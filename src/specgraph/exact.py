@@ -9,9 +9,9 @@ from the V x V integer pencil det(A - cD) and share one kernel,
 Newton forward differences divided exactly by j!, and certification at
 one extra point.  On integer matrices the whole kernel stays in `int`;
 a Fraction appears only where a matrix entry or a value is not an
-integer.  The only floating point lives in `poly_roots_unit_circle`,
-which locates roots numerically after the multiplicity structure has
-been extracted exactly.
+integer.  The square-free decomposition runs in Z[x] too.  The only
+floating point lives in `poly_roots_unit_circle`, which locates roots
+numerically after the multiplicity structure has been extracted exactly.
 """
 
 from __future__ import annotations
@@ -247,70 +247,105 @@ def polymat_det(entry_eval: Callable[[int], RationalMatrix],
 # square-free structure and unit-circle roots
 # ---------------------------------------------------------------------------
 
-def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
+def _trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _fpoly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
+def _derivative(p: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _fpoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p divided by its content, with a positive leading coefficient."""
+    content = math.gcd(*p)
+    if p[-1] < 0:
+        content = -content
+    return [c // content for c in p]
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Remainder of lead(b)^(deg a - deg b + 1) * a on division by b."""
     rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
+    top = len(b) - 1
+    lead = b[-1]
     for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] * inv_lead
+        c = rem[i + top]
+        rem = [x * lead for x in rem[:i + top]]
+        for j in range(top):
+            rem[i + j] -= c * b[j]
+    return _trim(rem)
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient, a nonzero.
+
+    Euclid on primitive pseudo-remainders: every step stays in Z[x], and
+    dividing out the content keeps the coefficients small.
+    """
+    x, y = _primitive(a), list(b)
+    while y:
+        y = _primitive(y)
+        if len(y) == 1:
+            return [1]
+        x, y = y, _pseudo_rem(x, y)
+    return x
+
+
+def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer polynomials where b is primitive and divides a over Q.
+
+    By Gauss's lemma b then divides a in Z[x], so every quotient
+    coefficient is an exact integer division by the leading coefficient.
+    """
+    rem = list(a)
+    top = len(b) - 1
+    quot = [0] * max(len(a) - top, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + top] // b[-1]
         quot[i] = c
         if c:
             for j, bj in enumerate(b):
                 rem[i + j] -= c * bj
-    return _fpoly_trim(quot), _fpoly_trim(rem)
+    return _trim(quot)
 
 
-def _fpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    x, y = _fpoly_trim(list(a)), _fpoly_trim(list(b))
-    while y:
-        x, y = y, _fpoly_divmod(x, y)[1]
-    return [c / x[-1] for c in x] if x else [Fraction(1)]
-
-
-def _fpoly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
+def _sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] -= c
-    return _fpoly_trim(out)
+    return _trim(out)
 
 
 def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun decomposition p = prod q_i^i with q_i square-free and coprime.
 
     Returns (integer-normalized factor, multiplicity) pairs for every
-    nonconstant factor, in increasing multiplicity order.
+    nonconstant factor, in increasing multiplicity order.  Runs in Z[x]:
+    the gcds are primitive, and each division is by a primitive divisor
+    over Q, hence exact in Z[x] (Gauss's lemma).  w and y are always
+    divided by the same polynomial, so the scale of a gcd never matters.
     """
-    p = _fpoly_trim([Fraction(c) for c in coeffs])
+    p = _trim(list(coeffs))
     if len(p) <= 1:
         return []
-    dp = _fpoly_derivative(p)
-    g = _fpoly_gcd(p, dp)
+    dp = _derivative(p)
+    g = _gcd(p, dp)
     if len(g) == 1:
-        return [(list(poly_normalize(coeffs).coeffs), 1)]
-    w, _ = _fpoly_divmod(p, g)
-    y, _ = _fpoly_divmod(dp, g)
-    z = _fpoly_sub(y, _fpoly_derivative(w))
+        return [(list(poly_normalize(p).coeffs), 1)]
+    w = _exact_div(p, g)
+    y = _exact_div(dp, g)
+    z = _sub(y, _derivative(w))
     out: list[tuple[list[int], int]] = []
     i = 1
     while len(w) > 1:
-        gi = _fpoly_gcd(w, z)
+        gi = _gcd(w, z)
         if len(gi) > 1:
-            out.append((list(poly_normalize(gi).coeffs), i))
-        w, _ = _fpoly_divmod(w, gi)
-        y, _ = _fpoly_divmod(z, gi)
-        z = _fpoly_sub(y, _fpoly_derivative(w))
+            out.append((gi, i))
+        w = _exact_div(w, gi)
+        y = _exact_div(z, gi)
+        z = _sub(y, _derivative(w))
         i += 1
     return out
 
@@ -328,8 +363,11 @@ def poly_roots_unit_circle(p: ProjectivePoly,
     multiplicities are extracted exactly by square-free decomposition;
     companion-matrix root finding is then only ever applied to simple
     roots, which keeps every root within `tol` of the unit circle.
-    Raises ExactError if any root strays off the circle beyond tol.
+    Raises ExactError if any root strays off the circle beyond tol, or if
+    tol is not positive and finite.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ExactError(f"tolerance must be positive and finite, got {tol}")
     coeffs = list(p.coeffs)
     found: list[tuple[float, int]] = []
     for root, k in ((1, TWO_PI), (-1, math.pi)):

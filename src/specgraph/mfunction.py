@@ -19,6 +19,14 @@ on math.tanh and math.sinh because np.tanh and np.sinh do not.
 `m_function` is the one-lambda case; `tests/kernel_oracles.py` keeps the
 per-lambda assembly as the oracle.
 
+`detectable_spectrum` runs on one kernel throughout: its k grid is one
+stacked evaluation, and its bisection is level-synchronous, so the
+midpoints of every open bracket of a level are evaluated together (the
+Steklov counts and the interior-block counts alike).  Only the +-eps
+crossing probes at each refined point and pole candidate stay one-lambda
+`steklov_eigs` calls: they are few, taken lazily in depth-first order,
+and they keep `m_function` visible to an outside tracer of detect.
+
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
 """
@@ -27,10 +35,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,15 +137,13 @@ class _MChunk(NamedTuple):
     """Stacked M-function values at consecutive lambdas.
 
     regular[i] says whether M exists at the i-th lambda; the rows of
-    matrices and eigs at singular lambdas are NaN.  interior_neg[i] is the
-    number of negative eigenvalues of the interior block of T (-1 where an
-    edge is singular).  eigs and interior_neg are None unless requested.
+    matrices and eigs at singular lambdas are NaN.  eigs is None unless
+    requested.
     """
 
     regular: np.ndarray
     matrices: np.ndarray
     eigs: np.ndarray | None
-    interior_neg: np.ndarray | None
 
 
 class _Kernel:
@@ -183,31 +190,49 @@ class _Kernel:
         t = np.bincount(bins, terms[self.picks].ravel(), len(lams) * size)
         return t.reshape(len(lams), self.n, self.n), singular
 
-    def chunks(self, lams: Sequence[float], eigs: bool = False,
-               interior: bool = False) -> Iterator[_MChunk]:
+    def chunks(self, lams: Sequence[float], eigs: bool = False) -> Iterator[_MChunk]:
         """M at every lambda, _CHUNK lambdas per yielded chunk.
 
         Interior vertices are eliminated by a Schur complement; a lambda is
         singular when an edge block is singular or the interior block is
         numerically non-invertible (interior Dirichlet eigenvalue).
         """
+        for part in self._parts(lams):
+            yield self._chunk(part, eigs)
+
+    def interior_negative(self, lams: Sequence[float]) -> list[int | None]:
+        """Negative eigenvalues of the interior block of T at every lambda.
+
+        None where an edge block is singular.  One assembly and one
+        stacked eigvalsh per _CHUNK lambdas.
+        """
+        out: list[int | None] = []
+        for part in self._parts(lams):
+            t, singular = self.assemble(part)
+            rows = (~singular).nonzero()[0]
+            c = t[rows.reshape(-1, 1, 1), self.inner, self.inner.T]
+            counts: list[int | None] = [None] * len(part)
+            for r, n in zip(rows.tolist(),
+                            np.sum(np.linalg.eigvalsh(c) < 0.0, axis=1).tolist()):
+                counts[r] = n
+            out += counts
+        return out
+
+    @staticmethod
+    def _parts(lams: Sequence[float]) -> Iterator[np.ndarray]:
         lams = np.asarray(lams, dtype=float)
         if not np.isfinite(lams).all():
             raise GraphError("lambda must be finite")
         for start in range(0, len(lams), _CHUNK):
-            yield self._chunk(lams[start:start + _CHUNK], eigs, interior)
+            yield lams[start:start + _CHUNK]
 
-    def _chunk(self, lams: np.ndarray, eigs: bool, interior: bool) -> _MChunk:
+    def _chunk(self, lams: np.ndarray, eigs: bool) -> _MChunk:
         contact, inner = self.contact, self.inner
         t, singular = self.assemble(lams)
         m = t[:, contact, contact.T]
         rows = (~singular).nonzero()[0]
-        c = t[rows.reshape(-1, 1, 1), inner, inner.T]
-        interior_neg = None
-        if interior:
-            interior_neg = np.full(len(lams), -1)
-            interior_neg[rows] = np.sum(np.linalg.eigvalsh(c) < 0.0, axis=1)
         if len(inner):
+            c = t[rows.reshape(-1, 1, 1), inner, inner.T]
             sv = np.linalg.svd(c, compute_uv=False)
             keep = ~(sv[:, -1] < np.maximum(1.0, sv[:, 0]) / INTERIOR_COND_LIMIT)
             rows, c = rows[keep], c[keep]
@@ -220,14 +245,7 @@ class _Kernel:
         if eigs:
             ev = np.full(m.shape[:2], np.nan)
             ev[rows] = np.linalg.eigvalsh(m[rows])
-        return _MChunk(regular, m, ev, interior_neg)
-
-    def interior_count(self, lam: float) -> int | None:
-        """Negative eigenvalues of the interior block of T, None if an edge is singular."""
-        t, singular = self.assemble(np.array([lam]))
-        if singular[0]:
-            return None
-        return int(np.sum(np.linalg.eigvalsh(t[0][self.inner, self.inner.T]) < 0.0))
+        return _MChunk(regular, m, ev)
 
 
 def m_function(g: MetricGraph, lam: float) -> MFunEval:
@@ -307,31 +325,82 @@ class DetectionResult:
     warnings: tuple[str, ...]
 
 
-def _negative_count(g: MetricGraph, k: float) -> int | None:
-    eigs = steklov_eigs(g, k * k)
-    if eigs is None:
-        return None
-    return int(np.sum(eigs < 0.0))
+def _steklov_counts(kernel: _Kernel, ks: Sequence[float]) -> list[int | None]:
+    """Negative Steklov eigenvalues at lambda = k^2 for every k, None where M is singular."""
+    k = np.array(ks, dtype=float)
+    counts: list[int | None] = []
+    for chunk in kernel.chunks(k * k, eigs=True):
+        negative = np.sum(chunk.eigs < 0.0, axis=1)
+        counts += [n if ok else None for ok, n in zip(chunk.regular, negative.tolist())]
+    return counts
 
 
 def _grid_counts(kernel: _Kernel, ks: Sequence[float]
                  ) -> tuple[list[int | None], list[int | None]]:
-    """Counts at lambda = k^2 for every k, from one stacked evaluation.
+    """Counts at lambda = k^2 for every k, from stacked evaluations.
 
     The first list counts negative Steklov eigenvalues, the second the
     negative eigenvalues of the interior block of T; both are None where
     M is singular.
     """
+    counts = _steklov_counts(kernel, ks)
     k = np.array(ks, dtype=float)
-    counts: list[int | None] = []
-    interior: list[int | None] = []
-    for chunk in kernel.chunks(k * k, eigs=True, interior=True):
-        negative = np.sum(chunk.eigs < 0.0, axis=1)
-        for ok, n, n_inner in zip(chunk.regular, negative.tolist(),
-                                  chunk.interior_neg.tolist()):
-            counts.append(n if ok else None)
-            interior.append(n_inner if ok else None)
-    return counts, interior
+    interior = kernel.interior_negative(k * k)
+    return counts, [m if n is not None else None for n, m in zip(counts, interior)]
+
+
+#: a bracket (path, k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1;
+#: path is the grid index of its root followed by 0/1 for left/right halves
+_Bracket = tuple[tuple[int, ...], float, int, float, int]
+
+
+def _bisect(brackets: list[_Bracket],
+            counts: Callable[[list[float]], list[int | None]],
+            settled: Callable[[int, int], bool],
+            refine_tol: float) -> tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]:
+    """Bisect every bracket level by level; returns (leaves, skipped midpoints).
+
+    A bracket with settled(n1, n2) holds nothing and is dropped.  One at
+    most refine_tol wide, or with no float strictly between its ends, is a
+    leaf.  Every other bracket is split at 0.5 * (k1 + k2), and the counts
+    at all midpoints of a level come from one call of `counts`.  Where a
+    count is None the midpoint is shifted by 1% of the width and retried,
+    all retries of a level in one more call; if that fails too, the
+    bracket is skipped.  Leaves and skipped midpoints are sorted by path,
+    which is the order a depth-first recursion would meet them in.
+    """
+    leaves: list[_Bracket] = []
+    skipped: list[tuple[tuple[int, ...], float]] = []
+    while brackets:
+        split: list[_Bracket] = []
+        mids: list[float] = []
+        for bracket in brackets:
+            _, k1, n1, k2, n2 = bracket
+            if settled(n1, n2):
+                continue
+            mid = 0.5 * (k1 + k2)
+            if k2 - k1 <= refine_tol or not k1 < mid < k2:
+                leaves.append(bracket)
+            else:
+                split.append(bracket)
+                mids.append(mid)
+        n_mids = counts(mids)
+        retry = [i for i, n in enumerate(n_mids) if n is None]
+        if retry:
+            for i in retry:
+                _, k1, _, k2, _ = split[i]
+                mids[i] += 0.01 * (k2 - k1)
+            for i, n in zip(retry, counts([mids[i] for i in retry])):
+                n_mids[i] = n
+        brackets = []
+        for (path, k1, n1, k2, n2), mid, n in zip(split, mids, n_mids):
+            if n is None:
+                skipped.append((path, mid))
+            else:
+                brackets += [(path + (0,), k1, n1, mid, n), (path + (1,), mid, n, k2, n2)]
+    leaves.sort(key=lambda b: b[0])
+    skipped.sort(key=lambda s: s[0])
+    return leaves, skipped
 
 
 _POLE_MAGNITUDE = 1e4
@@ -353,6 +422,13 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     route is the authority for zeros merged with interior poles.  The grid
     and the edge poles probed may each hold at most `max_samples` points;
     more raise GraphError before any sample is taken.
+
+    Bisection goes level by level: each round evaluates the midpoints of
+    all open brackets in one stacked call on the grid's kernel (see
+    `_bisect`).  Refined points, multiplicities, notes and the order of
+    the crossing probes (hence of their warnings) are those of a
+    depth-first refinement, bracket by bracket.  The probes themselves
+    are one-lambda `steklov_eigs` calls.
     """
     if not g.contacts:
         raise GraphError("empty contact set")
@@ -365,7 +441,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     _check_samples(k_max / grid_step, max_samples)
     _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)), max_samples)
     raw: list[tuple[float, int, bool]] = []
-    notes: list[str] = []
+    notes: list[tuple[tuple[int, ...], str]] = []
 
     # The grid is accumulated, k += grid_step, drift included: printed
     # points depend on these exact k values, so i * grid_step would change
@@ -378,46 +454,36 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     kernel = _Kernel(g)
     counts, interior_counts = _grid_counts(kernel, ks)
 
-    def refine(k1: float, n1: int, k2: float, n2: int) -> None:
-        if n1 == n2:
-            return
-        if k2 - k1 <= refine_tol:
-            drop = n1 - n2
-            if drop > 0:
-                k0 = (k1 + k2) / 2
-                mult, at_pole = _crossing_multiplicity(g, k0, drop)
-                raw.append((k0, mult, at_pole))
-            # a negative net change this tight is a pole, not a crossing
-            return
-        mid = 0.5 * (k1 + k2)
-        n_mid = _negative_count(g, mid)
-        if n_mid is None:
-            mid += 0.01 * (k2 - k1)
-            n_mid = _negative_count(g, mid)
-            if n_mid is None:
-                notes.append(f"singular midpoints near k={mid:.6g}; bracket skipped")
-                return
-        refine(k1, n1, mid, n_mid)
-        refine(mid, n_mid, k2, n2)
-
+    brackets: list[_Bracket] = []
     prev: tuple[float, int] | None = None
     pending_flag = False
-    for k, n in zip(ks, counts):
+    for i, (k, n) in enumerate(zip(ks, counts)):
         if n is None:
-            notes.append(f"singular sample at k={k:.6g}")
+            notes.append(((i,), f"singular sample at k={k:.6g}"))
             pending_flag = True
             continue
         if prev is not None:
             k1, n1 = prev
             if pending_flag:
                 if n1 != n:
-                    notes.append(
-                        f"count change across singular sample in ({k1:.6g}, {k:.6g}) "
-                        "not refined")
+                    notes.append(((i,), f"count change across singular sample in "
+                                        f"({k1:.6g}, {k:.6g}) not refined"))
             elif n1 > n:
-                refine(k1, n1, k, n)
+                brackets.append(((i,), k1, n1, k, n))
         prev = (k, n)
         pending_flag = False
+
+    leaves, skipped = _bisect(brackets, lambda mids: _steklov_counts(kernel, mids),
+                              operator.eq, refine_tol)
+    notes += [(path, f"singular midpoints near k={mid:.6g}; bracket skipped")
+              for path, mid in skipped]
+    notes.sort(key=lambda note: note[0])
+    for _, k1, n1, k2, n2 in leaves:
+        # a negative net change this tight is a pole, not a crossing
+        if n1 > n2:
+            k0 = (k1 + k2) / 2
+            mult, at_pole = _crossing_multiplicity(g, k0, n1 - n2)
+            raw.append((k0, mult, at_pole))
 
     # crossings exactly at a pole may not change the negative count at all
     # (the pole jump cancels them), so pole locations are probed explicitly
@@ -443,7 +509,8 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
             points[-1] = (pk, combined, ppole or at_pole)
         else:
             points.append((k0, mult, at_pole))
-    return DetectionResult(tuple((k, m) for k, m, _ in points), tuple(notes))
+    return DetectionResult(tuple((k, m) for k, m, _ in points),
+                           tuple(note for _, note in notes))
 
 
 def _edge_pole_candidates(g: MetricGraph, k_max: float) -> list[float]:
@@ -477,37 +544,19 @@ def _interior_pole_candidates(kernel: _Kernel, ks: Sequence[float],
     """
     if not len(kernel.inner):
         return []
-
-    def neg_count(k: float) -> int | None:
-        return kernel.interior_count(k * k)
-
-    poles: list[float] = []
-
-    def refine(k1: float, n1: int, k2: float, n2: int) -> None:
-        if n1 <= n2:
-            return
-        if k2 - k1 <= refine_tol:
-            poles.append((k1 + k2) / 2)
-            return
-        mid = 0.5 * (k1 + k2)
-        n_mid = neg_count(mid)
-        if n_mid is None:
-            mid += 0.01 * (k2 - k1)
-            n_mid = neg_count(mid)
-            if n_mid is None:
-                return
-        refine(k1, n1, mid, n_mid)
-        refine(mid, n_mid, k2, n2)
-
+    brackets: list[_Bracket] = []
     prev: tuple[float, int] | None = None
-    for k, n in zip(ks, counts):
+    for i, (k, n) in enumerate(zip(ks, counts)):
         if n is None:
             prev = None
             continue
         if prev is not None and prev[1] > n:
-            refine(prev[0], prev[1], k, n)
+            brackets.append(((i,), prev[0], prev[1], k, n))
         prev = (k, n)
-    return poles
+    leaves, _ = _bisect(brackets,
+                        lambda mids: kernel.interior_negative([k * k for k in mids]),
+                        operator.le, refine_tol)
+    return [(k1 + k2) / 2 for _, k1, _, k2, _ in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +653,7 @@ def invisible_multiplicity(g: MetricGraph, k: float) -> int:
     sec = report.multiplicity_at(k)
     if sec == 0:
         raise GraphError(f"k={k:.6g} is not a fundamental root")
-    before = _negative_count(g, k - 1e-4)
-    after = _negative_count(g, k + 1e-4)
+    before, after = _steklov_counts(_Kernel(g), [k - 1e-4, k + 1e-4])
     if before is None or after is None:
         raise SingularSampleError(f"singular bracket around k={k:.6g}")
     det, _ = _crossing_multiplicity(g, k, max(before - after, 0))

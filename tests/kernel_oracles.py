@@ -18,6 +18,12 @@ differences at consecutive points.  `von_below_check` maps numeric
 secular roots k onto the numeric normalized-Laplacian spectrum by
 1 - cos(k) = mu, a root-finding check of the identity the library's
 pencil A - cD is built on.
+`reference_squarefree_factors` is Yun's square-free decomposition in
+Fraction arithmetic with monic gcds; the library runs it in Z[x] on
+primitive pseudo-remainders.  `reference_detectable_spectrum` is detect
+as a depth-first recursion, `reference_refine`, that counts at one
+midpoint at a time through `reference_m_function`; the library bisects
+all brackets of a level at once on the stacked kernel.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
                        ProjectivePoly, components, edge_m_block, ln_eigenvalues,
-                       polymat_det, spectrum_report, to_discrete, unit_subdivided)
-from specgraph.mfunction import INTERIOR_COND_LIMIT
+                       polymat_det, poly_normalize, spectrum_report, to_discrete,
+                       unit_subdivided)
+from specgraph.mfunction import (INTERIOR_COND_LIMIT, MAX_DETECT_SAMPLES, DetectionResult,
+                                 _check_samples, _crossing_multiplicity,
+                                 _edge_pole_candidates)
 
 
 @dataclass(frozen=True)
@@ -211,3 +220,205 @@ def reference_m_function(g: MetricGraph, lam: float) -> MFunEval:
         return MFunEval(lam, None, False)
     m = a - b @ np.linalg.solve(c, b.T)
     return MFunEval(lam, m, True)
+
+
+def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _fpoly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _fpoly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]
+                  ) -> tuple[list[Fraction], list[Fraction]]:
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    inv_lead = 1 / b[-1]
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] * inv_lead
+        quot[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] -= c * bj
+    return _fpoly_trim(quot), _fpoly_trim(rem)
+
+
+def _fpoly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    x, y = _fpoly_trim(list(a)), _fpoly_trim(list(b))
+    while y:
+        x, y = y, _fpoly_divmod(x, y)[1]
+    return [c / x[-1] for c in x] if x else [Fraction(1)]
+
+
+def _fpoly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _fpoly_trim(out)
+
+
+def reference_squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Yun decomposition over Q with monic gcds, factors normalized to Z."""
+    p = _fpoly_trim([Fraction(c) for c in coeffs])
+    if len(p) <= 1:
+        return []
+    dp = _fpoly_derivative(p)
+    g = _fpoly_gcd(p, dp)
+    if len(g) == 1:
+        return [(list(poly_normalize(coeffs).coeffs), 1)]
+    w, _ = _fpoly_divmod(p, g)
+    y, _ = _fpoly_divmod(dp, g)
+    z = _fpoly_sub(y, _fpoly_derivative(w))
+    out: list[tuple[list[int], int]] = []
+    i = 1
+    while len(w) > 1:
+        gi = _fpoly_gcd(w, z)
+        if len(gi) > 1:
+            out.append((list(poly_normalize(gi).coeffs), i))
+        w, _ = _fpoly_divmod(w, gi)
+        y, _ = _fpoly_divmod(z, gi)
+        z = _fpoly_sub(y, _fpoly_derivative(w))
+        i += 1
+    return out
+
+
+def reference_refine(k1: float, n1: int, k2: float, n2: int,
+                     count: Callable[[float], int | None],
+                     settled: Callable[[int, int], bool], refine_tol: float,
+                     on_leaf: Callable[[float, int, float, int], None],
+                     on_skip: Callable[[float], None]) -> None:
+    """Depth-first bisection of one count bracket, one midpoint at a time."""
+    if settled(n1, n2):
+        return
+    if k2 - k1 <= refine_tol:
+        on_leaf(k1, n1, k2, n2)
+        return
+    mid = 0.5 * (k1 + k2)
+    n_mid = count(mid)
+    if n_mid is None:
+        mid += 0.01 * (k2 - k1)
+        n_mid = count(mid)
+        if n_mid is None:
+            on_skip(mid)
+            return
+    reference_refine(k1, n1, mid, n_mid, count, settled, refine_tol, on_leaf, on_skip)
+    reference_refine(mid, n_mid, k2, n2, count, settled, refine_tol, on_leaf, on_skip)
+
+
+def _reference_negative_count(g: MetricGraph, k: float) -> int | None:
+    ev = reference_m_function(g, k * k)
+    if not ev.regular:
+        return None
+    return int(np.sum(np.linalg.eigvalsh(ev.matrix) < 0.0))
+
+
+def _reference_interior_count(g: MetricGraph, k: float) -> int | None:
+    t = reference_assemble(g, k * k)
+    if t is None:
+        return None
+    inner = interior_vertices(g)
+    return int(np.sum(np.linalg.eigvalsh(t[np.ix_(inner, inner)]) < 0.0))
+
+
+def reference_detectable_spectrum(g: MetricGraph, k_max: float,
+                                  grid_step: float = 0.01,
+                                  refine_tol: float = 1e-8,
+                                  max_samples: int = MAX_DETECT_SAMPLES
+                                  ) -> DetectionResult:
+    """detectable_spectrum with every count taken at one k at a time.
+
+    Grid counts, midpoint counts and interior-block counts all come from
+    the per-lambda oracle; every bracket is refined depth first, and the
+    crossing multiplicity of a leaf is taken as soon as it is reached.
+    """
+    if not g.contacts:
+        raise GraphError("empty contact set")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise GraphError(f"grid step must be positive and finite, got {grid_step}")
+    if not math.isfinite(k_max):
+        raise GraphError(f"k_max must be finite, got {k_max}")
+    if not refine_tol >= 0:
+        raise GraphError(f"refinement tolerance must be non-negative, got {refine_tol}")
+    _check_samples(k_max / grid_step, max_samples)
+    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)), max_samples)
+    raw: list[tuple[float, int, bool]] = []
+    notes: list[str] = []
+    ks: list[float] = []
+    k = grid_step
+    while k <= k_max + 1e-12:
+        ks.append(k)
+        k += grid_step
+    counts = [_reference_negative_count(g, k) for k in ks]
+
+    def on_leaf(k1: float, n1: int, k2: float, n2: int) -> None:
+        drop = n1 - n2
+        if drop > 0:
+            k0 = (k1 + k2) / 2
+            mult, at_pole = _crossing_multiplicity(g, k0, drop)
+            raw.append((k0, mult, at_pole))
+
+    def on_skip(mid: float) -> None:
+        notes.append(f"singular midpoints near k={mid:.6g}; bracket skipped")
+
+    prev: tuple[float, int] | None = None
+    pending_flag = False
+    for k, n in zip(ks, counts):
+        if n is None:
+            notes.append(f"singular sample at k={k:.6g}")
+            pending_flag = True
+            continue
+        if prev is not None:
+            k1, n1 = prev
+            if pending_flag:
+                if n1 != n:
+                    notes.append(
+                        f"count change across singular sample in ({k1:.6g}, {k:.6g}) "
+                        "not refined")
+            elif n1 > n:
+                reference_refine(k1, n1, k, n, lambda x: _reference_negative_count(g, x),
+                                 lambda a, b: a == b, refine_tol, on_leaf, on_skip)
+        prev = (k, n)
+        pending_flag = False
+
+    eps = 1e-4
+    candidates = _edge_pole_candidates(g, k_max)
+    if interior_vertices(g):
+        poles: list[float] = []
+        prev = None
+        for k, n in zip(ks, counts):
+            n_inner = None if n is None else _reference_interior_count(g, k)
+            if n_inner is None:
+                prev = None
+                continue
+            if prev is not None and prev[1] > n_inner:
+                reference_refine(prev[0], prev[1], k, n_inner,
+                                 lambda x: _reference_interior_count(g, x),
+                                 lambda a, b: a <= b, refine_tol,
+                                 lambda k1, n1, k2, n2: poles.append((k1 + k2) / 2),
+                                 lambda mid: None)
+            prev = (k, n_inner)
+        candidates += poles
+    for k0 in sorted(candidates):
+        if k0 <= grid_step + eps:
+            continue
+        if any(abs(k0 - kp) < 10 * eps for kp, _, _ in raw):
+            continue
+        mult, _ = _crossing_multiplicity(g, k0, 0, eps=eps)
+        if mult > 0:
+            raw.append((k0, mult, True))
+
+    raw.sort()
+    points: list[tuple[float, int, bool]] = []
+    for k0, mult, at_pole in raw:
+        if points and abs(k0 - points[-1][0]) < 10 * refine_tol:
+            pk, pm, ppole = points[-1]
+            combined = max(pm, mult) if (at_pole or ppole) else pm + mult
+            points[-1] = (pk, combined, ppole or at_pole)
+        else:
+            points.append((k0, mult, at_pole))
+    return DetectionResult(tuple((k, m) for k, m, _ in points), tuple(notes))

@@ -40,6 +40,15 @@ class TestBasicVerbs:
         ks = [line.split() for line in lines[:-1]]
         assert [m for _, m in ks] == ["4", "5", "4", "7"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_spectrum_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        path = tmp_path / "k5.g"
+        _, out, _ = invoke(capsys, "catalog", "K5")
+        path.write_text(out)
+        code, out, err = invoke(capsys, "spectrum", str(path), "--tol", tol)
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerance must be positive and finite")
+
     def test_validate_ok_and_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "e.g"
         path.write_text("graph e\nvertex a contact\nvertex b\nedge a b\n")

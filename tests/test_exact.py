@@ -8,7 +8,10 @@ from specgraph.exact import (ExactError, ProjectivePoly, _interpolate, det_exact
                              poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
                              polymat_det, squarefree_factors)
 
-from kernel_oracles import charpoly_exact, reference_interpolate
+from specgraph import GraphError, secular_poly
+from specgraph.constructions import CATALOG_IDS, catalog
+
+from kernel_oracles import charpoly_exact, reference_interpolate, reference_squarefree_factors
 
 
 def frac_poly_mul(a, b):
@@ -234,6 +237,38 @@ class TestSquarefree:
     def test_squarefree_input(self):
         assert squarefree_factors([2, 1, 2]) == [([2, 1, 2], 1)]
 
+    def test_equals_fraction_yun_on_random_products(self):
+        rng = random.Random(2207)
+        repeated = 0
+        for _ in range(200):
+            p = [rng.choice((-3, -2, -1, 1, 2, 3))]
+            for _ in range(rng.randint(1, 5)):
+                f = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))]
+                f[-1] = f[-1] or 1
+                p = poly_mul(p, poly_pow(f, rng.randint(1, 4)))
+                if len(p) > 41:
+                    break
+            factors = squarefree_factors(p)
+            assert factors == reference_squarefree_factors(p), p
+            repeated += any(m > 1 for _, m in factors)
+        assert repeated >= 100
+
+    def test_equals_fraction_yun_on_catalog_secular_polys(self):
+        tested = 0
+        for name in CATALOG_IDS:
+            try:
+                coeffs = list(secular_poly(catalog(name)).coeffs)
+            except GraphError:
+                continue
+            assert squarefree_factors(coeffs) == reference_squarefree_factors(coeffs), name
+            tested += 1
+        assert tested >= 30
+
+    def test_zero_and_constant(self):
+        assert squarefree_factors([]) == squarefree_factors([0, 0]) == []
+        assert squarefree_factors([5, 0]) == []
+        assert squarefree_factors([0, 0, 3]) == [([0, 1], 2)]
+
 
 class TestUnitCircleRoots:
     def test_interval_poly(self):
@@ -258,6 +293,13 @@ class TestUnitCircleRoots:
         p = poly_normalize(poly_pow([2, 1, 2], 4))
         roots = poly_roots_unit_circle(p, tol=1e-8)
         assert [m for _, m in roots] == [4, 4]
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # z = 1 alone would never reach the certification step
+        for coeffs in ([-1, 1], [2, 1, 2]):
+            with pytest.raises(ExactError, match="tolerance must be positive and finite"):
+                poly_roots_unit_circle(poly_normalize(coeffs), tol=tol)
 
     def test_off_circle_root_rejected(self):
         with pytest.raises(ExactError, match="root off unit circle"):

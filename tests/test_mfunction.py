@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -14,10 +16,12 @@ from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import catalog
-from specgraph.mfunction import _grid_counts, _Kernel
+from specgraph.mfunction import _bisect, _grid_counts, _Kernel
 
 from conftest import random_connected_multigraph
-from kernel_oracles import interior_vertices, reference_assemble, reference_m_function
+from kernel_oracles import (interior_vertices, reference_assemble,
+                            reference_detectable_spectrum, reference_m_function,
+                            reference_refine)
 
 
 def regular_k_samples(count, lo=0.1, hi=3.0, avoid=0.05):
@@ -191,6 +195,115 @@ class TestDetectable:
                 assert sec >= mult
 
 
+    def test_zero_tolerance_refines_to_float_resolution(self):
+        # no float lies strictly inside a bracket of adjacent floats, so
+        # such a bracket is a leaf even when refine_tol is below its width
+        g = catalog("Gamma1")
+        coarse = detectable_spectrum(g, 6.3)
+        exact = detectable_spectrum(g, 6.3, refine_tol=0.0)
+        assert [m for _, m in exact.points] == [m for _, m in coarse.points]
+        for (k0, _), (k1, _) in zip(exact.points, coarse.points):
+            assert k0 == pytest.approx(k1, abs=1e-8)
+
+
+def crossing_count(crossings, singular):
+    """Synthetic count: crossings above k, None at the chosen singular k."""
+    def count(k):
+        if any(abs(k - s) < 1e-12 for s in singular):
+            return None
+        return sum(c > k for c in crossings)
+    return count
+
+
+class TestBisection:
+    """The level-synchronous bisection against the depth-first recursion."""
+
+    # midpoints of the first and second grid brackets are singular; the
+    # first recovers at its shifted midpoint 0.51, the second does not
+    # (1.5 and 1.51); one level below, 2.25 and 2.255 skip a left half
+    SINGULAR = (0.5, 1.5, 1.51, 2.25, 2.255)
+    CROSSINGS = (0.3, 0.3, 0.62, 1.37, 1.81, 2.2, 2.71, 2.9)
+
+    def run_both(self, settled, count, grid, refine_tol):
+        calls = []
+
+        def counts(ks):
+            calls.append(len(ks))
+            return [count(k) for k in ks]
+
+        roots = [((i,), k1, count(k1), k2, count(k2))
+                 for i, (k1, k2) in enumerate(zip(grid, grid[1:]))]
+        leaves, skipped = _bisect(roots, counts, settled, refine_tol)
+        ref_leaves, ref_skipped = [], []
+        for _, k1, n1, k2, n2 in roots:
+            reference_refine(k1, n1, k2, n2, count, settled, refine_tol,
+                             lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
+        assert [leaf[1:] for leaf in leaves] == ref_leaves
+        assert [mid for _, mid in skipped] == ref_skipped
+        return leaves, skipped, calls
+
+    def test_retry_skip_and_depth_first_order(self):
+        count = crossing_count(self.CROSSINGS, self.SINGULAR)
+        leaves, skipped, calls = self.run_both(operator.eq, count, [0.0, 1.0, 2.0, 3.0], 1e-3)
+        # 1.51 skips the whole second bracket; 2.255 the crossing at 2.2
+        assert [mid for _, mid in skipped] == pytest.approx([1.51, 2.255])
+        assert [path for path, _ in skipped] == [(1,), (2, 0)]
+        found = [(k1, k2, n1 - n2) for _, k1, n1, k2, n2 in leaves]
+        assert [d for _, _, d in found] == [2, 1, 1, 1]
+        for (k1, k2, _), c in zip(found, (0.3, 0.62, 2.71, 2.9)):
+            assert k1 < c <= k2 and k2 - k1 <= 1e-3
+        # one stacked call per level, plus one for the retries of a level
+        levels = max(len(path) for path, *_ in leaves)
+        assert len(calls) <= levels + 3
+
+    def test_interior_rule_keeps_only_decreasing_brackets(self):
+        # a rising count (an interior pole of the other sign) is settled
+        def count(k):
+            return None if abs(k - 0.5) < 1e-12 else (2 if k < 0.4 else 3 if k < 0.8 else 1)
+
+        leaves, skipped, _ = self.run_both(operator.le, count, [0.0, 1.0], 1e-4)
+        assert skipped == []
+        assert len(leaves) == 1 and leaves[0][1] < 0.8 <= leaves[0][3]
+
+    def test_detect_equals_depth_first_reference(self):
+        # grid steps of pi/8 and pi/12 put grid samples on edge poles, so
+        # singular-sample notes interleave with skipped brackets
+        rng = random.Random(4116)
+        lengths = (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+        seen = Counter()
+        for i in range(150):
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(v), v, rng.choice(lengths)) for v in range(1, n)]
+            for _ in range(rng.randint(1 if n == 1 else 0, 4)):
+                edges.append((rng.randrange(n), rng.randrange(n), rng.choice(lengths)))
+            g = from_edge_list(n, edges, rng.sample(range(n), rng.randint(1, n)))
+            step = rng.choice((0.01, 0.02, 0.05, math.pi / 8, math.pi / 12))
+            tol = rng.choice((1e-6, 1e-8, 1e-10))
+            k_max = rng.uniform(3.0, 7.0)
+            with warnings.catch_warnings(record=True) as new_warnings:
+                warnings.simplefilter("always")
+                new = detectable_spectrum(g, k_max, step, tol)
+            with warnings.catch_warnings(record=True) as ref_warnings:
+                warnings.simplefilter("always")
+                ref = reference_detectable_spectrum(g, k_max, step, tol)
+            assert new == ref, (edges, g.contacts, step, tol, k_max)
+            assert ([str(w.message) for w in new_warnings]
+                    == [str(w.message) for w in ref_warnings])
+            pairs = Counter(frozenset((u, v)) for u, v, _ in g.edge_list())
+            seen["loop"] += any(u == v for u, v, _ in g.edge_list())
+            seen["parallel"] += any(c > 1 for c in pairs.values())
+            seen["interior"] += bool(interior_vertices(g))
+            seen["points"] += bool(new.points)
+            seen["pole warning"] += bool(new_warnings)
+            kinds = [w.split()[1] for w in new.warnings]
+            seen["skipped"] += "midpoints" in kinds
+            seen["interleaved"] += "midpoints" in kinds and "sample" in kinds[kinds.index("midpoints"):]
+        for kind in ("loop", "parallel", "interior", "points"):
+            assert seen[kind] >= 30, seen
+        for kind in ("pole warning", "skipped", "interleaved"):
+            assert seen[kind] >= 1, seen
+
+
 class TestInvisible:
     def test_catalog_cross_validation(self):
         for name in ("path_2", "path_3", "S2", "S4", "K4", "K5", "Q1", "Q2",
@@ -313,9 +426,10 @@ def interior_negative(g, t):
 
 
 def stacked(g, lams):
-    """All chunks of one stacked evaluation, joined."""
-    chunks = list(_Kernel(g).chunks(lams, eigs=True, interior=True))
-    return [np.concatenate(parts) for parts in zip(*chunks)]
+    """All chunks of one stacked evaluation, joined, and the interior counts."""
+    kernel = _Kernel(g)
+    chunks = list(kernel.chunks(lams, eigs=True))
+    return [np.concatenate(parts) for parts in zip(*chunks)] + [kernel.interior_negative(lams)]
 
 
 class TestStackedKernelOracle:
@@ -345,7 +459,7 @@ class TestStackedKernelOracle:
                 t = reference_assemble(g, lam)
                 if t is None:
                     seen["edge singular"] += 1
-                    assert interior_neg[i] == -1
+                    assert interior_neg[i] is None
                     continue
                 assert interior_neg[i] == interior_negative(g, t), (g, lam)
                 if not ref.regular:
