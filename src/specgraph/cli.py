@@ -4,6 +4,11 @@ Exit codes: 0 success (or affirmative comparison), 1 negative comparison
 or failed validation, 2 usage or computation error.  Exact results print
 as integers; floating-point output uses 12 significant digits so repeated
 runs are byte-identical.
+
+`run` builds the argparse parser on its first call and reuses it for every
+later call in the process.  `SPECGRAPH_JOBS`, the default of `search
+--jobs`, is read again on every call, so a changed variable takes effect
+on the next call and a non-integer value exits 2 for every verb.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         a, _, b = item.partition(":")
         pairs.append((int(a), int(b)))
     return pairs
+
+
+def _bad_option(option: str, form: str, text: str) -> GraphError:
+    return GraphError(f"{option} expects {form}, got {text!r}")
 
 
 def _env_jobs() -> int:
@@ -100,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi", action="store_true")
     p.add_argument("--max-edges", type=int, default=8)
     p.add_argument("--key", choices=("secular", "ln"), default="secular")
-    p.add_argument("--jobs", type=int, default=_env_jobs())
+    # the default comes from the top-level `jobs` default, which follows
+    # SPECGRAPH_JOBS (see `run`)
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("catalog", help="emit a named catalog graph")
@@ -140,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out1", default=None)
     c.add_argument("--out2", default=None)
 
+    parser.set_defaults(jobs=_env_jobs())
     return parser
 
 
@@ -257,9 +269,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if not 0 <= args.vertex < g.n_vertices:
             raise GraphError(f"vertex {args.vertex} out of range 0..{g.n_vertices - 1}")
         cls = g.vertices[args.vertex]
+        try:
+            chunks = [[int(i) for i in chunk.split(",")] for chunk in args.parts.split("|")]
+        except ValueError:
+            raise _bad_option("--parts", "slot index lists like '0,1|2,3'", args.parts) from None
         parts = []
-        for chunk in args.parts.split("|"):
-            slots = [int(i) for i in chunk.split(",")]
+        for slots in chunks:
             if any(not 0 <= i < len(cls) for i in slots):
                 raise GraphError(f"slot index out of range 0..{len(cls) - 1} "
                                  f"at vertex {args.vertex}")
@@ -267,28 +282,38 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         _emit(format_graph(chop_vertex(g, args.vertex, parts), "chopped"), args.out)
         return 0
     if args.op == "glue":
-        result = glue(_load(args.file1), _load(args.file2),
-                      _parse_pairs(args.pairing))
+        try:
+            pairing = _parse_pairs(args.pairing)
+        except ValueError:
+            raise _bad_option("--pairing", "position pairs like '0:0,1:1'",
+                              args.pairing) from None
+        result = glue(_load(args.file1), _load(args.file2), pairing)
         _emit(format_graph(result, "glued"), args.out)
         return 0
     if args.op == "exchange":
         slots = []
         for spec_text in args.slot:
             path, _, attach = spec_text.partition("@")
-            slots.append(Slot(_load(path), tuple(_parse_pairs(attach))))
+            try:
+                pairs = _parse_pairs(attach)
+            except ValueError:
+                raise _bad_option("--slot", "FILE@SP:FP,... like 'slot.g@0:0,1:1'",
+                                  spec_text) from None
+            slots.append(Slot(_load(path), tuple(pairs)))
         host = ComposedHost(_load(args.frame), tuple(slots))
-        i, j = (int(x) for x in args.swap.split(","))
+        try:
+            i, j = (int(x) for x in args.swap.split(","))
+        except ValueError:
+            raise _bad_option("--swap", "two slot indices like '0,1'", args.swap) from None
         _emit(format_graph(method2_exchange(host, i, j), "exchanged"), args.out)
         return 0
     if args.op == "clarify":
         blocks = [_load(getattr(args, f"block_{name}")) for name in "abcdef"]
-        split_parts = []
-        for chunk in args.splits.split("|"):
-            a, b = (int(x) for x in chunk.split(","))
-            split_parts.append((a, b))
-        if len(split_parts) != 2:
-            raise GraphError("need exactly two splits, e.g. '2,3|1,4'")
-        g1, g2 = build_clarifying_example(*blocks, splits=tuple(split_parts))
+        try:
+            (a, b), (c, d) = (map(int, chunk.split(",")) for chunk in args.splits.split("|"))
+        except ValueError:
+            raise _bad_option("--splits", "two slot pairs like '2,3|1,4'", args.splits) from None
+        g1, g2 = build_clarifying_example(*blocks, splits=((a, b), (c, d)))
         _emit(format_graph(g1, "clarify_1"), args.out1)
         _emit(format_graph(g2, "clarify_2"), args.out2)
         return 0
@@ -309,10 +334,21 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv: Sequence[str]) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv and dispatch; returns the process exit code.
+
+    The parser is built on the first call and reused; `SPECGRAPH_JOBS` is
+    read on every call and becomes that call's `search --jobs` default.
+    """
+    global _PARSER
     try:
-        args = _build_parser().parse_args(argv)
+        if _PARSER is None:
+            _PARSER = _build_parser()
+        _PARSER.set_defaults(jobs=_env_jobs())
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -14,6 +14,7 @@ exact spectral keys.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -52,9 +53,9 @@ def enumerate_connected_multi(n: int, m_max: int,
     them explicitly for larger one-off runs.
     """
     if not 1 <= n <= vertex_bound:
-        raise GraphError(f"enumeration bound: n <= {vertex_bound}")
+        raise GraphError(f"enumeration bound: need 1 <= n <= {vertex_bound}, got {n}")
     if not 1 <= m_max <= edge_bound:
-        raise GraphError(f"enumeration bound: m_max <= {edge_bound}")
+        raise GraphError(f"enumeration bound: need 1 <= m_max <= {edge_bound}, got {m_max}")
     yield from _grow(n, m_max, multi=True)
 
 
@@ -145,9 +146,11 @@ def classify(graphs: Iterable[DiscreteGraph], key: SpectralKey,
 
     Families are sorted by size descending, then by key; the result does
     not depend on the job count (per-graph keys are exact and the merge
-    is a plain grouping).
+    is a plain grouping).  The pool has at most one process per graph and
+    per CPU, whatever `jobs` asks for.
     """
     items = [(d, key) for d in graphs]
+    jobs = min(jobs, len(items), os.cpu_count() or 1)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             rows = pool.map(_classify_one, items, chunksize=8)

@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from specgraph import format_graph, from_edge_list, parse_graph, secular_poly
+import specgraph
+from specgraph import cli, format_graph, from_edge_list, parse_graph, secular_poly
 from specgraph.cli import run
 from specgraph.constructions import catalog
 
@@ -196,6 +201,66 @@ class TestSearchVerb:
             assert out == ""
             assert err == "error: SPECGRAPH_JOBS must be an integer, got 'two'\n"
 
+    def test_jobs_variable_read_on_every_call(self, monkeypatch, capsys):
+        seen = []
+        classify = cli.classify
+
+        def recording(graphs, key, jobs=1):
+            seen.append(jobs)
+            return classify(graphs, key)
+
+        monkeypatch.setattr(cli, "classify", recording)
+        codes = []
+        for value in ("3", "1", "two", "2"):
+            monkeypatch.setenv("SPECGRAPH_JOBS", value)
+            codes.append(invoke(capsys, "search", "--vertices", "3")[0])
+        codes.append(invoke(capsys, "search", "--vertices", "3", "--jobs", "5")[0])
+        assert codes == [0, 0, 2, 0, 0]
+        assert seen == [3, 1, 2, 5]
+
+    def test_large_job_counts_are_capped(self, serial_pool, monkeypatch, capsys):
+        monkeypatch.delenv("SPECGRAPH_JOBS", raising=False)
+        expected = invoke(capsys, "search", "--vertices", "4")
+        assert invoke(capsys, "search", "--vertices", "4", "--jobs", "1000000") == expected
+        monkeypatch.setenv("SPECGRAPH_JOBS", "1000000")
+        assert invoke(capsys, "search", "--vertices", "4") == expected
+        assert serial_pool == [4, 4]
+
+
+class TestSharedParser:
+    def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        build = cli._build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counting)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        path = tmp_path / "k5.g"
+        path.write_text(format_graph(catalog("K5")))
+        codes = [invoke(capsys, *argv)[0] for argv in (
+            ["catalog", "K5"], ["secular", str(path)], ["validate", str(path)],
+            ["secular"], ["search", "--vertices", "3"], ["compare", str(path), str(path)])]
+        assert codes == [0, 0, 0, 2, 0, 0]
+        assert len(calls) == 1
+
+    def test_usage_error_leaves_no_state(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "k5.g"
+        path.write_text(format_graph(catalog("K5")))
+        monkeypatch.setattr(cli, "_PARSER", None)
+        alone = invoke(capsys, "secular", str(path))
+        code, out, err = invoke(capsys, "secular")
+        assert code == 2 and out == "" and "usage:" in err
+        assert invoke(capsys, "secular", str(path)) == alone
+
+    def test_repeated_append_option_is_not_accumulated(self, tmp_path, capsys):
+        argv = _exchange_argv(tmp_path, capsys)
+        first = invoke(capsys, *argv)
+        assert first[0] == 0
+        assert invoke(capsys, *argv) == first
+
 
 class TestConstructVerbs:
     def test_chop_emits_parsable_graph(self, tmp_path, capsys):
@@ -247,19 +312,75 @@ class TestConstructVerbs:
         assert g1.n_edges == g2.n_edges == 26
 
     def test_exchange(self, tmp_path, capsys):
-        frame = tmp_path / "frame.g"
-        frame.write_text("graph f\nvertex a contact\nvertex b contact\n"
-                         "vertex c contact\nedge a b\nedge b c\n")
-        for name in ("fig6_cycle", "fig6_eight"):
-            _, out, _ = invoke(capsys, "catalog", name)
-            (tmp_path / f"{name}.g").write_text(out)
-        code, out, _ = invoke(
-            capsys, "construct", "exchange", "--frame", str(frame),
-            "--slot", f"{tmp_path}/fig6_cycle.g@0:0,1:1",
-            "--slot", f"{tmp_path}/fig6_eight.g@0:1,1:2",
-            "--swap", "0,1")
+        code, out, _ = invoke(capsys, *_exchange_argv(tmp_path, capsys))
         assert code == 0
         assert parse_graph(out).n_edges == 2 + 2 + 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search", "--multi", "--vertices", "0"],
+         "enumeration bound: need 1 <= n <= 4, got 0"),
+        (["search", "--multi", "--vertices", "2", "--max-edges", "0"],
+         "enumeration bound: need 1 <= m_max <= 8, got 0"),
+        (["search", "--multi", "--vertices", "2", "--max-edges", "-2"],
+         "enumeration bound: need 1 <= m_max <= 8, got -2"),
+        (["construct", "chop", "{dir}/k5.g", "--vertex", "4", "--parts", "a"],
+         "--parts expects slot index lists like '0,1|2,3', got 'a'"),
+        (["construct", "glue", "{dir}/k5.g", "{dir}/k5.g", "--pairing", "x"],
+         "--pairing expects position pairs like '0:0,1:1', got 'x'"),
+        (["construct", "exchange", "--frame", "{dir}/frame.g", "--slot", "{dir}/k5.g",
+          "--swap", "0,1"],
+         "--slot expects FILE@SP:FP,... like 'slot.g@0:0,1:1', got '{dir}/k5.g'"),
+        (["construct", "exchange", "--frame", "{dir}/frame.g",
+          "--slot", "{dir}/fig6_cycle.g@0:0,1:1", "--slot", "{dir}/fig6_eight.g@0:1,1:2",
+          "--swap", "0,1,2"],
+         "--swap expects two slot indices like '0,1', got '0,1,2'"),
+        (["construct", "clarify"] + [arg for name in "abcdef"
+                                     for arg in (f"--block-{name}", "{dir}/k5.g")]
+         + ["--splits", "1,2|3"],
+         "--splits expects two slot pairs like '2,3|1,4', got '1,2|3'")])
+    def test_malformed_option_names_its_form(self, tmp_path, capsys, argv, message):
+        _exchange_argv(tmp_path, capsys)
+        (tmp_path / "k5.g").write_text(format_graph(catalog("K5")))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message.format(dir=tmp_path)}\n"
+
+
+def _exchange_argv(tmp_path, capsys):
+    """Writes a frame and the fig6 slot graphs; argv that swaps the slots."""
+    frame = tmp_path / "frame.g"
+    frame.write_text("graph f\nvertex a contact\nvertex b contact\n"
+                     "vertex c contact\nedge a b\nedge b c\n")
+    for name in ("fig6_cycle", "fig6_eight"):
+        _, out, _ = invoke(capsys, "catalog", name)
+        (tmp_path / f"{name}.g").write_text(out)
+    return ["construct", "exchange", "--frame", str(frame),
+            "--slot", f"{tmp_path}/fig6_cycle.g@0:0,1:1",
+            "--slot", f"{tmp_path}/fig6_eight.g@0:1,1:2",
+            "--swap", "0,1"]
+
+
+def test_main_entry_point_exit_codes(tmp_path):
+    # `main` in a fresh interpreter, as the console script runs it
+    env = {k: v for k, v in os.environ.items() if k != "SPECGRAPH_JOBS"}
+    src = str(Path(specgraph.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def main(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", "from specgraph.cli import main; main()", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+    for name in ("K5", "Gamma1"):
+        done = main("catalog", name)
+        assert done.returncode == 0 and done.stderr == ""
+        (tmp_path / f"{name}.g").write_text(done.stdout)
+    done = main("compare", "K5.g", "Gamma1.g")
+    assert done.returncode == 1 and done.stdout.startswith("not isospectral\n")
+    done = main("search", "--vertices", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: need at least one vertex\n"
 
 
 def _grid(rows, cols):
