@@ -11,7 +11,7 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
                             inner_symmetry_quotient, method1_extend,
                             method2_exchange, method2_permute, substitute)
 from .discrete import (LnCharpoly, PropositionReport, ln_charpoly,
-                       ln_eigenvalues, ln_isospectral, proposition_check)
+                       ln_isospectral, proposition_check)
 from .exact import (ExactError, ProjectivePoly, RationalMatrix, det_exact,
                     poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
                     polymat_det, squarefree_factors)
@@ -20,12 +20,12 @@ from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      discrete_betti, discrete_components, discrete_from_adj,
                      disjoint_union, format_graph, from_edge_list, glue,
                      join_points, merge_vertices, metric_from_discrete,
-                     metric_isomorphic, parse_graph, scale_lengths,
+                     parse_graph, scale_lengths,
                      subdivide_edge, suppress_degree2, to_discrete,
                      unit_subdivided, validate)
 from .mfunction import (DEFAULT_SAMPLES, DetectionResult, EquivalenceResult,
                         MFunEval, Method3Report, SingularSampleError,
-                        SteklovCurve, detectable_spectrum, edge_m_block,
+                        SteklovCurve, detectable_spectrum,
                         invisible_multiplicity, m_function, method3_verify,
                         steklov_eigs, steklov_equivalent, steklov_sweep)
 from .search import (IsospectralFamily, classify, enumerate_connected_multi,

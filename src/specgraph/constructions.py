@@ -3,6 +3,13 @@
 Every builder machine-checks its hypotheses (Steklov equivalence and,
 where required, exact isospectrality) and fails loudly when they do not
 hold; the point of the artifact is certification, not trust.
+
+Steklov equivalence is certified in one place, `_certify_equivalent`:
+`steklov_equivalent` with its defaults, that is M compared at the nine
+`mfunction.DEFAULT_SAMPLES` lambdas against `mfunction.EQUIVALENCE_TOL`
+(1e-9), and a GraphError naming the failure and the largest residual
+when it does not hold.  The builders take no sample or tolerance
+arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Sequence
 
 from .graphs import (GraphError, MetricGraph, from_edge_list, glue,
                      join_points)
-from .mfunction import DEFAULT_SAMPLES, steklov_equivalent
+from .mfunction import steklov_equivalent
 from .secular import metric_isospectral
 
 
@@ -122,6 +129,17 @@ def catalog(name: str) -> MetricGraph:
 
 
 # ---------------------------------------------------------------------------
+# the Steklov-equivalence certificate
+# ---------------------------------------------------------------------------
+
+def _certify_equivalent(g1: MetricGraph, g2: MetricGraph, failure: str) -> None:
+    """Raise GraphError(failure, with the max residual) unless g1 ~ g2."""
+    eq = steklov_equivalent(g1, g2)
+    if not eq:
+        raise GraphError(f"{failure} (max residual {eq.max_residual:.3g})")
+
+
+# ---------------------------------------------------------------------------
 # method 1: extend a Steklov-equivalent isospectral pair by gluing
 # ---------------------------------------------------------------------------
 
@@ -130,9 +148,7 @@ def _integer_lengths(g: MetricGraph) -> bool:
 
 
 def method1_extend(k_graph: MetricGraph, r1: MetricGraph, r2: MetricGraph,
-                   pairing: Sequence[tuple[int, int]],
-                   samples: Sequence[float] = DEFAULT_SAMPLES,
-                   tol: float = 1e-9) -> tuple[MetricGraph, MetricGraph]:
+                   pairing: Sequence[tuple[int, int]]) -> tuple[MetricGraph, MetricGraph]:
     """Glue two equivalent isospectral graphs to a common graph.
 
     Requires (and verifies) that r1 and r2 are Steklov-equivalent on their
@@ -140,20 +156,15 @@ def method1_extend(k_graph: MetricGraph, r1: MetricGraph, r2: MetricGraph,
     k_graph by the same pairing yields an isospectral pair, returned as
     (glue(k_graph, r1), glue(k_graph, r2)).
     """
-    eq = steklov_equivalent(r1, r2, samples=samples, tol=tol)
-    if not eq:
-        raise GraphError(
-            f"hypothesis failure: graphs are not Steklov-equivalent "
-            f"(max residual {eq.max_residual:.3g})")
-    if _integer_lengths(r1) and _integer_lengths(r2):
-        if not metric_isospectral(r1, r2):
-            raise GraphError(
-                "hypothesis failure: graphs are Steklov-equivalent but not "
-                "isospectral (non-detectable spectra differ)")
-    else:
+    _certify_equivalent(r1, r2, "hypothesis failure: graphs are not Steklov-equivalent")
+    if not (_integer_lengths(r1) and _integer_lengths(r2)):
         raise GraphError(
             "cannot certify the isospectrality hypothesis: edge lengths "
             "are not integers, so the exact secular check is unavailable")
+    if not metric_isospectral(r1, r2):
+        raise GraphError(
+            "hypothesis failure: graphs are Steklov-equivalent but not "
+            "isospectral (non-detectable spectra differ)")
     return glue(k_graph, r1, pairing), glue(k_graph, r2, pairing)
 
 
@@ -224,9 +235,7 @@ def _swap_slots(host: ComposedHost, permutation: Sequence[int]) -> ComposedHost:
     return ComposedHost(host.frame, slots)
 
 
-def method2_exchange(host: ComposedHost, slot1: int, slot2: int,
-                     samples: Sequence[float] = DEFAULT_SAMPLES,
-                     tol: float = 1e-9) -> MetricGraph:
+def method2_exchange(host: ComposedHost, slot1: int, slot2: int) -> MetricGraph:
     """Assembly of the host with the contents of two slots exchanged.
 
     The two slot subgraphs must be Steklov-equivalent (verified); the
@@ -237,12 +246,10 @@ def method2_exchange(host: ComposedHost, slot1: int, slot2: int,
         raise GraphError("slot index out of range")
     perm = list(range(n))
     perm[slot1], perm[slot2] = perm[slot2], perm[slot1]
-    return method2_permute(host, perm, samples=samples, tol=tol)
+    return method2_permute(host, perm)
 
 
-def method2_permute(host: ComposedHost, permutation: Sequence[int],
-                    samples: Sequence[float] = DEFAULT_SAMPLES,
-                    tol: float = 1e-9) -> MetricGraph:
+def method2_permute(host: ComposedHost, permutation: Sequence[int]) -> MetricGraph:
     """Assembly of the host with slot contents permuted arbitrarily.
 
     Every slot whose content moves must be Steklov-equivalent to the
@@ -257,11 +264,7 @@ def method2_permute(host: ComposedHost, permutation: Sequence[int],
         gi, gj = host.slots[i].graph, host.slots[j].graph
         if len(gi.contacts) != len(gj.contacts):
             raise GraphError(f"slots {i} and {j} have different contact counts")
-        eq = steklov_equivalent(gi, gj, samples=samples, tol=tol)
-        if not eq:
-            raise GraphError(
-                f"slots {i} and {j} are not Steklov-equivalent "
-                f"(max residual {eq.max_residual:.3g})")
+        _certify_equivalent(gi, gj, f"slots {i} and {j} are not Steklov-equivalent")
     return assemble(_swap_slots(host, permutation))
 
 
@@ -306,9 +309,8 @@ def substitute(pattern_vertices: int,
 def build_clarifying_example(block_a: MetricGraph, block_b: MetricGraph,
                              block_c: MetricGraph, block_d: MetricGraph,
                              block_e: MetricGraph, block_f: MetricGraph,
-                             splits: tuple[tuple[int, int], tuple[int, int]] = ((2, 3), (1, 4)),
-                             samples: Sequence[float] = DEFAULT_SAMPLES,
-                             tol: float = 1e-9) -> tuple[MetricGraph, MetricGraph]:
+                             splits: tuple[tuple[int, int], tuple[int, int]] = ((2, 3), (1, 4))
+                             ) -> tuple[MetricGraph, MetricGraph]:
     """Two isospectral graphs from block substitution and star splitting.
 
     The common part is a complete-graph pattern on 5 hub vertices whose
@@ -328,11 +330,7 @@ def build_clarifying_example(block_a: MetricGraph, block_b: MetricGraph,
     for split in splits:
         if len(split) != 2 or min(split) < 1 or sum(split) != 5:
             raise GraphError("two nonempty parts required, summing to 5")
-    eq = steklov_equivalent(block_a, block_b, samples=samples, tol=tol)
-    if not eq:
-        raise GraphError(
-            f"blocks A and B are not Steklov-equivalent "
-            f"(max residual {eq.max_residual:.3g})")
+    _certify_equivalent(block_a, block_b, "blocks A and B are not Steklov-equivalent")
 
     hub_contacts = tuple(range(5))
     # blocks A sit on the pattern edges at one distinguished hub, B elsewhere
@@ -358,9 +356,7 @@ def build_clarifying_example(block_a: MetricGraph, block_b: MetricGraph,
 # ---------------------------------------------------------------------------
 
 def inner_symmetry_quotient(g: MetricGraph,
-                            orbit: Sequence[tuple[int, Fraction | int | str]],
-                            samples: Sequence[float] = DEFAULT_SAMPLES,
-                            tol: float = 1e-9) -> MetricGraph:
+                            orbit: Sequence[tuple[int, Fraction | int | str]]) -> MetricGraph:
     """Join one symmetry orbit of interior points into a single vertex.
 
     The caller asserts the points form an orbit of a symmetry fixing the
@@ -371,9 +367,5 @@ def inner_symmetry_quotient(g: MetricGraph,
     if len(orbit) < 2:
         raise GraphError("need at least two points to join")
     result = join_points(g, orbit)
-    eq = steklov_equivalent(g, result, samples=samples, tol=tol)
-    if not eq:
-        raise GraphError(
-            f"orbit assertion refuted: M-functions differ "
-            f"(max residual {eq.max_residual:.3g})")
+    _certify_equivalent(g, result, "orbit assertion refuted: M-functions differ")
     return result

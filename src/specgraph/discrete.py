@@ -14,12 +14,9 @@ isospectrality (`proposition_check`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .exact import polymat_det
 from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, to_discrete
@@ -56,17 +53,6 @@ def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     det = polymat_det(lambda mu: spec.entry_matrix(1 - mu), d.n, d.n)
     lead = det.coeffs[-1]
     return LnCharpoly(tuple(Fraction(c, lead) for c in det.coeffs))
-
-
-def ln_eigenvalues(d: DiscreteGraph) -> np.ndarray:
-    """Numeric normalized-Laplacian spectrum via the symmetric form."""
-    degrees = d.degrees()
-    if any(deg == 0 for deg in degrees):
-        raise GraphError("degree zero vertex")
-    inv_sqrt = np.diag([1.0 / math.sqrt(deg) for deg in degrees])
-    a = np.array(d.adj, dtype=float)
-    ln = np.eye(d.n) - inv_sqrt @ a @ inv_sqrt
-    return np.linalg.eigvalsh(ln)
 
 
 def ln_isospectral(d1: DiscreteGraph, d2: DiscreteGraph) -> bool:

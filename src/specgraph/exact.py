@@ -352,10 +352,14 @@ def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
 
 TWO_PI = 2.0 * math.pi
 
+#: roots closer than this in k are merged into one: ten times the circle
+#: certification tol, and the closest distinct roots of 36 catalog and 300
+#: random multigraphs are 0.017 apart
+ROOT_CLUSTER_TOL = 1e-7
+
 
 def poly_roots_unit_circle(p: ProjectivePoly,
-                           tol: float = 1e-8,
-                           cluster_tol: float = 1e-7) -> list[tuple[float, int]]:
+                           tol: float = 1e-8) -> list[tuple[float, int]]:
     """All roots of p, certified to lie on |z| = 1, as (k, multiplicity).
 
     k = arg(z) mapped to (0, 2pi].  Roots z = 1 and z = -1 are deflated by
@@ -392,7 +396,7 @@ def poly_roots_unit_circle(p: ProjectivePoly,
     found.sort()
     merged: list[tuple[float, int]] = []
     for k, mult in found:
-        if merged and abs(k - merged[-1][0]) < cluster_tol:
+        if merged and abs(k - merged[-1][0]) < ROOT_CLUSTER_TOL:
             merged[-1] = (merged[-1][0], merged[-1][1] + mult)
         else:
             merged.append((k, mult))

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Sequence
 
 
@@ -139,9 +138,9 @@ def validate(g: MetricGraph) -> list[str]:
     return problems
 
 
-def components(g: MetricGraph) -> int:
-    """Number of connected components (union-find over vertices)."""
-    parent = list(range(g.n_vertices))
+def _count_components(n: int, links: Iterable[tuple[int, int]]) -> int:
+    """Connected components of n vertices joined by links (union-find)."""
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -149,10 +148,14 @@ def components(g: MetricGraph) -> int:
             x = parent[x]
         return x
 
-    for i in range(g.n_edges):
-        u, v = g.edge_vertices(i)
+    for u, v in links:
         parent[find(u)] = find(v)
-    return len({find(v) for v in range(g.n_vertices)})
+    return len({find(v) for v in range(n)})
+
+
+def components(g: MetricGraph) -> int:
+    """Number of connected components."""
+    return _count_components(g.n_vertices, (g.edge_vertices(i) for i in range(g.n_edges)))
 
 
 def betti(g: MetricGraph) -> int:
@@ -461,19 +464,8 @@ def metric_from_discrete(d: DiscreteGraph) -> MetricGraph:
 
 
 def discrete_components(d: DiscreteGraph) -> int:
-    parent = list(range(d.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(d.n):
-        for v in range(u + 1, d.n):
-            if d.adj[u][v]:
-                parent[find(u)] = find(v)
-    return len({find(v) for v in range(d.n)})
+    return _count_components(d.n, ((u, v) for u in range(d.n)
+                                   for v in range(u + 1, d.n) if d.adj[u][v]))
 
 
 def discrete_betti(d: DiscreteGraph) -> int:
@@ -542,34 +534,6 @@ def canonical_form(d: DiscreteGraph, bound: int = CANONICAL_BOUND) -> bytes:
 
     descend([], [list(range(d.n))] if d.n else [], b"")
     return best
-
-
-def metric_isomorphic(g1: MetricGraph, g2: MetricGraph,
-                      max_vertices: int = 10) -> bool:
-    """Exact isomorphism of small metric graphs (lengths included).
-
-    Contacts are ignored; brute force over vertex bijections compatible
-    with degrees.
-    """
-    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-        return False
-    if g1.n_vertices > max_vertices:
-        raise GraphError("isomorphism brute-force bound exceeded")
-    if sorted(g1.lengths) != sorted(g2.lengths):
-        return False
-    deg1 = [g1.degree(v) for v in range(g1.n_vertices)]
-    deg2 = [g2.degree(v) for v in range(g2.n_vertices)]
-    if sorted(deg1) != sorted(deg2):
-        return False
-    target = Counter((min(u, v), max(u, v), l) for u, v, l in g2.edge_list())
-    for perm in permutations(range(g1.n_vertices)):
-        if any(deg1[v] != deg2[perm[v]] for v in range(g1.n_vertices)):
-            continue
-        image = Counter((min(perm[u], perm[v]), max(perm[u], perm[v]), l)
-                        for u, v, l in g1.edge_list())
-        if image == target:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

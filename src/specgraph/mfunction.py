@@ -17,15 +17,16 @@ LAPACK calls run the same routine on each matrix, np.sin and np.cos agree
 with math.sin and math.cos, and the hyperbolic blocks for lambda < 0 stay
 on math.tanh and math.sinh because np.tanh and np.sinh do not.
 `m_function` is the one-lambda case; `tests/kernel_oracles.py` keeps the
-per-lambda assembly as the oracle.
+per-lambda assembly from 2x2 edge blocks (`edge_m_block`) as the oracle.
 
 `detectable_spectrum` runs on one kernel throughout: its k grid is one
 stacked evaluation, and its bisection is level-synchronous, so the
 midpoints of every open bracket of a level are evaluated together (the
-Steklov counts and the interior-block counts alike).  Only the +-eps
-crossing probes at each refined point and pole candidate stay one-lambda
-`steklov_eigs` calls: they are few, taken lazily in depth-first order,
-and they keep `m_function` visible to an outside tracer of detect.
+Steklov counts and the interior-block counts alike).  Only the
++-_PROBE_EPS crossing probes at each refined point and pole candidate
+stay one-lambda `steklov_eigs` calls: they are few, taken lazily in
+depth-first order, and they keep `m_function` visible to an outside
+tracer of detect.
 
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
@@ -38,7 +39,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -62,34 +62,18 @@ _CHUNK = 256
 #: line is pole-free, a few positive values catch sign conventions.
 DEFAULT_SAMPLES: tuple[float, ...] = (-5.0, -4.0, -3.0, -2.0, -1.0, 0.3, 0.7, 1.3, 2.1)
 
+#: largest M residual still called equivalent: equivalent pairs reach at
+#: most 5.3e-15 at DEFAULT_SAMPLES (fig6_cycle against fig6_eight), the
+#: inequivalent Q1/Q2 and Gamma1/Gamma2 pairs 6.01
+EQUIVALENCE_TOL = 1e-9
+
+#: method3_verify's eigenvalue and compression tolerance: the K4 and S4
+#: hosts with Q1/Q2 reach at most 3.6e-15, S4 posing as Q2's partner 12.0
+METHOD3_TOL = 1e-8
+
 
 class SingularSampleError(GraphError):
     """An operation hit a flagged singular lambda and cannot proceed."""
-
-
-def edge_m_block(length: Fraction | float, lam: float) -> np.ndarray | None:
-    """2x2 M-function block of a single edge, or None at a singular lambda.
-
-    Diagonal -k*cot(k*l) and off-diagonal k/sin(k*l) for lam = k^2 > 0;
-    the hyperbolic analogue for lam < 0 and the -1/l, 1/l limit at 0.
-    """
-    l = float(length)
-    if lam > 0:
-        k = math.sqrt(lam)
-        s = math.sin(k * l)
-        if abs(s) < EDGE_SINGULAR_TOL:
-            return None
-        a = -k * math.cos(k * l) / s
-        b = k / s
-    elif lam < 0:
-        kappa = math.sqrt(-lam)
-        a = -kappa / math.tanh(kappa * l)
-        x = kappa * l
-        b = kappa / math.sinh(x) if x < 350.0 else 0.0
-    else:
-        a = -1.0 / l
-        b = 1.0 / l
-    return np.array([[a, b], [b, a]])
 
 
 @dataclass(frozen=True)
@@ -105,10 +89,12 @@ def _edge_terms(lengths: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.n
     """Edge block entries per length and lambda, and the edge-singular lambdas.
 
     Row i holds the diagonal entry a for lengths[i] and row
-    len(lengths) + i the off-diagonal entry b, with the formulas and the
-    order of operations of edge_m_block.  The trigonometric formulas run
-    over the whole stack; lambda <= 0 is then overwritten one value at a
-    time.
+    len(lengths) + i the off-diagonal entry b: -k*cot(k*l) and k/sin(k*l)
+    for lambda = k^2 > 0, the hyperbolic analogue for lambda < 0 and the
+    -1/l, 1/l limit at 0, with the formulas and the order of operations
+    of the one-edge oracle `tests/kernel_oracles.py::edge_m_block`.  The
+    trigonometric formulas run over the whole stack; lambda <= 0 is then
+    overwritten one value at a time.
     """
     nl = len(lengths)
     ab = np.empty((2 * nl, len(lams)))
@@ -403,6 +389,16 @@ def _bisect(brackets: list[_Bracket],
     return leaves, skipped
 
 
+#: half-width in k of the crossing probes around a refined point or pole:
+#: 1e4 times the default refine_tol, so both probes leave the refined
+#: bracket, and 100 times below the default grid step
+_PROBE_EPS = 1e-4
+
+#: |Steklov eigenvalue| below which a probe counts a branch passing
+#: through zero at a pole: such branches are O(eps), pole ones O(1/eps)
+_PROBE_WINDOW = 0.05
+
+#: a probe eigenvalue this large marks a pole at k: 1/_PROBE_EPS
 _POLE_MAGNITUDE = 1e4
 
 
@@ -487,15 +483,14 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
 
     # crossings exactly at a pole may not change the negative count at all
     # (the pole jump cancels them), so pole locations are probed explicitly
-    eps = 1e-4
     candidates = _edge_pole_candidates(g, k_max)
     candidates += _interior_pole_candidates(kernel, ks, interior_counts, refine_tol)
     for k0 in sorted(candidates):
-        if k0 <= grid_step + eps:
+        if k0 <= grid_step + _PROBE_EPS:
             continue
-        if any(abs(k0 - kp) < 10 * eps for kp, _, _ in raw):
+        if any(abs(k0 - kp) < 10 * _PROBE_EPS for kp, _, _ in raw):
             continue
-        mult, _ = _crossing_multiplicity(g, k0, 0, eps=eps)
+        mult, _ = _crossing_multiplicity(g, k0, 0)
         if mult > 0:
             raw.append((k0, mult, True))
 
@@ -574,9 +569,8 @@ class EquivalenceResult:
 
 def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
                        bijection: Sequence[tuple[int, int]] | None = None,
-                       samples: Sequence[float] = DEFAULT_SAMPLES,
-                       tol: float = 1e-9) -> EquivalenceResult:
-    """Whether M_{g1} and M_{g2} agree under a contact pairing at the samples.
+                       samples: Sequence[float] = DEFAULT_SAMPLES) -> EquivalenceResult:
+    """Whether M_{g1} and M_{g2} agree within EQUIVALENCE_TOL at the samples.
 
     The bijection pairs contact positions of g1 with contact positions of
     g2 (identity by default).  A flagged singular sample raises; pick
@@ -597,7 +591,7 @@ def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
     for _, (m1, m2) in _sample_matrices((g1, g2), samples):
         permuted = m2[np.ix_(sigma, sigma)]
         worst = max(worst, float(np.max(np.abs(m1 - permuted))))
-    return EquivalenceResult(worst < tol, worst)
+    return EquivalenceResult(worst < EQUIVALENCE_TOL, worst)
 
 
 def _sample_matrices(graphs: Sequence[MetricGraph], samples: Sequence[float]
@@ -617,25 +611,28 @@ def _sample_matrices(graphs: Sequence[MetricGraph], samples: Sequence[float]
             yield lam, [c.matrices[i] for c in chunks]
 
 
-def _crossing_multiplicity(g: MetricGraph, k: float, fallback: int,
-                           eps: float = 1e-4,
-                           window: float = 0.05) -> tuple[int, bool]:
+def _crossing_multiplicity(g: MetricGraph, k: float,
+                           fallback: int | None) -> tuple[int, bool]:
     """Branches crossing zero at k, robust to a pole sitting at k.
 
     Away from poles the drop in the negative-eigenvalue count across the
-    bracket (the fallback) is authoritative.  At a pole, branches passing
-    straight through zero are O(eps) on both sides while pole branches are
-    O(1/eps), so small negatives before and small positives after are
-    counted instead.  Returns (multiplicity, pole seen).
+    bracket (the fallback) is authoritative; a fallback of None takes
+    that drop, clamped at 0, from the two probes at k -+ _PROBE_EPS.  At
+    a pole, branches passing straight through zero are O(eps) on both
+    sides while pole branches are O(1/eps), so small negatives before and
+    small positives after are counted instead.  Returns (multiplicity,
+    pole seen).
     """
-    before = steklov_eigs(g, (k - eps) ** 2)
-    after = steklov_eigs(g, (k + eps) ** 2)
+    before = steklov_eigs(g, (k - _PROBE_EPS) ** 2)
+    after = steklov_eigs(g, (k + _PROBE_EPS) ** 2)
     if before is None or after is None:
         raise SingularSampleError(f"singular bracket around k={k:.6g}")
     if max(np.max(np.abs(before)), np.max(np.abs(after))) < _POLE_MAGNITUDE:
+        if fallback is None:
+            fallback = max(int(np.sum(before < 0.0) - np.sum(after < 0.0)), 0)
         return fallback, False
-    nb = int(np.sum((before > -window) & (before < 0.0)))
-    na = int(np.sum((after < window) & (after > 0.0)))
+    nb = int(np.sum((before > -_PROBE_WINDOW) & (before < 0.0)))
+    na = int(np.sum((after < _PROBE_WINDOW) & (after > 0.0)))
     if nb != na:
         warnings.warn(
             f"asymmetric crossing count at pole k={k:.6g}: {nb} before, {na} after",
@@ -653,10 +650,7 @@ def invisible_multiplicity(g: MetricGraph, k: float) -> int:
     sec = report.multiplicity_at(k)
     if sec == 0:
         raise GraphError(f"k={k:.6g} is not a fundamental root")
-    before, after = _steklov_counts(_Kernel(g), [k - 1e-4, k + 1e-4])
-    if before is None or after is None:
-        raise SingularSampleError(f"singular bracket around k={k:.6g}")
-    det, _ = _crossing_multiplicity(g, k, max(before - after, 0))
+    det, _ = _crossing_multiplicity(g, k, None)
     invisible = sec - det
     if invisible < 0:
         warnings.warn(
@@ -687,10 +681,8 @@ class Method3Report:
         return all(s.ok for s in self.samples)
 
 
-def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph,
-                   samples: Sequence[float] = DEFAULT_SAMPLES,
-                   tol: float = 1e-8) -> Method3Report:
-    """Check the subspace-swapping hypotheses at each sample lambda.
+def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph) -> Method3Report:
+    """Check the subspace-swapping hypotheses at each of DEFAULT_SAMPLES.
 
     (a) M of the common graph has a degenerate eigenvalue with eigenspace
     V(lambda); (b) M_{q1} and M_{q2} have identical sorted eigenvalues;
@@ -700,7 +692,7 @@ def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph,
     if not len(k_graph.contacts) == len(q1.contacts) == len(q2.contacts):
         raise GraphError("contact counts differ")
     out: list[Method3Sample] = []
-    for lam, (mk, m1, m2) in _sample_matrices((k_graph, q1, q2), samples):
+    for lam, (mk, m1, m2) in _sample_matrices((k_graph, q1, q2), DEFAULT_SAMPLES):
         w, vecs = np.linalg.eigh(mk)
         clusters: list[list[int]] = [[0]]
         for i in range(1, len(w)):
@@ -712,13 +704,13 @@ def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph,
         degenerate = len(best) > 1
         w1 = np.linalg.eigvalsh(m1)
         w2 = np.linalg.eigvalsh(m2)
-        eig_match = bool(np.max(np.abs(w1 - w2)) < tol)
+        eig_match = bool(np.max(np.abs(w1 - w2)) < METHOD3_TOL)
         if degenerate:
             comp_idx = [i for i in range(len(w)) if i not in best]
             comp = vecs[:, comp_idx]
             diff = comp.T @ (m1 - m2) @ comp
             comp_match = bool(
-                diff.size == 0 or np.linalg.norm(diff, 2) < tol)
+                diff.size == 0 or np.linalg.norm(diff, 2) < METHOD3_TOL)
         else:
             comp_match = False
         out.append(Method3Sample(lam, degenerate, eig_match, comp_match))

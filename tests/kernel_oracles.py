@@ -10,25 +10,30 @@ instead; these formulations share no matrix with it.
 `brute_force_canonical_form` is the canonical form by definition: the
 least row-major adjacency encoding over all n! vertex orderings.
 `reference_m_function` is the M-function evaluated one lambda at a time:
-a Python assembly of T(lambda) from `edge_m_block`, then the Schur
-complement over the interior vertices; the library stacks both steps.
+a Python assembly of T(lambda) from `edge_m_block`, the 2x2 block of one
+edge in math-module arithmetic, then the Schur complement over the
+interior vertices; the library stacks both steps.
 `reference_interpolate` is Newton divided-difference interpolation in
 Fractions at arbitrary points; the library uses integer forward
 differences at consecutive points.  `von_below_check` maps numeric
-secular roots k onto the numeric normalized-Laplacian spectrum by
-1 - cos(k) = mu, a root-finding check of the identity the library's
-pencil A - cD is built on.
+secular roots k onto the numeric normalized-Laplacian spectrum
+(`ln_eigenvalues`, eigvalsh of the symmetric form) by 1 - cos(k) = mu,
+a root-finding check of the identity the library's pencil A - cD is
+built on.
 `reference_squarefree_factors` is Yun's square-free decomposition in
 Fraction arithmetic with monic gcds; the library runs it in Z[x] on
 primitive pseudo-remainders.  `reference_detectable_spectrum` is detect
 as a depth-first recursion, `reference_refine`, that counts at one
 midpoint at a time through `reference_m_function`; the library bisects
 all brackets of a level at once on the stacked kernel.
+`metric_isomorphic` decides isomorphism of small metric graphs by brute
+force over all n! vertex bijections.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -37,11 +42,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
-                       ProjectivePoly, components, edge_m_block, ln_eigenvalues,
-                       polymat_det, poly_normalize, spectrum_report, to_discrete,
-                       unit_subdivided)
-from specgraph.mfunction import (INTERIOR_COND_LIMIT, MAX_DETECT_SAMPLES, DetectionResult,
-                                 _check_samples, _crossing_multiplicity,
+                       ProjectivePoly, components, polymat_det, poly_normalize,
+                       spectrum_report, to_discrete, unit_subdivided)
+from specgraph.mfunction import (EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT, MAX_DETECT_SAMPLES,
+                                 DetectionResult, _check_samples, _crossing_multiplicity,
                                  _edge_pole_candidates)
 
 
@@ -152,6 +156,17 @@ class VonBelowReport:
         return max((r for _, r in self.residuals), default=0.0)
 
 
+def ln_eigenvalues(d: DiscreteGraph) -> np.ndarray:
+    """Numeric normalized-Laplacian spectrum via the symmetric form."""
+    degrees = d.degrees()
+    if any(deg == 0 for deg in degrees):
+        raise GraphError("degree zero vertex")
+    inv_sqrt = np.diag([1.0 / math.sqrt(deg) for deg in degrees])
+    a = np.array(d.adj, dtype=float)
+    ln = np.eye(d.n) - inv_sqrt @ a @ inv_sqrt
+    return np.linalg.eigvalsh(ln)
+
+
 def _is_pi_multiple(k: float) -> bool:
     return abs(k / math.pi - round(k / math.pi)) < GENERIC_TOL
 
@@ -181,6 +196,59 @@ def brute_force_canonical_form(d: DiscreteGraph) -> bytes:
     """Least row-major adjacency encoding over every vertex ordering."""
     return min(bytes(d.adj[p[i]][p[j]] for i in range(d.n) for j in range(d.n))
                for p in permutations(range(d.n)))
+
+
+def metric_isomorphic(g1: MetricGraph, g2: MetricGraph,
+                      max_vertices: int = 10) -> bool:
+    """Exact isomorphism of small metric graphs (lengths included).
+
+    Contacts are ignored; brute force over vertex bijections compatible
+    with degrees.
+    """
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return False
+    if g1.n_vertices > max_vertices:
+        raise GraphError("isomorphism brute-force bound exceeded")
+    if sorted(g1.lengths) != sorted(g2.lengths):
+        return False
+    deg1 = [g1.degree(v) for v in range(g1.n_vertices)]
+    deg2 = [g2.degree(v) for v in range(g2.n_vertices)]
+    if sorted(deg1) != sorted(deg2):
+        return False
+    target = Counter((min(u, v), max(u, v), l) for u, v, l in g2.edge_list())
+    for perm in permutations(range(g1.n_vertices)):
+        if any(deg1[v] != deg2[perm[v]] for v in range(g1.n_vertices)):
+            continue
+        image = Counter((min(perm[u], perm[v]), max(perm[u], perm[v]), l)
+                        for u, v, l in g1.edge_list())
+        if image == target:
+            return True
+    return False
+
+
+def edge_m_block(length: Fraction | float, lam: float) -> np.ndarray | None:
+    """2x2 M-function block of a single edge, or None at a singular lambda.
+
+    Diagonal -k*cot(k*l) and off-diagonal k/sin(k*l) for lam = k^2 > 0;
+    the hyperbolic analogue for lam < 0 and the -1/l, 1/l limit at 0.
+    """
+    l = float(length)
+    if lam > 0:
+        k = math.sqrt(lam)
+        s = math.sin(k * l)
+        if abs(s) < EDGE_SINGULAR_TOL:
+            return None
+        a = -k * math.cos(k * l) / s
+        b = k / s
+    elif lam < 0:
+        kappa = math.sqrt(-lam)
+        a = -kappa / math.tanh(kappa * l)
+        x = kappa * l
+        b = kappa / math.sinh(x) if x < 350.0 else 0.0
+    else:
+        a = -1.0 / l
+        b = 1.0 / l
+    return np.array([[a, b], [b, a]])
 
 
 def reference_assemble(g: MetricGraph, lam: float) -> np.ndarray | None:
@@ -408,7 +476,7 @@ def reference_detectable_spectrum(g: MetricGraph, k_max: float,
             continue
         if any(abs(k0 - kp) < 10 * eps for kp, _, _ in raw):
             continue
-        mult, _ = _crossing_multiplicity(g, k0, 0, eps=eps)
+        mult, _ = _crossing_multiplicity(g, k0, 0)
         if mult > 0:
             raw.append((k0, mult, True))
 

@@ -7,12 +7,13 @@ from specgraph import (ComposedHost, GraphError, Slot, assemble, betti,
                        build_clarifying_example, canonical_form, catalog,
                        components, from_edge_list, inner_symmetry_quotient,
                        join_points, method1_extend, method2_exchange,
-                       method2_permute, metric_isomorphic, metric_isospectral,
+                       method2_permute, metric_isospectral, scale_lengths,
                        steklov_equivalent, substitute, suppress_degree2,
                        to_discrete, validate)
 from specgraph.constructions import CATALOG_IDS
 
 from conftest import random_connected_multigraph
+from kernel_oracles import metric_isomorphic
 
 
 class TestCatalog:
@@ -72,6 +73,20 @@ class TestMethod1:
         with pytest.raises(GraphError, match="Steklov-equivalent"):
             method1_extend(k, catalog("S1").with_contacts([0]),
                            catalog("S2").with_contacts([0]), [(0, 0)])
+
+    def test_non_integer_lengths_cannot_be_certified(self):
+        # halving both lengths keeps the pair Steklov-equivalent, but the
+        # exact secular check needs integer lengths
+        half = Fraction(1, 2)
+        r1 = scale_lengths(catalog("fig6_cycle"), half)
+        r2 = scale_lengths(catalog("fig6_eight"), half)
+        assert steklov_equivalent(r1, r2).equivalent
+        k = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        with pytest.raises(GraphError) as err:
+            method1_extend(k, r1, r2, [(0, 0), (1, 1)])
+        assert str(err.value) == (
+            "cannot certify the isospectrality hypothesis: edge lengths "
+            "are not integers, so the exact secular check is unavailable")
 
     def test_eight_and_watermelon_extend_any_graph(self):
         r1 = catalog("figure_eight_unit")
@@ -211,3 +226,42 @@ class TestInnerSymmetryQuotient:
     def test_single_point_rejected(self):
         with pytest.raises(GraphError, match="at least two points"):
             inner_symmetry_quotient(catalog("fig6_cycle"), [(0, 1)])
+
+
+def _method1_inequivalent():
+    k = from_edge_list(2, [(0, 1)], contacts=(0,))
+    method1_extend(k, catalog("S1").with_contacts([0]),
+                   catalog("S2").with_contacts([0]), [(0, 0)])
+
+
+def _method2_inequivalent():
+    host = TestMethod2.host_with(catalog("fig6_cycle"),
+                                 from_edge_list(2, [(0, 1, 2), (0, 1, 1)], contacts=(0, 1)))
+    method2_exchange(host, 0, 1)
+
+
+def _clarify_inequivalent():
+    edge2, loop, pendant = TestClarifyingExample.unit_blocks()
+    double = from_edge_list(2, [(0, 1), (0, 1)], contacts=(0, 1))
+    build_clarifying_example(edge2, double, edge2, edge2, loop, pendant)
+
+
+def _quotient_refuted():
+    inner_symmetry_quotient(catalog("fig6_cycle"),
+                            [(0, Fraction(1, 3)), (1, Fraction(1, 2))])
+
+
+@pytest.mark.parametrize("call, message", [
+    (_method1_inequivalent,
+     "hypothesis failure: graphs are not Steklov-equivalent (max residual 12.2)"),
+    (_method2_inequivalent,
+     "slots 0 and 1 are not Steklov-equivalent (max residual 6.01)"),
+    (_clarify_inequivalent,
+     "blocks A and B are not Steklov-equivalent (max residual 2.29)"),
+    (_quotient_refuted,
+     "orbit assertion refuted: M-functions differ (max residual 0.277)"),
+])
+def test_certificate_failure_text(call, message):
+    with pytest.raises(GraphError) as err:
+        call()
+    assert str(err.value) == message

@@ -8,14 +8,14 @@ from specgraph import (GraphError, GraphFormatError, MetricGraph,
                        betti, canonical_form, chop_vertex, components,
                        discrete_from_adj, disjoint_union, format_graph,
                        from_edge_list, glue, join_points, merge_vertices,
-                       metric_from_discrete, metric_isomorphic, parse_graph,
+                       metric_from_discrete, parse_graph,
                        subdivide_edge, suppress_degree2, to_discrete,
                        unit_subdivided, validate)
 from specgraph.constructions import catalog
 from specgraph.graphs import discrete_components
 
 from conftest import random_connected_multigraph
-from kernel_oracles import brute_force_canonical_form
+from kernel_oracles import brute_force_canonical_form, metric_isomorphic
 
 
 def k5():

@@ -2,15 +2,18 @@
 
 A relabelled copy of a graph permutes its vertices, reorders its edges
 and reverses some of them.  Both exact keys and the canonical form must
-not see any of it.
+not see any of it.  Components and Betti numbers agree between a metric
+graph, its discrete shadow and networkx.
 """
 
 from fractions import Fraction
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgraph import (canonical_form, format_graph, from_edge_list, ln_charpoly,
+from specgraph import (betti, canonical_form, components, discrete_betti,
+                       discrete_components, format_graph, from_edge_list, ln_charpoly,
                        parse_graph, secular_poly, to_discrete)
 
 
@@ -82,3 +85,28 @@ class TestTextFormatRoundTrip:
         assert format_graph(parsed) == format_graph(expected)
         if list(g.contacts) == list(range(len(g.contacts))):
             assert parsed == g
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph, often disconnected, with loops and parallel edges:
+    every vertex gets one edge to any vertex (itself included), plus a few
+    more."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    edges = [(v, draw(vertex), draw(st.integers(1, 2))) for v in range(n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 2)), max_size=4))
+    return from_edge_list(n, edges)
+
+
+class TestComponents:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(multigraphs())
+    def test_metric_and_discrete_agree(self, g):
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(range(g.n_vertices))
+        nxg.add_edges_from((u, v) for u, v, _ in g.edge_list())
+        assert components(g) == discrete_components(to_discrete(g))
+        assert components(g) == nx.number_connected_components(nxg)
+        assert betti(g) == discrete_betti(to_discrete(g))
+        assert betti(g) == g.n_edges - g.n_vertices + nx.number_connected_components(nxg)
