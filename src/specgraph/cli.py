@@ -6,15 +6,12 @@ as integers; floating-point output uses 12 significant digits so repeated
 runs are byte-identical.
 
 `run` builds the argparse parser on its first call and reuses it for every
-later call in the process.  `SPECGRAPH_JOBS`, the default of `search
---jobs`, is read again on every call, so a changed variable takes effect
-on the next call and a non-integer value exits 2 for every verb.
+later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -60,14 +57,6 @@ def _bad_option(option: str, form: str, text: str) -> GraphError:
     return GraphError(f"{option} expects {form}, got {text!r}")
 
 
-def _env_jobs() -> int:
-    text = os.environ.get("SPECGRAPH_JOBS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"SPECGRAPH_JOBS must be an integer, got {text!r}") from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specgraph",
@@ -109,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi", action="store_true")
     p.add_argument("--max-edges", type=int, default=8)
     p.add_argument("--key", choices=("secular", "ln"), default="secular")
-    # the default comes from the top-level `jobs` default, which follows
-    # SPECGRAPH_JOBS (see `run`)
-    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("catalog", help="emit a named catalog graph")
@@ -150,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--splits", default="2,3|1,4")
     c.add_argument("--out1", default=None)
     c.add_argument("--out2", default=None)
-
-    parser.set_defaults(jobs=_env_jobs())
     return parser
 
 
@@ -237,7 +221,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         graphs = list(enumerate_connected_multi(args.vertices, args.max_edges))
     else:
         graphs = list(enumerate_connected_simple(args.vertices))
-    families = classify(graphs, args.key, jobs=max(args.jobs, 1))
+    families = classify(graphs, args.key)
     lines = [f"graphs {len(graphs)}", f"families {len(families)}"]
     for i, fam in enumerate(families, start=1):
         lines.append(f"family {i} size {fam.size}")
@@ -338,16 +322,11 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse argv and dispatch; returns the process exit code.
-
-    The parser is built on the first call and reused; `SPECGRAPH_JOBS` is
-    read on every call and becomes that call's `search --jobs` default.
-    """
+    """Parse argv and dispatch; returns the process exit code."""
     global _PARSER
     try:
         if _PARSER is None:
             _PARSER = _build_parser()
-        _PARSER.set_defaults(jobs=_env_jobs())
         args = _PARSER.parse_args(argv)
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:

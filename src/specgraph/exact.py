@@ -352,11 +352,6 @@ def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
 
 TWO_PI = 2.0 * math.pi
 
-#: roots closer than this in k are merged into one: ten times the circle
-#: certification tol, and the closest distinct roots of 36 catalog and 300
-#: random multigraphs are 0.017 apart
-ROOT_CLUSTER_TOL = 1e-7
-
 
 def poly_roots_unit_circle(p: ProjectivePoly,
                            tol: float = 1e-8) -> list[tuple[float, int]]:
@@ -366,7 +361,9 @@ def poly_roots_unit_circle(p: ProjectivePoly,
     exact trial division, so their multiplicities are exact.  Remaining
     multiplicities are extracted exactly by square-free decomposition;
     companion-matrix root finding is then only ever applied to simple
-    roots, which keeps every root within `tol` of the unit circle.
+    roots, which keeps every root within `tol` of the unit circle.  The
+    square-free factors are pairwise coprime and prime to z - 1 and z + 1,
+    so no root is listed twice.
     Raises ExactError if any root strays off the circle beyond tol, or if
     tol is not positive and finite.
     """
@@ -394,10 +391,4 @@ def poly_roots_unit_circle(p: ProjectivePoly,
                 k = theta if theta > 0 else theta + TWO_PI
                 found.append((k, mult))
     found.sort()
-    merged: list[tuple[float, int]] = []
-    for k, mult in found:
-        if merged and abs(k - merged[-1][0]) < ROOT_CLUSTER_TOL:
-            merged[-1] = (merged[-1][0], merged[-1][1] + mult)
-        else:
-            merged.append((k, mult))
-    return merged
+    return found

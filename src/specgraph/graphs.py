@@ -475,7 +475,7 @@ def discrete_betti(d: DiscreteGraph) -> int:
 CANONICAL_BOUND = 8
 
 
-def canonical_form(d: DiscreteGraph, bound: int = CANONICAL_BOUND) -> bytes:
+def canonical_form(d: DiscreteGraph) -> bytes:
     """Minimal row-major adjacency encoding over all vertex permutations.
 
     Equal byte strings certify isomorphism.  The search fills positions
@@ -489,9 +489,9 @@ def canonical_form(d: DiscreteGraph, bound: int = CANONICAL_BOUND) -> bytes:
     Every cell is then split by a[v][u] in ascending order, and the
     ordering is complete once each cell is a single vertex.  A branch whose
     encoding is already above the best one found is cut.  The worst case
-    is still exponential, so n is capped (default 8).
+    is still exponential, so n is capped at CANONICAL_BOUND.
     """
-    if d.n > bound:
+    if d.n > CANONICAL_BOUND:
         raise GraphError("exhaustive canonicalization bound exceeded")
     if any(x > 255 for row in d.adj for x in row):
         raise GraphError("multiplicity too large for byte encoding")

@@ -13,8 +13,6 @@ exact spectral keys.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -134,39 +132,19 @@ def _spectral_key(d: DiscreteGraph, key: SpectralKey) -> str:
     raise GraphError(f"unknown spectral key {key!r}")
 
 
-def _classify_one(args: tuple[DiscreteGraph, SpectralKey]) -> tuple[str, bytes, int, int]:
-    d, key = args
-    return (_spectral_key(d, key), canonical_form(d),
-            discrete_betti(d), discrete_components(d))
-
-
-def classify(graphs: Iterable[DiscreteGraph], key: SpectralKey,
-             jobs: int = 1) -> list[IsospectralFamily]:
+def classify(graphs: Iterable[DiscreteGraph], key: SpectralKey) -> list[IsospectralFamily]:
     """Group graphs into exact isospectral families under the chosen key.
 
-    Families are sorted by size descending, then by key; the result does
-    not depend on the job count (per-graph keys are exact and the merge
-    is a plain grouping).  The pool has at most one process per graph and
-    per CPU, whatever `jobs` asks for.
+    Members are sorted by canonical form; families by size descending,
+    then by key.
     """
-    items = [(d, key) for d in graphs]
-    jobs = min(jobs, len(items), os.cpu_count() or 1)
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_classify_one, items, chunksize=8)
-    else:
-        rows = [_classify_one(item) for item in items]
     groups: dict[str, list[tuple[bytes, int, int]]] = {}
-    for key_text, canon, bet, comp in rows:
-        groups.setdefault(key_text, []).append((canon, bet, comp))
+    for d in graphs:
+        groups.setdefault(_spectral_key(d, key), []).append(
+            (canonical_form(d), discrete_betti(d), discrete_components(d)))
     families = []
     for key_text, members in groups.items():
-        members.sort()
-        families.append(IsospectralFamily(
-            key=key_text,
-            members=tuple(m for m, _, _ in members),
-            betti=tuple(b for _, b, _ in members),
-            components=tuple(c for _, _, c in members),
-        ))
+        canon, betti, components = zip(*sorted(members))
+        families.append(IsospectralFamily(key_text, canon, betti, components))
     families.sort(key=lambda fam: (-fam.size, fam.key))
     return families

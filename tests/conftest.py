@@ -1,8 +1,6 @@
 import random
 
-import pytest
-
-from specgraph import MetricGraph, from_edge_list, search
+from specgraph import MetricGraph, from_edge_list
 
 
 def random_connected_multigraph(rng: random.Random,
@@ -17,28 +15,3 @@ def random_connected_multigraph(rng: random.Random,
         edges.append((u, v))
     contacts = sorted(rng.sample(range(n), rng.randint(1, n))) if with_contacts else []
     return from_edge_list(n, edges, contacts)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Replace the classification pool by a fake that maps serially, on a
-    machine that reports 4 CPUs; returns the list of pool sizes asked for.
-    No process is started, whatever job count a test passes."""
-    sizes: list[int] = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize=1):
-            return [func(item) for item in items]
-
-    monkeypatch.setattr(search.multiprocessing, "Pool", SerialPool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    return sizes

@@ -41,7 +41,7 @@ def six_vertex_run():
     """
     started = time.perf_counter()
     graphs = list(enumerate_connected_simple(6))
-    families = classify(graphs, "secular", jobs=4)
+    families = classify(graphs, "secular")
     keys = []
     for d in graphs:
         g = metric_from_discrete(d)

@@ -171,15 +171,15 @@ class TestNumericVerbs:
 
 class TestSearchVerb:
     def test_search_n4_and_job_independence(self, tmp_path, capsys):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        # --out writes the bytes that stdout gets
+        a = tmp_path / "a.txt"
         code, _, _ = invoke(capsys, "search", "--vertices", "4", "--key", "secular",
-                            "--jobs", "1", "--out", str(a))
+                            "--out", str(a))
         assert code == 0
-        code, _, _ = invoke(capsys, "search", "--vertices", "4", "--key", "secular",
-                            "--jobs", "2", "--out", str(b))
+        code, out, _ = invoke(capsys, "search", "--vertices", "4", "--key", "secular")
         assert code == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().splitlines()[0] == "graphs 6"
+        assert a.read_text() == out
+        assert out.splitlines()[0] == "graphs 6"
 
     def test_search_multi(self, capsys):
         code, out, _ = invoke(capsys, "search", "--vertices", "2", "--multi",
@@ -187,44 +187,14 @@ class TestSearchVerb:
         assert code == 0
         assert out.splitlines()[0] == "graphs 7"
 
-    def test_jobs_default_from_environment(self, monkeypatch):
-        from specgraph.cli import _build_parser
-        monkeypatch.setenv("SPECGRAPH_JOBS", "3")
-        args = _build_parser().parse_args(["search", "--vertices", "3"])
-        assert args.jobs == 3
-
-    def test_non_integer_jobs_variable_exits_2(self, monkeypatch, capsys):
+    def test_jobs_option_is_gone(self, monkeypatch, capsys):
+        code, out, err = invoke(capsys, "search", "--vertices", "3", "--jobs", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --jobs 2" in err
         monkeypatch.setenv("SPECGRAPH_JOBS", "two")
-        for argv in (["search", "--vertices", "3"], ["catalog", "K5"]):
-            code, out, err = invoke(capsys, *argv)
-            assert code == 2
-            assert out == ""
-            assert err == "error: SPECGRAPH_JOBS must be an integer, got 'two'\n"
-
-    def test_jobs_variable_read_on_every_call(self, monkeypatch, capsys):
-        seen = []
-        classify = cli.classify
-
-        def recording(graphs, key, jobs=1):
-            seen.append(jobs)
-            return classify(graphs, key)
-
-        monkeypatch.setattr(cli, "classify", recording)
-        codes = []
-        for value in ("3", "1", "two", "2"):
-            monkeypatch.setenv("SPECGRAPH_JOBS", value)
-            codes.append(invoke(capsys, "search", "--vertices", "3")[0])
-        codes.append(invoke(capsys, "search", "--vertices", "3", "--jobs", "5")[0])
-        assert codes == [0, 0, 2, 0, 0]
-        assert seen == [3, 1, 2, 5]
-
-    def test_large_job_counts_are_capped(self, serial_pool, monkeypatch, capsys):
-        monkeypatch.delenv("SPECGRAPH_JOBS", raising=False)
-        expected = invoke(capsys, "search", "--vertices", "4")
-        assert invoke(capsys, "search", "--vertices", "4", "--jobs", "1000000") == expected
-        monkeypatch.setenv("SPECGRAPH_JOBS", "1000000")
-        assert invoke(capsys, "search", "--vertices", "4") == expected
-        assert serial_pool == [4, 4]
+        code, out, err = invoke(capsys, "catalog", "K5")
+        assert code == 0 and err == ""
+        assert out == format_graph(catalog("K5"), name="K5")
 
 
 class TestSharedParser:
@@ -363,7 +333,7 @@ def _exchange_argv(tmp_path, capsys):
 
 def test_main_entry_point_exit_codes(tmp_path):
     # `main` in a fresh interpreter, as the console script runs it
-    env = {k: v for k, v in os.environ.items() if k != "SPECGRAPH_JOBS"}
+    env = dict(os.environ)
     src = str(Path(specgraph.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 

@@ -546,6 +546,22 @@ class TestProperties:
         for prev, cur in zip(curve.branches, curve.branches[1:]):
             assert all(c > p for p, c in zip(prev, cur)), (g, prev, cur)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(graphs_with_contacts(), st.floats(0.0, 60.0, exclude_min=True))
+    def test_m_function_nondecreasing_between_poles(self, g, lam):
+        # M'(lambda) is positive semidefinite on the positive axis too, away
+        # from the poles: a forward difference over a step too short to
+        # cross one has no eigenvalue below the rounding of entries of size
+        # `scale`, divided by h
+        h = 1e-6 * max(1.0, lam)
+        assume(lam + h <= 60.0)
+        lo, hi = m_function(g, lam), m_function(g, lam + h)
+        assume(lo.regular and hi.regular)
+        scale = max(np.max(np.abs(lo.matrix)), np.max(np.abs(hi.matrix)))
+        assume(scale <= 1e3)
+        diff = (hi.matrix - lo.matrix) / h
+        assert np.linalg.eigvalsh(0.5 * (diff + diff.T))[0] >= -1e-9 * (1.0 + scale) / h
+
 
 class TestBudgets:
     def test_detect_sample_budget(self):

@@ -6,7 +6,7 @@ import pytest
 
 from specgraph import (GraphError, canonical_form, catalog, classify,
                        discrete_from_adj, enumerate_connected_multi,
-                       enumerate_connected_simple, search, to_discrete)
+                       enumerate_connected_simple, to_discrete)
 from specgraph.graphs import DiscreteGraph, discrete_components
 
 from kernel_oracles import brute_force_canonical_form
@@ -190,19 +190,3 @@ class TestClassify:
         assert [(f.key, f.members) for f in original] == \
             [(f.key, f.members) for f in relabelled]
 
-    def test_job_count_does_not_change_result(self):
-        graphs = list(enumerate_connected_simple(5))
-        seq = classify(graphs, "secular", jobs=1)
-        par = classify(graphs, "secular", jobs=3)
-        assert seq == par
-
-    def test_pool_size_is_capped(self, serial_pool, monkeypatch):
-        graphs = list(enumerate_connected_simple(4))
-        assert len(graphs) == 6
-        seq = classify(graphs, "secular", jobs=1)
-        assert classify(graphs, "secular", jobs=10**9) == seq
-        assert classify(graphs[:3], "secular", jobs=10**9) == classify(graphs[:3], "secular")
-        assert serial_pool == [4, 3]
-        monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-        assert classify(graphs, "secular", jobs=10**9) == seq
-        assert serial_pool == [4, 3]
