@@ -231,7 +231,7 @@ def polymat_det(entry_eval: Callable[[int], RationalMatrix],
     values = []
     for z0 in points:
         m = entry_eval(z0)
-        if _check_square(m) != size:
+        if len(m) != size:
             raise ExactError(f"entry_eval returned wrong size at z={z0}")
         values.append(det_exact(m))
     coeffs = _interpolate(start, values[:-1])

@@ -436,6 +436,10 @@ class DiscreteGraph:
     def n_edges(self) -> int:
         return sum(sum(row) for row in self.adj) // 2
 
+    @cached_property
+    def _canonical(self) -> tuple[bytes, tuple[Permutation, ...]]:
+        return _canonical_search(self)
+
 
 def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
     return DiscreteGraph(len(adj), tuple(tuple(row) for row in adj))
@@ -474,6 +478,8 @@ def discrete_betti(d: DiscreteGraph) -> int:
 
 CANONICAL_BOUND = 8
 
+Permutation = tuple[int, ...]
+
 
 def canonical_form(d: DiscreteGraph) -> bytes:
     """Minimal row-major adjacency encoding over all vertex permutations.
@@ -490,24 +496,52 @@ def canonical_form(d: DiscreteGraph) -> bytes:
     ordering is complete once each cell is a single vertex.  A branch whose
     encoding is already above the best one found is cut.  The worst case
     is still exponential, so n is capped at CANONICAL_BOUND.
+
+    The same search yields automorphisms of d (McKay and Piperno, J. Symb.
+    Comput. 60, 2014): each skipped twin gives the transposition of the two
+    twins, and a leaf whose encoding equals the best one gives the map
+    from the best leaf's ordering to its own, since both orderings see the
+    same matrix.  The form and these generators are computed once per
+    DiscreteGraph object and kept on it (`automorphism_generators`).
     """
+    return d._canonical[0]
+
+
+def automorphism_generators(d: DiscreteGraph) -> tuple[Permutation, ...]:
+    """Automorphisms of d found by the search of `canonical_form`.
+
+    Each is a tuple p with d.adj[p[i]][p[j]] == d.adj[i][j]; the identity is
+    never listed.  They generate a subgroup of Aut(d), not always all of it.
+    """
+    return d._canonical[1]
+
+
+def _canonical_search(d: DiscreteGraph) -> tuple[bytes, tuple[Permutation, ...]]:
+    """The form of `canonical_form` and the automorphisms its search meets."""
     if d.n > CANONICAL_BOUND:
         raise GraphError("exhaustive canonicalization bound exceeded")
     if any(x > 255 for row in d.adj for x in row):
         raise GraphError("multiplicity too large for byte encoding")
     a = d.adj
     best = b""
+    best_order: list[int] = []
+    found: dict[Permutation, None] = {}
 
     def twins(v: int, w: int) -> bool:
         return all(a[v][x] == a[w][x] for x in range(d.n) if x != v and x != w)
 
     def descend(prefix: list[int], cells: list[list[int]], enc: bytes) -> None:
-        nonlocal best
+        nonlocal best, best_order
         if all(len(cell) == 1 for cell in cells):
             order = prefix + [cell[0] for cell in cells]
             enc = bytes(a[v][u] for v in order for u in order)
             if not best or enc < best:
-                best = enc
+                best, best_order = enc, order
+            elif enc == best:
+                perm = [0] * d.n
+                for v, w in zip(best_order, order):
+                    perm[v] = w
+                found[tuple(perm)] = None
             return
         rows = {}
         for v in cells[0]:
@@ -520,7 +554,13 @@ def canonical_form(d: DiscreteGraph) -> bytes:
             return
         tried: list[int] = []
         for v in cells[0]:
-            if rows[v] != low or any(twins(v, w) for w in tried):
+            if rows[v] != low:
+                continue
+            twin = next((w for w in tried if twins(v, w)), None)
+            if twin is not None:
+                perm = list(range(d.n))
+                perm[v], perm[twin] = twin, v
+                found[tuple(perm)] = None
                 continue
             tried.append(v)
             split = []
@@ -533,7 +573,7 @@ def canonical_form(d: DiscreteGraph) -> bytes:
             descend(prefix + [v], split, enc)
 
     descend([], [list(range(d.n))] if d.n else [], b"")
-    return best
+    return best, tuple(found)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ graphs are the case of columns over {0, 1} and no loops.  That reaches
 every class, because a connected graph has a vertex whose deletion, with
 its loops, leaves it connected (a leaf of a spanning tree).  For
 multigraphs with at most m edges a vertex may use only the edges left
-after one for each vertex still to come.  Classification groups graphs by
-exact spectral keys.
+after one for each vertex still to come.  Columns that an automorphism
+of the parent maps to a smaller column are skipped (see `_grow`).
+Classification groups graphs by exact spectral keys and reuses the
+canonical form each enumerated graph already carries.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from .discrete import ln_charpoly
-from .graphs import (DiscreteGraph, GraphError, canonical_form, discrete_betti,
-                     discrete_components, discrete_from_adj, metric_from_discrete)
-from .secular import secular_poly
+from .graphs import (CANONICAL_BOUND, DiscreteGraph, GraphError, automorphism_generators,
+                     canonical_form, discrete_betti, discrete_components,
+                     discrete_from_adj)
+from .secular import _discrete_secular
 
 SIMPLE_BOUND = 7
 MULTI_VERTEX_BOUND = 4
@@ -54,6 +57,9 @@ def enumerate_connected_multi(n: int, m_max: int,
         raise GraphError(f"enumeration bound: need 1 <= n <= {vertex_bound}, got {n}")
     if not 1 <= m_max <= edge_bound:
         raise GraphError(f"enumeration bound: need 1 <= m_max <= {edge_bound}, got {m_max}")
+    if n > CANONICAL_BOUND:
+        raise GraphError(f"enumeration bound: canonical forms need n <= {CANONICAL_BOUND}, "
+                         f"got {n}")
     yield from _grow(n, m_max, multi=True)
 
 
@@ -65,6 +71,19 @@ def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
     vertex needs an edge, so l + sum(c) is at most m_max - e - (n - 1 - k)
     for a parent with e edges.  For n = 1 the edgeless graph is dropped
     unless `multi` is off.
+
+    Columns are pruned by the automorphisms that the parent's canonical
+    search found (McKay, J. Algorithms 26, 1998): a column is skipped when
+    its image under one of them is lexicographically smaller.  This loses
+    no class.  An automorphism p of the parent maps the child with column
+    c and l loops onto the child with column c∘p and l loops, so every
+    column in an orbit of the group G the generators span gives an
+    isomorphic child; and the least column of each G-orbit is never
+    skipped, because each generator maps it to a column of the same
+    orbit, which is no smaller.  Any
+    subgroup of Aut(parent) will do, so the generators need not span all
+    of it.  Which isomorphic child a level keeps can depend on the
+    pruning; the forms and their order do not.
     """
     top = m_max if multi else 1
     level: dict[bytes, DiscreteGraph] = {}
@@ -75,8 +94,9 @@ def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
         nxt: dict[bytes, DiscreteGraph] = {}
         for d in level.values():
             budget = m_max - d.n_edges - (n - 1 - k)
+            perms = automorphism_generators(d)
             for col in _columns(k, top, budget):
-                if not any(col):
+                if not any(col) or any(tuple([col[i] for i in p]) < col for p in perms):
                     continue
                 for loops in range(budget - sum(col) + 1) if multi else (0,):
                     child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
@@ -125,7 +145,7 @@ class IsospectralFamily:
 
 def _spectral_key(d: DiscreteGraph, key: SpectralKey) -> str:
     if key == "secular":
-        return secular_poly(metric_from_discrete(d)).line()
+        return _discrete_secular(d).line()
     if key == "ln":
         cp = ln_charpoly(d)
         return "lncp: " + " ".join(str(c) for c in cp.coeffs)

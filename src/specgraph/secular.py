@@ -30,7 +30,8 @@ from typing import Sequence
 
 from .exact import (ProjectivePoly, _deflate_linear, poly_mul, poly_normalize,
                     poly_pow, polymat_det, poly_roots_unit_circle)
-from .graphs import GraphError, MetricGraph, components, to_discrete, unit_subdivided
+from .graphs import (DiscreteGraph, GraphError, MetricGraph, components, to_discrete,
+                     unit_subdivided)
 
 
 #: how near a fundamental root k must be to match it in multiplicity_at:
@@ -120,7 +121,19 @@ def secular_poly(g: MetricGraph) -> ProjectivePoly:
     Integer edge lengths are subdivided into unit edges first (the metric
     space, hence the spectrum, is unchanged); other lengths are rejected.
     """
-    spec = build_secular_matrix(_as_unilateral(g))
+    return _discrete_secular(to_discrete(_as_unilateral(g)))
+
+
+def _discrete_secular(d: DiscreteGraph) -> ProjectivePoly:
+    """Secular polynomial of the unilateral graph whose discrete shadow is
+    d, straight from the pencil of d.adj; rejects a d with an isolated
+    vertex, which no metric graph has as its shadow."""
+    degrees = d.degrees()
+    if not any(degrees):
+        raise GraphError("discrete graph has no edges")
+    if not all(degrees):
+        raise GraphError("every vertex must meet at least one edge endpoint")
+    spec = SecularMatrixSpec(d.adj, degrees, d.n_edges)
     q = polymat_det(spec.entry_matrix, spec.size, spec.size)
     return _times_z2_minus_1(_c_to_z(q.coeffs, spec.size), spec.n_edges - spec.size)
 

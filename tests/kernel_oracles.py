@@ -8,7 +8,11 @@ normalized-Laplacian charpoly by the Faddeev-LeVerrier recurrence on
 I - D^{-1}A.  The library computes both keys from V x V determinants
 instead; these formulations share no matrix with it.
 `brute_force_canonical_form` is the canonical form by definition: the
-least row-major adjacency encoding over all n! vertex orderings.
+least row-major adjacency encoding over all n! vertex orderings, and
+`brute_force_automorphism_orbits` the vertex orbits of the full
+automorphism group over the same orderings.  `reference_grow` is the
+vertex-growth enumeration without orbit pruning: every non-zero column
+of every class, in `itertools.product` order.
 `reference_m_function` is the M-function evaluated one lambda at a time:
 a Python assembly of T(lambda) from `edge_m_block`, the 2x2 block of one
 edge in math-module arithmetic, then the Schur complement over the
@@ -36,14 +40,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Callable, Sequence
+from itertools import permutations, product
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
-                       ProjectivePoly, components, polymat_det, poly_normalize,
-                       spectrum_report, to_discrete, unit_subdivided)
+                       ProjectivePoly, canonical_form, components, discrete_from_adj,
+                       polymat_det, poly_normalize, spectrum_report, to_discrete,
+                       unit_subdivided)
 from specgraph.mfunction import (EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT, MAX_DETECT_SAMPLES,
                                  DetectionResult, _check_samples, _crossing_multiplicity,
                                  _edge_pole_candidates)
@@ -196,6 +201,37 @@ def brute_force_canonical_form(d: DiscreteGraph) -> bytes:
     """Least row-major adjacency encoding over every vertex ordering."""
     return min(bytes(d.adj[p[i]][p[j]] for i in range(d.n) for j in range(d.n))
                for p in permutations(range(d.n)))
+
+
+def brute_force_automorphism_orbits(d: DiscreteGraph) -> list[frozenset[int]]:
+    """Orbit of each vertex under every automorphism of d."""
+    auts = [p for p in permutations(range(d.n))
+            if all(d.adj[p[i]][p[j]] == d.adj[i][j] for i in range(d.n) for j in range(d.n))]
+    return [frozenset(p[v] for p in auts) for v in range(d.n)]
+
+
+def reference_grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
+    """One graph per canonical form of connected graphs on n vertices with
+    at most m_max edges, in form order, grown from every column."""
+    top = m_max if multi else 1
+    level: dict[bytes, DiscreteGraph] = {}
+    for loops in range(int(n == 1), m_max - (n - 1) + 1) if multi else (0,):
+        d = discrete_from_adj([[2 * loops]])
+        level[canonical_form(d)] = d
+    for k in range(1, n):
+        nxt: dict[bytes, DiscreteGraph] = {}
+        for d in level.values():
+            budget = m_max - d.n_edges - (n - 1 - k)
+            for col in product(range(top + 1), repeat=k):
+                if not any(col) or sum(col) > budget:
+                    continue
+                for loops in range(budget - sum(col) + 1) if multi else (0,):
+                    child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
+                                              + [col + (2 * loops,)])
+                    nxt.setdefault(canonical_form(child), child)
+        level = nxt
+    for key in sorted(level):
+        yield level[key]
 
 
 def metric_isomorphic(g1: MetricGraph, g2: MetricGraph,

@@ -187,6 +187,14 @@ class TestSearchVerb:
         assert code == 0
         assert out.splitlines()[0] == "graphs 7"
 
+    @pytest.mark.parametrize("key, message", [("secular", "discrete graph has no edges"),
+                                              ("ln", "degree zero vertex")])
+    def test_single_vertex_has_no_key(self, key, message, capsys):
+        # the one graph on one vertex has no edges, so neither key exists
+        code, out, err = invoke(capsys, "search", "--vertices", "1", "--key", key)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_jobs_option_is_gone(self, monkeypatch, capsys):
         code, out, err = invoke(capsys, "search", "--vertices", "3", "--jobs", "2")
         assert code == 2 and out == ""
@@ -366,6 +374,10 @@ PINNED_OUTPUTS = {
                          "6f597da2c1b7feb6d4368b52462163321a4263ba75453d3b0b915dd974bcc563"),
     "search-ln-6": (["search", "--vertices", "6", "--key", "ln"], None,
                     "03816a831d07055949e36b82c7bbda5d89311d2c160bcc1f90b5f86e1ed5af20"),
+    "search-secular-7": (["search", "--vertices", "7", "--key", "secular"], None,
+                         "505fbec38bc6cd4ffcd011f2c9ce57fc0c029fefada6bbdb5ad99dd0433a4c38"),
+    "search-ln-7": (["search", "--vertices", "7", "--key", "ln"], None,
+                    "2658c18041e2783afd6f8818a6aeae9674ca5fa55aa1cbd932a4140bec4fbe02"),
     "search-multi-4-7": (["search", "--multi", "--vertices", "4", "--max-edges", "7"], None,
                          "7b8279c7af2ad676398d5f58549bdd2bfef73f6cf7f794cac13aa6d4c53d49d2"),
     "secular-K5": (["secular"], lambda: catalog("K5"),

@@ -12,7 +12,7 @@ from specgraph import (GraphError, GraphFormatError, MetricGraph,
                        subdivide_edge, suppress_degree2, to_discrete,
                        unit_subdivided, validate)
 from specgraph.constructions import catalog
-from specgraph.graphs import discrete_components
+from specgraph.graphs import automorphism_generators, discrete_components
 
 from conftest import random_connected_multigraph
 from kernel_oracles import brute_force_canonical_form, metric_isomorphic
@@ -269,6 +269,20 @@ class TestCanonicalForm:
             shuffled = discrete_from_adj(
                 [[d.adj[perm[i]][perm[j]] for j in range(d.n)] for i in range(d.n)])
             assert canonical_form(shuffled) == base
+
+    def test_twin_and_leaf_automorphisms(self):
+        # every pair of K4 vertices is a twin pair; C6 has no twins, so its
+        # automorphisms come from leaves with equal encodings
+        k4 = discrete_from_adj([[int(i != j) for j in range(4)] for i in range(4)])
+        generators = automorphism_generators(k4)
+        assert generators
+        assert all(sum(p[i] != i for i in range(4)) == 2 for p in generators)
+        c6 = discrete_from_adj([[int((i - j) % 6 in (1, 5)) for j in range(6)]
+                                for i in range(6)])
+        generators = automorphism_generators(c6)
+        assert all(c6.adj[p[i]][p[j]] == c6.adj[i][j] for p in generators
+                   for i in range(6) for j in range(6))
+        assert {0} | {p[0] for p in generators} == set(range(6))
 
     def test_multiplicity_above_byte_rejected(self):
         with pytest.raises(GraphError, match="multiplicity too large"):

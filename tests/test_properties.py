@@ -3,7 +3,9 @@
 A relabelled copy of a graph permutes its vertices, reorders its edges
 and reverses some of them.  Both exact keys and the canonical form must
 not see any of it.  Components and Betti numbers agree between a metric
-graph, its discrete shadow and networkx.
+graph, its discrete shadow and networkx.  The automorphisms that the
+canonical search reports are checked against a brute-force automorphism
+group.
 """
 
 from fractions import Fraction
@@ -13,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgraph import (betti, canonical_form, components, discrete_betti,
-                       discrete_components, format_graph, from_edge_list, ln_charpoly,
-                       parse_graph, secular_poly, to_discrete)
+                       discrete_components, discrete_from_adj, format_graph,
+                       from_edge_list, ln_charpoly, parse_graph, secular_poly, to_discrete)
+from specgraph.graphs import automorphism_generators
+
+from kernel_oracles import brute_force_automorphism_orbits, brute_force_canonical_form
 
 
 @st.composite
@@ -110,3 +115,42 @@ class TestComponents:
         assert components(g) == nx.number_connected_components(nxg)
         assert betti(g) == discrete_betti(to_discrete(g))
         assert betti(g) == g.n_edges - g.n_vertices + nx.number_connected_components(nxg)
+
+
+@st.composite
+def adjacency_matrices(draw):
+    """A multigraph on at most 6 vertices as a DiscreteGraph, with loops,
+    parallel edges and isolated vertices."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    adj = [[0] * n for _ in range(n)]
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        adj[u][v] += 1
+        adj[v][u] += 1
+    return discrete_from_adj(adj)
+
+
+class TestCanonicalSearchAutomorphisms:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(adjacency_matrices())
+    def test_generators_against_brute_force(self, d):
+        n = d.n
+        generators = automorphism_generators(d)
+        assert canonical_form(d) == brute_force_canonical_form(d)
+        for p in generators:
+            assert sorted(p) == list(range(n)) and p != tuple(range(n))
+            assert all(d.adj[p[i]][p[j]] == d.adj[i][j] for i in range(n) for j in range(n))
+        # the orbits of the group the generators span, by union-find
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for p in generators:
+            for v in range(n):
+                root[find(v)] = find(p[v])
+        aut_orbits = brute_force_automorphism_orbits(d)
+        for v in range(n):
+            assert {u for u in range(n) if find(u) == find(v)} <= aut_orbits[v]

@@ -4,12 +4,13 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import specgraph.search
 from specgraph import (GraphError, canonical_form, catalog, classify,
                        discrete_from_adj, enumerate_connected_multi,
                        enumerate_connected_simple, to_discrete)
 from specgraph.graphs import DiscreteGraph, discrete_components
 
-from kernel_oracles import brute_force_canonical_form
+from kernel_oracles import brute_force_canonical_form, reference_grow
 
 
 def labeled_connected_count(n: int) -> int:
@@ -100,6 +101,16 @@ class TestEnumerateMulti:
         with pytest.raises(GraphError, match="enumeration bound"):
             list(enumerate_connected_multi(2, 9))
 
+    def test_canonical_bound_checked_before_growth(self, monkeypatch):
+        # raised bounds cannot take n past what canonical forms support;
+        # the check comes before a single graph is built
+        built = []
+        monkeypatch.setattr(specgraph.search, "discrete_from_adj",
+                            lambda adj: built.append(adj))
+        with pytest.raises(GraphError, match="enumeration bound"):
+            next(enumerate_connected_multi(9, 10, vertex_bound=9, edge_bound=10))
+        assert built == []
+
     @pytest.mark.parametrize("n, m_max, classes", [(1, 5, 5), (2, 6, 34), (3, 6, 93),
                                                    (4, 6, 149), (5, 5, 23)])
     def test_classes_match_labelled_brute_force(self, n, m_max, classes):
@@ -129,6 +140,17 @@ class TestEnumerateMulti:
             if key in targets:
                 found.add(key)
         assert found == targets
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("n, m_max, multi",
+                             [(n, n * (n - 1) // 2, False) for n in range(1, 8)]
+                             + [(3, 6, True), (4, 7, True)])
+    def test_same_forms_as_unpruned_reference(self, n, m_max, multi):
+        pruned = (enumerate_connected_multi(n, m_max) if multi
+                  else enumerate_connected_simple(n))
+        assert ([canonical_form(d) for d in pruned]
+                == [canonical_form(d) for d in reference_grow(n, m_max, multi)])
 
 
 class TestClassify:
@@ -189,4 +211,21 @@ class TestClassify:
         relabelled = classify(shuffled, "ln")
         assert [(f.key, f.members) for f in original] == \
             [(f.key, f.members) for f in relabelled]
+
+    @pytest.mark.parametrize("key", ["secular", "ln"])
+    def test_relabelled_fresh_copies_classify_alike(self, key):
+        # enumerated graphs carry the form their enumeration computed;
+        # relabelled copies are new objects that compute their own
+        rng = random.Random(1014)
+        graphs = list(enumerate_connected_simple(5))
+        copies = []
+        for d in graphs:
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            copies.append(discrete_from_adj(
+                [[d.adj[perm[i]][perm[j]] for j in range(d.n)] for i in range(d.n)]))
+        rng.shuffle(copies)
+        assert all("_canonical" in vars(d) for d in graphs)
+        assert not any("_canonical" in vars(d) for d in copies)
+        assert classify(copies, key) == classify(graphs, key)
 
