@@ -210,22 +210,16 @@ class ComposedHost:
 
 
 def assemble(host: ComposedHost) -> MetricGraph:
-    """Glue every slot onto the frame; frame contacts stay first in order."""
+    """Glue every slot onto the frame; frame contacts stay first in order.
+
+    glue keeps the vertex numbers of its first graph, so the contacts
+    before a slot is glued keep their order, followed by the slot's
+    unattached contacts.
+    """
     g = host.frame
-    n_frame_contacts = len(g.contacts)
     for slot in host.slots:
-        pairing = [(fp, sp) for sp, fp in slot.attach]
-        g = glue(g, slot.graph, pairing)
-        # restore the frame's contact order: glue puts merged ones first
-        merged = {fp: i for i, (fp, _) in enumerate(pairing)}
-        order = []
-        for fp in range(n_frame_contacts):
-            if fp in merged:
-                order.append(merged[fp])
-            else:
-                order.append(len(pairing) + fp - sum(1 for m in merged if m < fp))
-        extra = [i for i in range(len(g.contacts)) if i not in set(order)]
-        g = g.with_contacts([g.contacts[i] for i in order + extra])
+        glued = glue(g, slot.graph, [(fp, sp) for sp, fp in slot.attach])
+        g = glued.with_contacts(g.contacts + glued.contacts[len(g.contacts):])
     return g
 
 

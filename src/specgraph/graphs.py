@@ -445,9 +445,25 @@ def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
     return DiscreteGraph(len(adj), tuple(tuple(row) for row in adj))
 
 
+#: most vertices a discrete shadow may have, checked before its matrix is
+#: built; every exact key goes through to_discrete.  secular_poly at 120
+#: vertices (one run each, shared 2-core x86, Python 3.11) takes 10 s on
+#: a path, 13 s on a 10x12 grid and 177 s on K120, the slowest input
+#: admitted; K4 with edges of length 20 (118 vertices) takes 8.5 s.  A
+#: path of 301 vertices ran past 300 s.
+MAX_EXACT_VERTICES = 120
+
+
 def to_discrete(g: MetricGraph) -> DiscreteGraph:
-    """Forget lengths; loops contribute 2 to their diagonal entry."""
+    """Forget lengths; loops contribute 2 to their diagonal entry.
+
+    Raises GraphError, before building anything, when g has more than
+    MAX_EXACT_VERTICES vertices.
+    """
     n = g.n_vertices
+    if n > MAX_EXACT_VERTICES:
+        raise GraphError(f"graph has {n} vertices, above the bound of "
+                         f"{MAX_EXACT_VERTICES} for exact keys")
     adj = [[0] * n for _ in range(n)]
     for u, v, _ in g.edge_list():
         adj[u][v] += 1

@@ -9,24 +9,28 @@ crossings as lambda increases mark the detectable part of the spectrum.
 
 Evaluation is stacked: `_Kernel` takes a whole array of lambdas, builds
 every vertex-indexed derivative map T(lambda) as one array (edge blocks
-once per distinct length, added edge by edge in edge order), and runs the
-conditioning SVD, the solve, the Schur complement and eigvalsh as stacked
-numpy calls, a fixed number of lambdas at a time.  Every value is the one
-a separate evaluation at each lambda gives, bit for bit: the stacked
-LAPACK calls run the same routine on each matrix, np.sin and np.cos agree
-with math.sin and math.cos, and the hyperbolic blocks for lambda < 0 stay
-on math.tanh and math.sinh because np.tanh and np.sinh do not.
-`m_function` is the one-lambda case; `tests/kernel_oracles.py` keeps the
-per-lambda assembly from 2x2 edge blocks (`edge_m_block`) as the oracle.
+once per distinct length, added edge by edge in edge order), and runs
+eigvalsh of the interior block C, the solve, the Schur complement and
+eigvalsh of M as stacked numpy calls, a fixed number of lambdas at a
+time.  C is symmetric, so its one eigvalsh gives both its singular values
+(the conditioning test) and its negative count (whose drops locate the
+interior Dirichlet poles).  Every value is the one a separate evaluation
+at each lambda gives, bit for bit: the stacked LAPACK calls run the same
+routine on each matrix, np.sin and np.cos agree with math.sin and
+math.cos, and the hyperbolic blocks for lambda < 0 stay on math.tanh and
+math.sinh because np.tanh and np.sinh do not.  `m_function` is the
+one-lambda case; `tests/kernel_oracles.py` keeps the per-lambda assembly
+from 2x2 edge blocks (`edge_m_block`), with a singular-value conditioning
+test, as the oracle.
 
 `detectable_spectrum` runs on one kernel throughout: its k grid is one
 stacked evaluation, and its bisection is level-synchronous, so the
-midpoints of every open bracket of a level are evaluated together (the
-Steklov counts and the interior-block counts alike).  Only the
-+-_PROBE_EPS crossing probes at each refined point and pole candidate
-stay one-lambda `steklov_eigs` calls: they are few, taken lazily in
-depth-first order, and they keep `m_function` visible to an outside
-tracer of detect.
+midpoints of every open bracket of a level are evaluated together.  The
+grid and both bisections (Steklov and interior-pole) read `_counts`.
+Only the +-_PROBE_EPS crossing probes at each refined point and pole
+candidate stay one-lambda `steklov_eigs` calls: they are few, taken
+lazily in depth-first order, and they keep `m_function` visible to an
+outside tracer of detect.
 
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
@@ -124,12 +128,14 @@ class _MChunk(NamedTuple):
 
     regular[i] says whether M exists at the i-th lambda; the rows of
     matrices and eigs at singular lambdas are NaN.  eigs is None unless
-    requested.
+    requested.  interior[i] counts the negative eigenvalues of the
+    interior block of T, None where an edge block is singular.
     """
 
     regular: np.ndarray
     matrices: np.ndarray
     eigs: np.ndarray | None
+    interior: list[int | None]
 
 
 class _Kernel:
@@ -183,44 +189,25 @@ class _Kernel:
         singular when an edge block is singular or the interior block is
         numerically non-invertible (interior Dirichlet eigenvalue).
         """
-        for part in self._parts(lams):
-            yield self._chunk(part, eigs)
-
-    def interior_negative(self, lams: Sequence[float]) -> list[int | None]:
-        """Negative eigenvalues of the interior block of T at every lambda.
-
-        None where an edge block is singular.  One assembly and one
-        stacked eigvalsh per _CHUNK lambdas.
-        """
-        out: list[int | None] = []
-        for part in self._parts(lams):
-            t, singular = self.assemble(part)
-            rows = (~singular).nonzero()[0]
-            c = t[rows.reshape(-1, 1, 1), self.inner, self.inner.T]
-            counts: list[int | None] = [None] * len(part)
-            for r, n in zip(rows.tolist(),
-                            np.sum(np.linalg.eigvalsh(c) < 0.0, axis=1).tolist()):
-                counts[r] = n
-            out += counts
-        return out
-
-    @staticmethod
-    def _parts(lams: Sequence[float]) -> Iterator[np.ndarray]:
         lams = np.asarray(lams, dtype=float)
         if not np.isfinite(lams).all():
             raise GraphError("lambda must be finite")
         for start in range(0, len(lams), _CHUNK):
-            yield lams[start:start + _CHUNK]
+            yield self._chunk(lams[start:start + _CHUNK], eigs)
 
     def _chunk(self, lams: np.ndarray, eigs: bool) -> _MChunk:
         contact, inner = self.contact, self.inner
         t, singular = self.assemble(lams)
         m = t[:, contact, contact.T]
         rows = (~singular).nonzero()[0]
+        negative = np.zeros(len(lams), dtype=np.intp)
         if len(inner):
             c = t[rows.reshape(-1, 1, 1), inner, inner.T]
-            sv = np.linalg.svd(c, compute_uv=False)
-            keep = ~(sv[:, -1] < np.maximum(1.0, sv[:, 0]) / INTERIOR_COND_LIMIT)
+            w = np.linalg.eigvalsh(c)
+            negative[rows] = np.sum(w < 0.0, axis=1)
+            # C is symmetric, so its singular values are the |w|
+            sv = np.abs(w)
+            keep = ~(sv.min(axis=1) < np.maximum(1.0, sv.max(axis=1)) / INTERIOR_COND_LIMIT)
             rows, c = rows[keep], c[keep]
             b = t[rows.reshape(-1, 1, 1), contact, inner.T]
             m[rows] = m[rows] - b @ np.linalg.solve(c, b.transpose(0, 2, 1))
@@ -231,7 +218,8 @@ class _Kernel:
         if eigs:
             ev = np.full(m.shape[:2], np.nan)
             ev[rows] = np.linalg.eigvalsh(m[rows])
-        return _MChunk(regular, m, ev)
+        interior = [None if s else n for s, n in zip(singular.tolist(), negative.tolist())]
+        return _MChunk(regular, m, ev, interior)
 
 
 def m_function(g: MetricGraph, lam: float) -> MFunEval:
@@ -311,28 +299,22 @@ class DetectionResult:
     warnings: tuple[str, ...]
 
 
-def _steklov_counts(kernel: _Kernel, ks: Sequence[float]) -> list[int | None]:
-    """Negative Steklov eigenvalues at lambda = k^2 for every k, None where M is singular."""
+def _counts(kernel: _Kernel, ks: Sequence[float]
+            ) -> tuple[list[int | None], list[int | None]]:
+    """Counts at lambda = k^2 for every k, from one stacked pass.
+
+    The first list counts negative Steklov eigenvalues, None where M is
+    singular; the second the negative eigenvalues of the interior block
+    of T, None where an edge block is singular.
+    """
     k = np.array(ks, dtype=float)
-    counts: list[int | None] = []
+    steklov: list[int | None] = []
+    interior: list[int | None] = []
     for chunk in kernel.chunks(k * k, eigs=True):
         negative = np.sum(chunk.eigs < 0.0, axis=1)
-        counts += [n if ok else None for ok, n in zip(chunk.regular, negative.tolist())]
-    return counts
-
-
-def _grid_counts(kernel: _Kernel, ks: Sequence[float]
-                 ) -> tuple[list[int | None], list[int | None]]:
-    """Counts at lambda = k^2 for every k, from stacked evaluations.
-
-    The first list counts negative Steklov eigenvalues, the second the
-    negative eigenvalues of the interior block of T; both are None where
-    M is singular.
-    """
-    counts = _steklov_counts(kernel, ks)
-    k = np.array(ks, dtype=float)
-    interior = kernel.interior_negative(k * k)
-    return counts, [m if n is not None else None for n, m in zip(counts, interior)]
+        steklov += [n if ok else None for ok, n in zip(chunk.regular, negative.tolist())]
+        interior += chunk.interior
+    return steklov, interior
 
 
 #: a bracket (path, k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1;
@@ -448,7 +430,9 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         ks.append(k)
         k += grid_step
     kernel = _Kernel(g)
-    counts, interior_counts = _grid_counts(kernel, ks)
+    counts, interior = _counts(kernel, ks)
+    # interior counts are read only where M exists
+    interior_counts = [m if n is not None else None for n, m in zip(counts, interior)]
 
     brackets: list[_Bracket] = []
     prev: tuple[float, int] | None = None
@@ -469,7 +453,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         prev = (k, n)
         pending_flag = False
 
-    leaves, skipped = _bisect(brackets, lambda mids: _steklov_counts(kernel, mids),
+    leaves, skipped = _bisect(brackets, lambda mids: _counts(kernel, mids)[0],
                               operator.eq, refine_tol)
     notes += [(path, f"singular midpoints near k={mid:.6g}; bracket skipped")
               for path, mid in skipped]
@@ -548,8 +532,7 @@ def _interior_pole_candidates(kernel: _Kernel, ks: Sequence[float],
         if prev is not None and prev[1] > n:
             brackets.append(((i,), prev[0], prev[1], k, n))
         prev = (k, n)
-    leaves, _ = _bisect(brackets,
-                        lambda mids: kernel.interior_negative([k * k for k in mids]),
+    leaves, _ = _bisect(brackets, lambda mids: _counts(kernel, mids)[1],
                         operator.le, refine_tol)
     return [(k1 + k2) / 2 for _, k1, _, k2, _ in leaves]
 

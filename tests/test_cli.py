@@ -83,6 +83,16 @@ class TestBasicVerbs:
         assert code == 2 and out == ""
         assert "1000000000 unit edges, above the budget of 10000" in err
 
+    def test_exact_vertex_bound_exits_2(self, tmp_path, capsys):
+        # 5000 unit edges pass the subdivision budget, but the exact keys
+        # are refused before the 5001 x 5001 adjacency matrix is built
+        path = tmp_path / "long.g"
+        path.write_text("graph long\nvertex a\nvertex b\nedge a b 5000\n")
+        for verb in ("secular", "spectrum"):
+            code, out, err = invoke(capsys, verb, str(path))
+            assert code == 2 and out == ""
+            assert "5001 vertices, above the bound of 120" in err
+
 
 class TestCompare:
     @pytest.fixture(autouse=True)

@@ -235,6 +235,18 @@ class TestDiscrete:
             d = to_discrete(g)
             assert to_discrete(metric_from_discrete(d)) == d
 
+    def test_vertex_bound(self):
+        # K4 with every edge of length 20 subdivides to 118 vertices and the
+        # 8x8 grid has 64: both keep their exact keys
+        k4 = from_edge_list(4, [(u, v, 20) for u, v in combinations(range(4), 2)])
+        assert to_discrete(unit_subdivided(k4)).n == 118
+        grid = [(r * 8 + c, r * 8 + c + 1) for r in range(8) for c in range(7)]
+        grid += [(r * 8 + c, r * 8 + c + 8) for r in range(7) for c in range(8)]
+        assert to_discrete(from_edge_list(64, grid)).n == 64
+        assert to_discrete(unit_subdivided(from_edge_list(2, [(0, 1, 119)]))).n == 120
+        with pytest.raises(GraphError, match="121 vertices, above the bound of 120"):
+            to_discrete(unit_subdivided(from_edge_list(2, [(0, 1, 120)])))
+
     def test_invalid_adj_rejected(self):
         with pytest.raises(GraphError, match="odd diagonal"):
             discrete_from_adj([[1]])

@@ -16,7 +16,7 @@ from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import catalog
-from specgraph.mfunction import _bisect, _grid_counts, _Kernel
+from specgraph.mfunction import _bisect, _counts, _Kernel
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (edge_m_block, interior_vertices, reference_assemble,
@@ -425,11 +425,42 @@ def interior_negative(g, t):
     return int(np.sum(np.linalg.eigvalsh(t[np.ix_(inner, inner)]) < 0.0))
 
 
+def interior_poles(g, lam_max, steps=2000):
+    """Interior Dirichlet eigenvalues in (0, lam_max), each to the last float.
+
+    The negative count of the interior block drops by one at each, and
+    rises only across edge poles; each drop of a scan is bisected until
+    its ends are adjacent floats, and the lower end is returned.
+    """
+    def count(lam):
+        t = reference_assemble(g, lam)
+        return None if t is None else interior_negative(g, t)
+
+    out = []
+    grid = [lam_max * (i + 0.5) / steps for i in range(steps)]
+    for lo, hi in zip(grid, grid[1:]):
+        n_lo, n_hi = count(lo), count(hi)
+        if n_lo is None or n_hi is None or n_lo != n_hi + 1:
+            continue
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            n_mid = count(mid)
+            if n_mid is None:
+                break
+            if n_mid == n_lo:
+                lo = mid
+            else:
+                hi = mid
+        else:
+            out.append(lo)
+    return out
+
+
 def stacked(g, lams):
-    """All chunks of one stacked evaluation, joined, and the interior counts."""
-    kernel = _Kernel(g)
-    chunks = list(kernel.chunks(lams, eigs=True))
-    return [np.concatenate(parts) for parts in zip(*chunks)] + [kernel.interior_negative(lams)]
+    """All chunks of one stacked evaluation, joined: regular, matrices, eigs, interior counts."""
+    regular, matrices, eigs, interior = zip(*_Kernel(g).chunks(lams, eigs=True))
+    return (np.concatenate(regular), np.concatenate(matrices), np.concatenate(eigs),
+            [n for part in interior for n in part])
 
 
 class TestStackedKernelOracle:
@@ -485,11 +516,16 @@ class TestStackedKernelOracle:
             ks.append(k)
             k += 0.01
         for g in graphs:
-            counts, interior = _grid_counts(_Kernel(g), ks)
+            counts, interior = _counts(_Kernel(g), ks)
             for k, n, n_inner in zip(ks, counts, interior):
                 ref = reference_m_function(g, k * k)
                 if not ref.regular:
-                    assert n is None and n_inner is None
+                    assert n is None
+                    t = reference_assemble(g, k * k)
+                    if t is None:
+                        assert n_inner is None
+                    else:
+                        assert n_inner == interior_negative(g, t), (g, k)
                     continue
                 assert n == int(np.sum(np.linalg.eigvalsh(ref.matrix) < 0.0)), (g, k)
                 assert n_inner == interior_negative(g, reference_assemble(g, k * k)), (g, k)
@@ -505,6 +541,33 @@ class TestStackedKernelOracle:
                     assert branches is None
                     continue
                 assert branches == tuple(np.linalg.eigvalsh(ref.matrix).tolist())
+
+    def test_conditioning_threshold_near_interior_poles(self):
+        # interior blocks of size 2 to 4; near each interior Dirichlet pole
+        # lambda0 the smallest |eigenvalue| of C shrinks like |lambda - lambda0|,
+        # so relative offsets 1e-5 .. 1e-14 cross INTERIOR_COND_LIMIT
+        graphs = [from_edge_list(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], (0, 3)),
+                  from_edge_list(4, [(0, 1, 1), (0, 2, 1), (0, 3, 2), (1, 2, 1),
+                                     (1, 3, 1), (2, 3, "3/2")], (0, 1)),
+                  from_edge_list(5, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 1, 1),
+                                     (3, 4, "3/2"), (2, 2, 1)], (0, 4)),
+                  from_edge_list(6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 2),
+                                     (4, 1, 1), (2, 4, 1), (3, 5, 1)], (0, 5))]
+        offsets = [10.0 ** e for e in np.linspace(-5.0, -14.0, 181)]
+        n_poles = 0
+        for g in graphs:
+            assert len(interior_vertices(g)) >= 2
+            for lam0 in interior_poles(g, 60.0):
+                lams = [lam0 * (1 + sign * d) for d in offsets for sign in (-1, 1)]
+                regular = stacked(g, lams)[0]
+                ref = [reference_m_function(g, lam).regular for lam in lams]
+                assert regular.tolist() == ref, (g, lam0)
+                assert [m_function(g, lam).regular for lam in lams] == ref, (g, lam0)
+                # the sweep crosses the threshold on both sides of the pole
+                for side in (ref[0::2], ref[1::2]):
+                    assert side[0] and not side[-1], (g, lam0)
+                n_poles += 1
+        assert n_poles >= 30, n_poles
 
 
 @st.composite
