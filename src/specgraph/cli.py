@@ -23,7 +23,8 @@ from .discrete import ln_charpoly, proposition_check
 from .exact import ExactError
 from .graphs import (GraphError, MetricGraph, chop_vertex, format_graph, glue,
                      parse_graph, to_discrete, validate)
-from .mfunction import detectable_spectrum, m_function, steklov_sweep
+from .mfunction import (DETECT_GRID_STEP, DETECT_REFINE_TOL, detectable_spectrum,
+                        m_function, steklov_sweep)
 from .search import classify, enumerate_connected_multi, enumerate_connected_simple
 from .secular import metric_isospectral, secular_poly, spectrum_report
 
@@ -68,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="fundamental roots with multiplicities")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("compare", help="decide isospectrality of two graphs")
     p.add_argument("file1")
@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detectable eigenvalues from M-function zeros")
     p.add_argument("file")
     p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--step", type=float, default=DETECT_GRID_STEP)
+    p.add_argument("--tol", type=float, default=DETECT_REFINE_TOL)
 
     p = sub.add_parser("search", help="enumerate small graphs and classify spectra")
     p.add_argument("--vertices", type=int, required=True)
@@ -145,7 +145,7 @@ def _cmd_secular(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    report = spectrum_report(_load(args.file), args.tol)
+    report = spectrum_report(_load(args.file))
     for k, mult in report.fundamental_roots:
         print(f"{_fmt(k)} {mult}")
     print(f"lambda0_multiplicity {report.components}")
@@ -168,14 +168,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         c2 = ln_charpoly(to_discrete(g2))
         same = c1 == c2
         print("ln-isospectral" if same else "not ln-isospectral")
-        print("lncp1: " + " ".join(str(c) for c in c1.coeffs))
-        print("lncp2: " + " ".join(str(c) for c in c2.coeffs))
+        print(c1.line("lncp1"))
+        print(c2.line("lncp2"))
         return 0 if same else 1
     report = proposition_check(g1, g2)
     print(report.verdict)
     print(f"betti {report.betti1} {report.betti2}")
-    print("lncp1: " + " ".join(str(c) for c in report.charpoly1.coeffs))
-    print("lncp2: " + " ".join(str(c) for c in report.charpoly2.coeffs))
+    print(report.charpoly1.line("lncp1"))
+    print(report.charpoly2.line("lncp2"))
     return 0 if report.isospectral else 1
 
 

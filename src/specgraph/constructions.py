@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import (GraphError, MetricGraph, from_edge_list, glue,
                      join_points)
@@ -89,43 +90,33 @@ def _midpoint_joined_cycle() -> MetricGraph:
     return join_points(_two_edge_cycle(), [(0, 1), (1, 1)])
 
 
-_SPECIALS = {
+#: every catalog id and its builder, in CATALOG_IDS order
+_CATALOG: dict[str, Callable[[], MetricGraph]] = {
+    **{f"K{n}": partial(_complete, n) for n in range(2, 7)},
+    **{f"S{d}": partial(_star, d) for d in range(1, 7)},
+    **{f"C{n}": partial(_cycle, n) for n in range(1, 9)},
+    **{f"path_{n}": partial(_path, n) for n in range(2, 9)},
+    "Gamma1": lambda: glue(_complete(4), _q1(), [(i, i) for i in range(4)]),
+    "Gamma1p": lambda: glue(_star(4), _q1(), [(i, i) for i in range(4)]),
+    "Gamma2": lambda: glue(_complete(4), _q2(), [(i, i) for i in range(4)]),
+    "Gamma2p": lambda: glue(_star(4), _q2(), [(i, i) for i in range(4)]),
     "Q1": _q1,
     "Q2": _q2,
-    "Gamma1": lambda: glue(_complete(4), _q1(), [(i, i) for i in range(4)]),
-    "Gamma2": lambda: glue(_complete(4), _q2(), [(i, i) for i in range(4)]),
-    "Gamma1p": lambda: glue(_star(4), _q1(), [(i, i) for i in range(4)]),
-    "Gamma2p": lambda: glue(_star(4), _q2(), [(i, i) for i in range(4)]),
-    "figure_eight_unit": _figure_eight_unit,
-    "watermelon_stick_unit": _watermelon_stick_unit,
     "fig6_cycle": _two_edge_cycle,
     "fig6_eight": _midpoint_joined_cycle,
+    "figure_eight_unit": _figure_eight_unit,
+    "watermelon_stick_unit": _watermelon_stick_unit,
 }
 
-CATALOG_IDS: tuple[str, ...] = tuple(
-    [f"K{n}" for n in range(2, 7)]
-    + [f"S{d}" for d in range(1, 7)]
-    + [f"C{n}" for n in range(1, 9)]
-    + [f"path_{n}" for n in range(2, 9)]
-    + sorted(_SPECIALS))
+CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
 
 
 def catalog(name: str) -> MetricGraph:
     """Return a documented catalog graph by id (see CATALOG_IDS)."""
-    if name in _SPECIALS:
-        return _SPECIALS[name]()
-    try:
-        if name.startswith("K") and 2 <= int(name[1:]) <= 6:
-            return _complete(int(name[1:]))
-        if name.startswith("S") and 1 <= int(name[1:]) <= 6:
-            return _star(int(name[1:]))
-        if name.startswith("C") and 1 <= int(name[1:]) <= 8:
-            return _cycle(int(name[1:]))
-        if name.startswith("path_") and 2 <= int(name[5:]) <= 8:
-            return _path(int(name[5:]))
-    except ValueError:
-        pass
-    raise GraphError(f"unknown catalog id {name!r}")
+    build = _CATALOG.get(name)
+    if build is None:
+        raise GraphError(f"unknown catalog id {name!r}")
+    return build()
 
 
 # ---------------------------------------------------------------------------

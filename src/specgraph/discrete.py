@@ -38,6 +38,10 @@ class LnCharpoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    def line(self, label: str) -> str:
+        """Single-line serialization: `label: c0 c1 ... cn`."""
+        return f"{label}: " + " ".join(str(c) for c in self.coeffs)
+
 
 @lru_cache(maxsize=4096)
 def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:

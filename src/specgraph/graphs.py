@@ -364,21 +364,21 @@ def join_points(g: MetricGraph, points: Sequence[tuple[int, RationalLike]],
 MAX_UNIT_EDGES = 10_000
 
 
-def unit_subdivided(g: MetricGraph, max_unit_edges: int = MAX_UNIT_EDGES) -> MetricGraph:
+def unit_subdivided(g: MetricGraph) -> MetricGraph:
     """Subdivide every integer-length edge into unit pieces.
 
     The result is unilateral and describes the same metric space; raises
     GraphError when a length is not a positive integer, or, before
     building anything, when the result would have more than
-    `max_unit_edges` edges.
+    MAX_UNIT_EDGES edges.
     """
     for l in g.lengths:
         if l.denominator != 1:
             raise GraphError(f"length {l} is not an integer; cannot subdivide to unit edges")
     total = int(sum(g.lengths))
-    if total > max_unit_edges:
+    if total > MAX_UNIT_EDGES:
         raise GraphError(f"subdivision would give {total} unit edges, "
-                         f"above the budget of {max_unit_edges}")
+                         f"above the budget of {MAX_UNIT_EDGES}")
     edges: list[tuple[int, int, Fraction]] = []
     n_vertices = g.n_vertices
     for u, v, l in g.edge_list():

@@ -50,20 +50,26 @@ import numpy as np
 from .graphs import GraphError, MetricGraph
 from .secular import spectrum_report
 
+#: |sin kl| is <= 9.8e-16 at float edge poles, >= 1.6e-9 at regular samples (README)
 EDGE_SINGULAR_TOL = 1e-10
+#: interior-block condition is 3.5e15 at S3's pole k = pi/2, <= 9.6e9 at regular samples
 INTERIOR_COND_LIMIT = 1e10
+#: method3_verify eigenvalue gaps: <= 3.6e-15 inside a degenerate one, >= 0.10 between
 CLUSTER_TOL = 1e-7
 
 #: largest number of lambda samples one sweep, detect grid or set of
-#: detect pole probes may take; checked before any sample is built,
-#: overridable by keyword
+#: detect pole probes may take; checked before any sample is built
 MAX_DETECT_SAMPLES = 100_000
+
+#: detect's default k grid step and refinement tolerance
+DETECT_GRID_STEP = 0.01
+DETECT_REFINE_TOL = 1e-8
 
 #: lambdas per stacked evaluation, which bounds its working arrays
 _CHUNK = 256
 
-#: sample set used by default for equivalence checks: the negative half
-#: line is pole-free, a few positive values catch sign conventions.
+#: sample set of every equivalence check: the negative half line is
+#: pole-free, a few positive values catch sign conventions.
 DEFAULT_SAMPLES: tuple[float, ...] = (-5.0, -4.0, -3.0, -2.0, -1.0, 0.3, 0.7, 1.3, 2.1)
 
 #: largest M residual still called equivalent: equivalent pairs reach at
@@ -259,17 +265,17 @@ class SteklovCurve:
         return sum(1 for b in self.branches if b is None)
 
 
-def _check_samples(count: float, max_samples: int) -> None:
-    if count > max_samples:
+def _check_samples(count: float) -> None:
+    if count > MAX_DETECT_SAMPLES:
         raise GraphError(f"{count:.6g} lambda samples requested, "
-                         f"above the budget of {max_samples}")
+                         f"above the budget of {MAX_DETECT_SAMPLES}")
 
 
 def steklov_sweep(g: MetricGraph, lambda_min: float, lambda_max: float,
-                  steps: int, max_samples: int = MAX_DETECT_SAMPLES) -> SteklovCurve:
+                  steps: int) -> SteklovCurve:
     """Uniform sweep of the Steklov branches over [lambda_min, lambda_max].
 
-    At most `max_samples` steps are taken; more raise GraphError.
+    At most MAX_DETECT_SAMPLES steps are taken; more raise GraphError.
     """
     if not (math.isfinite(lambda_min) and math.isfinite(lambda_max)):
         raise GraphError("sweep bounds must be finite")
@@ -277,7 +283,7 @@ def steklov_sweep(g: MetricGraph, lambda_min: float, lambda_max: float,
         raise GraphError("need lambda_min < lambda_max")
     if steps < 2:
         raise GraphError("need at least two steps")
-    _check_samples(steps, max_samples)
+    _check_samples(steps)
     grid = [lambda_min + (lambda_max - lambda_min) * i / (steps - 1)
             for i in range(steps)]
     branches: list[tuple[float, ...] | None] = []
@@ -372,8 +378,8 @@ def _bisect(brackets: list[_Bracket],
 
 
 #: half-width in k of the crossing probes around a refined point or pole:
-#: 1e4 times the default refine_tol, so both probes leave the refined
-#: bracket, and 100 times below the default grid step
+#: 1e4 times DETECT_REFINE_TOL, so both probes leave the refined
+#: bracket, and 100 times below DETECT_GRID_STEP
 _PROBE_EPS = 1e-4
 
 #: |Steklov eigenvalue| below which a probe counts a branch passing
@@ -385,9 +391,8 @@ _POLE_MAGNITUDE = 1e4
 
 
 def detectable_spectrum(g: MetricGraph, k_max: float,
-                        grid_step: float = 0.01,
-                        refine_tol: float = 1e-8,
-                        max_samples: int = MAX_DETECT_SAMPLES) -> DetectionResult:
+                        grid_step: float = DETECT_GRID_STEP,
+                        refine_tol: float = DETECT_REFINE_TOL) -> DetectionResult:
     """Detectable eigenvalues k in (grid_step, k_max] with multiplicities.
 
     Tracks the number of negative Steklov eigenvalues along a k grid and
@@ -398,8 +403,8 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     through zero from both sides of the pole.  Remaining brackets with
     flagged singular samples are skipped and reported; the exact secular
     route is the authority for zeros merged with interior poles.  The grid
-    and the edge poles probed may each hold at most `max_samples` points;
-    more raise GraphError before any sample is taken.
+    and the edge poles probed may each hold at most MAX_DETECT_SAMPLES
+    points; more raise GraphError before any sample is taken.
 
     Bisection goes level by level: each round evaluates the midpoints of
     all open brackets in one stacked call on the grid's kernel (see
@@ -416,8 +421,8 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         raise GraphError(f"k_max must be finite, got {k_max}")
     if not refine_tol >= 0:
         raise GraphError(f"refinement tolerance must be non-negative, got {refine_tol}")
-    _check_samples(k_max / grid_step, max_samples)
-    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)), max_samples)
+    _check_samples(k_max / grid_step)
+    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)))
     raw: list[tuple[float, int, bool]] = []
     notes: list[tuple[tuple[int, ...], str]] = []
 
@@ -551,13 +556,13 @@ class EquivalenceResult:
 
 
 def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
-                       bijection: Sequence[tuple[int, int]] | None = None,
-                       samples: Sequence[float] = DEFAULT_SAMPLES) -> EquivalenceResult:
-    """Whether M_{g1} and M_{g2} agree within EQUIVALENCE_TOL at the samples.
+                       bijection: Sequence[tuple[int, int]] | None = None
+                       ) -> EquivalenceResult:
+    """Whether M_{g1} and M_{g2} agree within EQUIVALENCE_TOL at DEFAULT_SAMPLES.
 
     The bijection pairs contact positions of g1 with contact positions of
-    g2 (identity by default).  A flagged singular sample raises; pick
-    samples away from the singularities of both graphs.
+    g2 (identity by default).  A flagged singular sample raises
+    SingularSampleError.
     """
     b1, b2 = len(g1.contacts), len(g2.contacts)
     if b1 != b2:
@@ -571,26 +576,25 @@ def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
     for p, q in bijection:
         sigma[p] = q
     worst = 0.0
-    for _, (m1, m2) in _sample_matrices((g1, g2), samples):
+    for _, (m1, m2) in _sample_matrices((g1, g2)):
         permuted = m2[np.ix_(sigma, sigma)]
         worst = max(worst, float(np.max(np.abs(m1 - permuted))))
     return EquivalenceResult(worst < EQUIVALENCE_TOL, worst)
 
 
-def _sample_matrices(graphs: Sequence[MetricGraph], samples: Sequence[float]
+def _sample_matrices(graphs: Sequence[MetricGraph]
                      ) -> Iterator[tuple[float, list[np.ndarray]]]:
-    """(lambda, M of every graph) per sample, from one stacked evaluation each.
+    """(lambda, M of every graph) per DEFAULT_SAMPLES lambda, from one
+    stacked evaluation each.
 
     Raises SingularSampleError at the first sample where any M is singular.
     """
-    samples = list(samples)
-    it = iter(samples)
-    for chunks in zip(*(_Kernel(g).chunks(samples) for g in graphs)):
+    it = iter(DEFAULT_SAMPLES)
+    for chunks in zip(*(_Kernel(g).chunks(DEFAULT_SAMPLES) for g in graphs)):
         for i in range(len(chunks[0].regular)):
             lam = next(it)
             if not all(c.regular[i] for c in chunks):
-                raise SingularSampleError(
-                    f"singular sample lambda={lam}; choose different samples")
+                raise SingularSampleError(f"singular sample lambda={lam}")
             yield lam, [c.matrices[i] for c in chunks]
 
 
@@ -675,7 +679,7 @@ def method3_verify(k_graph: MetricGraph, q1: MetricGraph, q2: MetricGraph) -> Me
     if not len(k_graph.contacts) == len(q1.contacts) == len(q2.contacts):
         raise GraphError("contact counts differ")
     out: list[Method3Sample] = []
-    for lam, (mk, m1, m2) in _sample_matrices((k_graph, q1, q2), DEFAULT_SAMPLES):
+    for lam, (mk, m1, m2) in _sample_matrices((k_graph, q1, q2)):
         w, vecs = np.linalg.eigh(mk)
         clusters: list[list[int]] = [[0]]
         for i in range(1, len(w)):

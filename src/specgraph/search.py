@@ -43,20 +43,18 @@ def enumerate_connected_simple(n: int) -> Iterator[DiscreteGraph]:
     yield from _grow(n, n * (n - 1) // 2, multi=False)
 
 
-def enumerate_connected_multi(n: int, m_max: int,
-                              vertex_bound: int = MULTI_VERTEX_BOUND,
-                              edge_bound: int = MULTI_EDGE_BOUND,
-                              ) -> Iterator[DiscreteGraph]:
+def enumerate_connected_multi(n: int, m_max: int) -> Iterator[DiscreteGraph]:
     """One representative per class of connected multigraphs (loops allowed)
     on exactly n vertices with 1..m_max edges, in canonical-form order.
 
-    The default bounds keep the vertex-growth search desk-sized; raise
-    them explicitly for larger one-off runs.
+    MULTI_VERTEX_BOUND and MULTI_EDGE_BOUND keep the vertex-growth search
+    desk-sized.
     """
-    if not 1 <= n <= vertex_bound:
-        raise GraphError(f"enumeration bound: need 1 <= n <= {vertex_bound}, got {n}")
-    if not 1 <= m_max <= edge_bound:
-        raise GraphError(f"enumeration bound: need 1 <= m_max <= {edge_bound}, got {m_max}")
+    if not 1 <= n <= MULTI_VERTEX_BOUND:
+        raise GraphError(f"enumeration bound: need 1 <= n <= {MULTI_VERTEX_BOUND}, got {n}")
+    if not 1 <= m_max <= MULTI_EDGE_BOUND:
+        raise GraphError(f"enumeration bound: need 1 <= m_max <= {MULTI_EDGE_BOUND}, "
+                         f"got {m_max}")
     if n > CANONICAL_BOUND:
         raise GraphError(f"enumeration bound: canonical forms need n <= {CANONICAL_BOUND}, "
                          f"got {n}")
@@ -147,8 +145,7 @@ def _spectral_key(d: DiscreteGraph, key: SpectralKey) -> str:
     if key == "secular":
         return _discrete_secular(d).line()
     if key == "ln":
-        cp = ln_charpoly(d)
-        return "lncp: " + " ".join(str(c) for c in cp.coeffs)
+        return ln_charpoly(d).line("lncp")
     raise GraphError(f"unknown spectral key {key!r}")
 
 

@@ -170,7 +170,7 @@ class SpectrumReport:
         return 0
 
 
-def spectrum_report(g: MetricGraph, tol: float = 1e-8) -> SpectrumReport:
+def spectrum_report(g: MetricGraph) -> SpectrumReport:
     """Fundamental roots of the secular polynomial, with multiplicities."""
-    roots = poly_roots_unit_circle(secular_poly(g), tol)
+    roots = poly_roots_unit_circle(secular_poly(g))
     return SpectrumReport(tuple(roots), components(g))

@@ -49,9 +49,9 @@ from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGr
                        ProjectivePoly, canonical_form, components, discrete_from_adj,
                        polymat_det, poly_normalize, spectrum_report, to_discrete,
                        unit_subdivided)
-from specgraph.mfunction import (EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT, MAX_DETECT_SAMPLES,
-                                 DetectionResult, _check_samples, _crossing_multiplicity,
-                                 _edge_pole_candidates)
+from specgraph.mfunction import (DETECT_GRID_STEP, DETECT_REFINE_TOL, EDGE_SINGULAR_TOL,
+                                 INTERIOR_COND_LIMIT, DetectionResult, _check_samples,
+                                 _crossing_multiplicity, _edge_pole_candidates)
 
 
 @dataclass(frozen=True)
@@ -430,9 +430,8 @@ def _reference_interior_count(g: MetricGraph, k: float) -> int | None:
 
 
 def reference_detectable_spectrum(g: MetricGraph, k_max: float,
-                                  grid_step: float = 0.01,
-                                  refine_tol: float = 1e-8,
-                                  max_samples: int = MAX_DETECT_SAMPLES
+                                  grid_step: float = DETECT_GRID_STEP,
+                                  refine_tol: float = DETECT_REFINE_TOL
                                   ) -> DetectionResult:
     """detectable_spectrum with every count taken at one k at a time.
 
@@ -448,8 +447,8 @@ def reference_detectable_spectrum(g: MetricGraph, k_max: float,
         raise GraphError(f"k_max must be finite, got {k_max}")
     if not refine_tol >= 0:
         raise GraphError(f"refinement tolerance must be non-negative, got {refine_tol}")
-    _check_samples(k_max / grid_step, max_samples)
-    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)), max_samples)
+    _check_samples(k_max / grid_step)
+    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)))
     raw: list[tuple[float, int, bool]] = []
     notes: list[str] = []
     ks: list[float] = []

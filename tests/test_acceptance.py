@@ -222,7 +222,7 @@ def test_criterion_10_property_suites():
     for g in graphs:
         coeffs = list(secular_poly(g).coeffs)
         ok = ok and (coeffs[::-1] == coeffs or coeffs[::-1] == [-c for c in coeffs])
-        poly_roots_unit_circle(secular_poly(g), 1e-8)
+        poly_roots_unit_circle(secular_poly(g))
 
     # multiplicity of z = 1 equals 1 + first Betti number (connected catalog;
     # Q1 and Q2 are two-component graphs, where the rule reads c + betti)

@@ -10,7 +10,7 @@ import pytest
 import specgraph
 from specgraph import cli, format_graph, from_edge_list, parse_graph, secular_poly
 from specgraph.cli import run
-from specgraph.constructions import catalog
+from specgraph.constructions import CATALOG_IDS, catalog
 
 
 def invoke(capsys, *argv):
@@ -45,14 +45,31 @@ class TestBasicVerbs:
         ks = [line.split() for line in lines[:-1]]
         assert [m for _, m in ks] == ["4", "5", "4", "7"]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e-8"])
     def test_spectrum_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
+        # spectrum has no --tol option (exact.UNIT_CIRCLE_TOL is fixed), so
+        # every value, the old default included, is a usage error
         path = tmp_path / "k5.g"
         _, out, _ = invoke(capsys, "catalog", "K5")
         path.write_text(out)
         code, out, err = invoke(capsys, "spectrum", str(path), "--tol", tol)
         assert code == 2 and out == ""
-        assert err.startswith("error: tolerance must be positive and finite")
+        assert f"unrecognized arguments: --tol {tol}" in err
+
+    def test_catalog_ids_exact(self, capsys):
+        # the listed ids print the bytes they printed when the ids were
+        # parsed with int(); near-misses that int() accepted are unknown
+        outputs = []
+        for name in CATALOG_IDS:
+            code, out, _ = invoke(capsys, "catalog", name)
+            assert code == 0
+            outputs.append(out)
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == "95a8225b38804ad21e73db43c9aabe2dfbf8ad049a2edc482347a8b92cfe1f4a"
+        for name in ("K02", "K 3", "C+1", "S\uff11", "path_\u0663", "K9", "k5"):
+            code, out, err = invoke(capsys, "catalog", name)
+            assert code == 2 and out == ""
+            assert f"unknown catalog id {name!r}" in err
 
     def test_validate_ok_and_exit_codes(self, tmp_path, capsys):
         path = tmp_path / "e.g"
@@ -377,35 +394,50 @@ def _grid(rows, cols):
     return from_edge_list(rows * cols, edges)
 
 
-# sha256 of CLI output that rests on both exact keys; a change in these
-# bytes means a key, or the way it is printed, changed
+# sha256 of CLI output: the search and secular lines rest on both exact
+# keys, a change in their bytes means a key, or the way it is printed,
+# changed; the numeric verbs pin their 12-digit floats the same way.
+# Each entry is (argv, graphs written to files appended to argv, digest).
 PINNED_OUTPUTS = {
-    "search-secular-6": (["search", "--vertices", "6", "--key", "secular"], None,
+    "search-secular-6": (["search", "--vertices", "6", "--key", "secular"], (),
                          "6f597da2c1b7feb6d4368b52462163321a4263ba75453d3b0b915dd974bcc563"),
-    "search-ln-6": (["search", "--vertices", "6", "--key", "ln"], None,
+    "search-ln-6": (["search", "--vertices", "6", "--key", "ln"], (),
                     "03816a831d07055949e36b82c7bbda5d89311d2c160bcc1f90b5f86e1ed5af20"),
-    "search-secular-7": (["search", "--vertices", "7", "--key", "secular"], None,
+    "search-secular-7": (["search", "--vertices", "7", "--key", "secular"], (),
                          "505fbec38bc6cd4ffcd011f2c9ce57fc0c029fefada6bbdb5ad99dd0433a4c38"),
-    "search-ln-7": (["search", "--vertices", "7", "--key", "ln"], None,
+    "search-ln-7": (["search", "--vertices", "7", "--key", "ln"], (),
                     "2658c18041e2783afd6f8818a6aeae9674ca5fa55aa1cbd932a4140bec4fbe02"),
-    "search-multi-4-7": (["search", "--multi", "--vertices", "4", "--max-edges", "7"], None,
+    "search-multi-4-7": (["search", "--multi", "--vertices", "4", "--max-edges", "7"], (),
                          "7b8279c7af2ad676398d5f58549bdd2bfef73f6cf7f794cac13aa6d4c53d49d2"),
-    "secular-K5": (["secular"], lambda: catalog("K5"),
+    "secular-K5": (["secular"], ("K5",),
                    "e111347a4f74b24da84aaf61149c9773a51ee86f1dee959d505db9df7765f965"),
-    "secular-Gamma1": (["secular"], lambda: catalog("Gamma1"),
+    "secular-Gamma1": (["secular"], ("Gamma1",),
                        "5ad6049b34bcdafb389ecc134e111f9d28feb23aa4c238c4465bc0e2422b53d0"),
-    "secular-grid5x5": (["secular"], lambda: _grid(5, 5),
+    "secular-grid5x5": (["secular"], (lambda: _grid(5, 5),),
                         "fa08ecae838736ee2e23a55161521f50338e29fc8aaaf09c0e8437594b9524de"),
+    "spectrum-Gamma1": (["spectrum"], ("Gamma1",),
+                        "852f4db80cfb8b2375c2a7b9a58eaf1f778600d1390e422a157a8a65509192a8"),
+    "detect-Q1": (["detect", "--kmax", "12.6"], ("Q1",),
+                  "ef1bf66e686d2d501b93f04d7af67599afafc68f71c914f0199452791b97e73b"),
+    "mfun-Q1": (["mfun", "--lambda", "-2"], ("Q1",),
+                "1d97f9eaf874127369b28e608330986b89e55b21cd94e1c5e1f2769fb00224ae"),
+    "sweep-Q1": (["sweep", "--lmin", "-5", "--lmax", "60", "--steps", "240"], ("Q1",),
+                 "1ad623ff427e2412b068b32b76ac15b1cc036941af8939010a2863c9291c520f"),
+    "compare-proposition": (["compare", "--mode", "proposition"], ("Gamma1", "Gamma2"),
+                            "59962d23d56e440811284e9c5b6e1ccca5f4686b20a3b5288232821d87a1880f"),
+    "compare-discrete": (["compare", "--mode", "discrete"], ("Gamma1", "Gamma2"),
+                         "3cdfaed35e8fd43d0c39778d4eb9ab4960f3d93d93e8055595860020c1fd63e2"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
 def test_output_bytes_pinned(case, tmp_path, capsys):
-    argv, make_graph, digest = PINNED_OUTPUTS[case]
+    # a graph is a catalog id or a function that builds it
+    argv, graphs, digest = PINNED_OUTPUTS[case]
     argv = list(argv)
-    if make_graph is not None:
-        path = tmp_path / "g.g"
-        path.write_text(format_graph(make_graph()))
+    for i, graph in enumerate(graphs):
+        path = tmp_path / f"g{i}.g"
+        path.write_text(format_graph(catalog(graph) if isinstance(graph, str) else graph()))
         argv.append(str(path))
     code, out, _ = invoke(capsys, *argv)
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import specgraph.exact
 from specgraph.exact import (ExactError, ProjectivePoly, _interpolate, det_exact,
                              poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
                              polymat_det, squarefree_factors)
@@ -291,16 +292,15 @@ class TestUnitCircleRoots:
 
     def test_high_multiplicity_stays_on_circle(self):
         p = poly_normalize(poly_pow([2, 1, 2], 4))
-        roots = poly_roots_unit_circle(p, tol=1e-8)
+        roots = poly_roots_unit_circle(p)
         assert [m for _, m in roots] == [4, 4]
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
-    def test_tolerance_must_be_positive_and_finite(self, tol):
-        # z = 1 alone would never reach the certification step
-        for coeffs in ([-1, 1], [2, 1, 2]):
-            with pytest.raises(ExactError, match="tolerance must be positive and finite"):
-                poly_roots_unit_circle(poly_normalize(coeffs), tol=tol)
-
-    def test_off_circle_root_rejected(self):
+    def test_off_circle_root_rejected(self, monkeypatch):
+        with pytest.raises(ExactError, match="root off unit circle"):
+            poly_roots_unit_circle(poly_normalize([-2, 1]))
+        # UNIT_CIRCLE_TOL is read at call time: z = 2 strays by exactly 1
+        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 1.0)
+        assert poly_roots_unit_circle(poly_normalize([-2, 1])) == [(2 * math.pi, 1)]
+        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 0.999)
         with pytest.raises(ExactError, match="root off unit circle"):
             poly_roots_unit_circle(poly_normalize([-2, 1]))

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import specgraph.graphs
 from specgraph import (GraphError, GraphFormatError, MetricGraph,
                        betti, canonical_form, chop_vertex, components,
                        discrete_from_adj, disjoint_union, format_graph,
@@ -184,11 +185,13 @@ class TestSubdivideSuppress:
         with pytest.raises(GraphError, match="not an integer"):
             unit_subdivided(from_edge_list(2, [(0, 1, Fraction(1, 2))]))
 
-    def test_unit_subdivision_budget(self):
+    def test_unit_subdivision_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1, 3), (0, 1, 2)])
-        assert unit_subdivided(g, max_unit_edges=5).n_edges == 5
+        monkeypatch.setattr(specgraph.graphs, "MAX_UNIT_EDGES", 5)
+        assert unit_subdivided(g).n_edges == 5
+        monkeypatch.setattr(specgraph.graphs, "MAX_UNIT_EDGES", 4)
         with pytest.raises(GraphError, match="5 unit edges, above the budget of 4"):
-            unit_subdivided(g, max_unit_edges=4)
+            unit_subdivided(g)
 
 
 class TestJoinPoints:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import specgraph.mfunction
 from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
                        from_edge_list, glue,
                        invisible_multiplicity, m_function, method3_verify,
@@ -356,10 +357,11 @@ class TestEquivalence:
         with pytest.raises(GraphError, match="contact counts"):
             steklov_equivalent(catalog("S3"), catalog("S4"))
 
-    def test_singular_sample_rejected(self):
+    def test_singular_sample_rejected(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        monkeypatch.setattr(specgraph.mfunction, "DEFAULT_SAMPLES", (math.pi ** 2,))
         with pytest.raises(SingularSampleError):
-            steklov_equivalent(g, g, samples=[math.pi ** 2])
+            steklov_equivalent(g, g)
 
     def test_permuted_pairing(self):
         g = catalog("Q1")
@@ -627,24 +629,29 @@ class TestProperties:
 
 
 class TestBudgets:
-    def test_detect_sample_budget(self):
+    def test_detect_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
         # 5.0 / 0.01 = 500 samples
-        assert detectable_spectrum(g, 5.0, max_samples=500).points
+        monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 500)
+        assert detectable_spectrum(g, 5.0).points
+        monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 499)
         with pytest.raises(GraphError, match="above the budget of 499"):
-            detectable_spectrum(g, 5.0, max_samples=499)
+            detectable_spectrum(g, 5.0)
 
-    def test_edge_pole_budget(self):
+    def test_edge_pole_budget(self, monkeypatch):
         # 4.0 * 100 / pi = 127 poles of the long edge, but only 40 grid points
         g = from_edge_list(2, [(0, 1, 100)], contacts=(0, 1))
+        monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 100)
         with pytest.raises(GraphError, match="above the budget of 100"):
-            detectable_spectrum(g, 4.0, grid_step=0.1, max_samples=100)
+            detectable_spectrum(g, 4.0, grid_step=0.1)
 
-    def test_sweep_sample_budget(self):
+    def test_sweep_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
-        assert len(steklov_sweep(g, -1.0, 1.0, 11, max_samples=11).grid) == 11
+        monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 11)
+        assert len(steklov_sweep(g, -1.0, 1.0, 11).grid) == 11
+        monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 10)
         with pytest.raises(GraphError, match="above the budget of 10"):
-            steklov_sweep(g, -1.0, 1.0, 11, max_samples=10)
+            steklov_sweep(g, -1.0, 1.0, 11)
 
     @pytest.mark.parametrize("kwargs", [
         {"grid_step": 0.0}, {"grid_step": -0.01}, {"grid_step": math.inf},

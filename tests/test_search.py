@@ -88,8 +88,9 @@ class TestEnumerateMulti:
         target = canonical_form(watermelon)
         assert any(canonical_form(d) == target for d in graphs)
 
-    def test_no_duplicates_and_all_connected(self):
-        graphs = list(enumerate_connected_multi(3, 5, edge_bound=5))
+    def test_no_duplicates_and_all_connected(self, monkeypatch):
+        monkeypatch.setattr(specgraph.search, "MULTI_EDGE_BOUND", 5)
+        graphs = list(enumerate_connected_multi(3, 5))
         forms = [canonical_form(d) for d in graphs]
         assert len(set(forms)) == len(forms)
         assert all(discrete_components(d) == 1 for d in graphs)
@@ -107,13 +108,15 @@ class TestEnumerateMulti:
         built = []
         monkeypatch.setattr(specgraph.search, "discrete_from_adj",
                             lambda adj: built.append(adj))
+        monkeypatch.setattr(specgraph.search, "MULTI_VERTEX_BOUND", 9)
+        monkeypatch.setattr(specgraph.search, "MULTI_EDGE_BOUND", 10)
         with pytest.raises(GraphError, match="enumeration bound"):
-            next(enumerate_connected_multi(9, 10, vertex_bound=9, edge_bound=10))
+            next(enumerate_connected_multi(9, 10))
         assert built == []
 
     @pytest.mark.parametrize("n, m_max, classes", [(1, 5, 5), (2, 6, 34), (3, 6, 93),
                                                    (4, 6, 149), (5, 5, 23)])
-    def test_classes_match_labelled_brute_force(self, n, m_max, classes):
+    def test_classes_match_labelled_brute_force(self, n, m_max, classes, monkeypatch):
         # every labelled multigraph is a multiset of 1..m_max slots (u <= v)
         slots = [(u, v) for u in range(n) for v in range(u, n)]
         expected = set()
@@ -126,16 +129,18 @@ class TestEnumerateMulti:
                 d = discrete_from_adj(adj)
                 if discrete_components(d) == 1:
                     expected.add(brute_force_canonical_form(d))
-        forms = [canonical_form(d) for d in enumerate_connected_multi(n, m_max, vertex_bound=5)]
+        monkeypatch.setattr(specgraph.search, "MULTI_VERTEX_BOUND", 5)
+        forms = [canonical_form(d) for d in enumerate_connected_multi(n, m_max)]
         assert len(forms) == len(set(forms)) == len(expected) == classes
         assert set(forms) == expected
 
-    def test_unit_shadows_of_simplest_pair_appear(self):
+    def test_unit_shadows_of_simplest_pair_appear(self, monkeypatch):
         # needs the vertex bound raised beyond the default
+        monkeypatch.setattr(specgraph.search, "MULTI_VERTEX_BOUND", 7)
         targets = {canonical_form(to_discrete(catalog("figure_eight_unit"))),
                    canonical_form(to_discrete(catalog("watermelon_stick_unit")))}
         found = set()
-        for d in enumerate_connected_multi(7, 8, vertex_bound=7):
+        for d in enumerate_connected_multi(7, 8):
             key = canonical_form(d)
             if key in targets:
                 found.add(key)
