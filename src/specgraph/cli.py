@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import search
 from .constructions import (CATALOG_IDS, ComposedHost, Slot,
                             build_clarifying_example, catalog, method2_exchange)
 from .discrete import ln_charpoly, proposition_check
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate small graphs and classify spectra")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--multi", action="store_true")
-    p.add_argument("--max-edges", type=int, default=8)
+    p.add_argument("--max-edges", type=int, default=None)
     p.add_argument("--key", choices=("secular", "ln"), default="secular")
     p.add_argument("--out", default=None)
 
@@ -218,7 +219,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.multi:
-        graphs = list(enumerate_connected_multi(args.vertices, args.max_edges))
+        m_max = search.MULTI_EDGE_BOUND if args.max_edges is None else args.max_edges
+        graphs = list(enumerate_connected_multi(args.vertices, m_max))
     else:
         graphs = list(enumerate_connected_simple(args.vertices))
     families = classify(graphs, args.key)

@@ -1,18 +1,18 @@
 """Metric multigraphs with contact vertices and their discrete shadows.
 
-A metric graph is a set of intervals (edges) glued at vertices.  Edge i
-owns the two endpoint ids 2i and 2i+1; a vertex is the set of endpoint
-ids identified with it.  Loops and parallel edges are allowed.  A subset
-of vertices may be flagged as the ordered contact set, which is where
-boundary data (M-functions, Steklov eigenvalues) lives.
+A metric graph is a set of intervals (edges) glued at vertices, stored as
+its edge list: edge i has a length and the two vertices at its ends.
+Edge i owns the endpoint ids 2i and 2i+1, and a vertex's endpoint ids are
+derived from the edge list.  Loops and parallel edges are allowed.  A
+subset of vertices may be flagged as the ordered contact set, which is
+where boundary data (M-functions, Steklov eigenvalues) lives.
 
-All types are immutable values and all operations are pure, so graphs can
-be shared freely across workers.
+All types are immutable values and all operations are pure: surgery
+returns a new graph and never edits its input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -39,38 +39,37 @@ def _as_length(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class MetricGraph:
-    """Edges with rational lengths, a vertex partition of endpoints, contacts.
+    """Edges with rational lengths and their end vertices, and contacts.
 
-    lengths[i] is the length of edge i, whose endpoints are 2i and 2i+1.
-    vertices is an ordered tuple of disjoint endpoint-id tuples covering
-    all 2N endpoints; contacts is an ordered tuple of vertex indices.
+    lengths[i] is the length of edge i and ends[i] = (u, v) the vertices
+    at its first and second end (u == v for a loop); the vertices are
+    0..n_vertices-1.  contacts is an ordered tuple of vertex indices.
     """
 
     lengths: tuple[Fraction, ...]
-    vertices: tuple[tuple[int, ...], ...]
+    ends: tuple[tuple[int, int], ...]
     contacts: tuple[int, ...] = ()
 
     @property
     def n_edges(self) -> int:
         return len(self.lengths)
 
-    @property
+    @cached_property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return 1 + max((max(e) for e in self.ends), default=-1)
 
     @cached_property
-    def _vertex_of(self) -> dict[int, int]:
-        return {e: v for v, cls in enumerate(self.vertices) for e in cls}
-
-    def vertex_of(self, endpoint: int) -> int:
-        return self._vertex_of[endpoint]
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's endpoint ids in ascending order: edge i contributes
+        2i at ends[i][0] and 2i+1 at ends[i][1]."""
+        classes: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for i, (u, v) in enumerate(self.ends):
+            classes[u].append(2 * i)
+            classes[v].append(2 * i + 1)
+        return tuple(map(tuple, classes))
 
     def degree(self, v: int) -> int:
         return len(self.vertices[v])
-
-    def edge_vertices(self, i: int) -> tuple[int, int]:
-        """Vertex indices at the two ends of edge i (equal for a loop)."""
-        return self.vertex_of(2 * i), self.vertex_of(2 * i + 1)
 
     @property
     def is_unilateral(self) -> bool:
@@ -81,52 +80,43 @@ class MetricGraph:
         return sum(self.lengths, Fraction(0))
 
     def with_contacts(self, contacts: Sequence[int]) -> "MetricGraph":
-        return MetricGraph(self.lengths, self.vertices, tuple(contacts))
+        return MetricGraph(self.lengths, self.ends, tuple(contacts))
 
     def edge_list(self) -> list[tuple[int, int, Fraction]]:
-        """Edges as (vertex, vertex, length) triples, endpoints in id order."""
-        return [(self.vertex_of(2 * i), self.vertex_of(2 * i + 1), l)
-                for i, l in enumerate(self.lengths)]
+        """Edges as (vertex, vertex, length) triples."""
+        return [(u, v, l) for (u, v), l in zip(self.ends, self.lengths)]
 
 
 def from_edge_list(n_vertices: int,
                    edges: Iterable[tuple[int, int] | tuple[int, int, RationalLike]],
                    contacts: Sequence[int] = ()) -> MetricGraph:
     """Build a MetricGraph from vertex-labelled edges (default length 1)."""
-    classes: list[list[int]] = [[] for _ in range(n_vertices)]
+    ends: list[tuple[int, int]] = []
     lengths: list[Fraction] = []
-    for i, edge in enumerate(edges):
+    for edge in edges:
         u, v = edge[0], edge[1]
         length = _as_length(edge[2]) if len(edge) > 2 else Fraction(1)
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise GraphError(f"edge ({u}, {v}) references unknown vertex")
-        classes[u].append(2 * i)
-        classes[v].append(2 * i + 1)
+        ends.append((u, v))
         lengths.append(length)
-    if any(not cls for cls in classes):
+    if len({x for e in ends for x in e}) != n_vertices:
         raise GraphError("every vertex must meet at least one edge endpoint")
-    return MetricGraph(tuple(lengths),
-                       tuple(tuple(cls) for cls in classes),
-                       tuple(contacts))
+    return MetricGraph(tuple(lengths), tuple(ends), tuple(contacts))
 
 
 def validate(g: MetricGraph) -> list[str]:
     """All violated invariants of g; an empty list means the graph is valid."""
     problems: list[str] = []
-    n = g.n_edges
-    seen: Counter[int] = Counter()
-    for cls in g.vertices:
-        if not cls:
-            problems.append("empty vertex class")
-        seen.update(cls)
-    for e, count in sorted(seen.items()):
-        if count > 1:
-            problems.append(f"endpoint {e} in multiple classes")
-        if not 0 <= e < 2 * n:
-            problems.append(f"endpoint {e} does not belong to any edge")
-    missing = set(range(2 * n)) - set(seen)
-    for e in sorted(missing):
-        problems.append(f"endpoint {e} not assigned to a vertex")
+    if len(g.ends) != g.n_edges:
+        problems.append(f"{len(g.ends)} edge ends for {g.n_edges} lengths")
+    for i, (u, v) in enumerate(g.ends):
+        if u < 0 or v < 0:
+            problems.append(f"negative vertex index on edge {i}")
+    met = {x for e in g.ends for x in e}
+    for v in range(g.n_vertices):
+        if v not in met:
+            problems.append(f"vertex {v} meets no edge")
     for i, l in enumerate(g.lengths):
         if l <= 0:
             problems.append(f"nonpositive length on edge {i}")
@@ -155,7 +145,7 @@ def _count_components(n: int, links: Iterable[tuple[int, int]]) -> int:
 
 def components(g: MetricGraph) -> int:
     """Number of connected components."""
-    return _count_components(g.n_vertices, (g.edge_vertices(i) for i in range(g.n_edges)))
+    return _count_components(g.n_vertices, g.ends)
 
 
 def betti(g: MetricGraph) -> int:
@@ -168,7 +158,7 @@ def betti(g: MetricGraph) -> int:
 # ---------------------------------------------------------------------------
 
 def chop_vertex(g: MetricGraph, v: int, parts: Sequence[Iterable[int]]) -> MetricGraph:
-    """Split vertex v into one new vertex per part of its endpoint class.
+    """Split vertex v into one new vertex per part of its endpoint ids.
 
     The parts must partition exactly the endpoints at v into at least two
     nonempty sets.  The first part occupies v's slot in the vertex order,
@@ -181,11 +171,32 @@ def chop_vertex(g: MetricGraph, v: int, parts: Sequence[Iterable[int]]) -> Metri
     if (len(part_tuples) < 2 or any(not p for p in part_tuples)
             or len(flat) != len(set(flat)) or set(flat) != set(g.vertices[v])):
         raise GraphError("not a partition of vertex endpoints")
-    vertices = list(g.vertices)
-    vertices[v] = part_tuples[0]
-    vertices.extend(part_tuples[1:])
-    contacts = tuple(c for c in g.contacts if c != v)
-    return MetricGraph(g.lengths, tuple(vertices), contacts)
+    vertex_at = [x for e in g.ends for x in e]  # indexed by endpoint id
+    for k, part in enumerate(part_tuples[1:]):
+        for p in part:
+            vertex_at[p] = g.n_vertices + k
+    ends = tuple(zip(vertex_at[::2], vertex_at[1::2]))
+    return MetricGraph(g.lengths, ends, tuple(c for c in g.contacts if c != v))
+
+
+def _merge(g: MetricGraph, groups: Iterable[Iterable[int]],
+           contacts: Iterable[int]) -> MetricGraph:
+    """g with each of the disjoint groups of vertices merged into its
+    smallest member.
+
+    The vertices left keep their order; contacts are relabelled and only
+    the first occurrence of a vertex is kept.
+    """
+    target = list(range(g.n_vertices))
+    for group in groups:
+        keep = min(group)
+        for v in group:
+            target[v] = keep
+    kept = [v for v, t in enumerate(target) if t == v]
+    index = {v: i for i, v in enumerate(kept)}
+    label = [index[t] for t in target]
+    ends = tuple((label[u], label[v]) for u, v in g.ends)
+    return MetricGraph(g.lengths, ends, tuple(dict.fromkeys(label[c] for c in contacts)))
 
 
 def merge_vertices(g: MetricGraph, group: Sequence[int]) -> MetricGraph:
@@ -199,33 +210,15 @@ def merge_vertices(g: MetricGraph, group: Sequence[int]) -> MetricGraph:
         raise GraphError("need at least two distinct vertices to merge")
     if any(not 0 <= v < g.n_vertices for v in group_set):
         raise GraphError("vertex index out of range")
-    keep = min(group_set)
-    merged = tuple(e for v in sorted(group_set) for e in g.vertices[v])
-    vertices: list[tuple[int, ...]] = []
-    remap: dict[int, int] = {}
-    for v, cls in enumerate(g.vertices):
-        if v == keep:
-            remap[v] = len(vertices)
-            vertices.append(merged)
-        elif v not in group_set:
-            remap[v] = len(vertices)
-            vertices.append(cls)
-    for v in group_set:
-        remap[v] = remap[keep]
-    contacts: list[int] = []
-    for c in g.contacts:
-        if remap[c] not in contacts:
-            contacts.append(remap[c])
-    return MetricGraph(g.lengths, tuple(vertices), tuple(contacts))
+    return _merge(g, [group_set], g.contacts)
 
 
 def disjoint_union(g1: MetricGraph, g2: MetricGraph) -> MetricGraph:
     """Side-by-side union; contacts of g1 first, then g2's (shifted)."""
-    shift_e = 2 * g1.n_edges
-    shift_v = g1.n_vertices
-    vertices = g1.vertices + tuple(tuple(e + shift_e for e in cls) for cls in g2.vertices)
-    contacts = g1.contacts + tuple(c + shift_v for c in g2.contacts)
-    return MetricGraph(g1.lengths + g2.lengths, vertices, contacts)
+    shift = g1.n_vertices
+    ends = g1.ends + tuple((u + shift, v + shift) for u, v in g2.ends)
+    contacts = g1.contacts + tuple(c + shift for c in g2.contacts)
+    return MetricGraph(g1.lengths + g2.lengths, ends, contacts)
 
 
 def glue(g1: MetricGraph, g2: MetricGraph,
@@ -245,32 +238,29 @@ def glue(g1: MetricGraph, g2: MetricGraph,
         raise GraphError("pairing refers to missing contact of first graph")
     if any(not 0 <= q < len(g2.contacts) for q in right):
         raise GraphError("pairing refers to missing contact of second graph")
+    union = disjoint_union(g1, g2)
+    pairs = [(g1.contacts[p], g2.contacts[q] + g1.n_vertices) for p, q in pairing]
+    return _merge(union, pairs, [v for v, _ in pairs] + list(union.contacts))
 
-    shift_e = 2 * g1.n_edges
-    partner = {g1.contacts[p]: g2.contacts[q] for p, q in pairing}
-    absorbed = set(partner.values())
 
-    vertices: list[tuple[int, ...]] = []
-    index1: dict[int, int] = {}
-    index2: dict[int, int] = {}
-    for v, cls in enumerate(g1.vertices):
-        index1[v] = len(vertices)
-        if v in partner:
-            w = partner[v]
-            vertices.append(cls + tuple(e + shift_e for e in g2.vertices[w]))
-        else:
-            vertices.append(cls)
-    for w, cls in enumerate(g2.vertices):
-        if w not in absorbed:
-            index2[w] = len(vertices)
-            vertices.append(tuple(e + shift_e for e in cls))
-    for v, w in partner.items():
-        index2[w] = index1[v]
+def _cut(g: MetricGraph, cuts: Iterable[tuple[int, Sequence[Fraction]]]) -> MetricGraph:
+    """g with edge e cut at each ascending offset in ts, for each (e, ts).
 
-    contacts = [index1[g1.contacts[p]] for p in left]
-    contacts += [index1[c] for i, c in enumerate(g1.contacts) if i not in set(left)]
-    contacts += [index2[c] for j, c in enumerate(g2.contacts) if j not in set(right)]
-    return MetricGraph(g1.lengths + g2.lengths, tuple(vertices), tuple(contacts))
+    The offsets lie strictly inside the edge, measured from its first end.
+    The first piece keeps index e and the later pieces are appended; the
+    new non-contact vertices are appended in the order of the cuts.
+    """
+    lengths, ends = list(g.lengths), list(g.ends)
+    n = g.n_vertices
+    for e, ts in cuts:
+        (u, v), length = ends[e], lengths[e]
+        points = [u, *range(n, n + len(ts)), v]
+        pieces = [b - a for a, b in zip([0, *ts], [*ts, length])]
+        ends[e], lengths[e] = (u, points[1]), pieces[0]
+        ends += zip(points[1:-1], points[2:])
+        lengths += pieces[1:]
+        n += len(ts)
+    return MetricGraph(tuple(lengths), tuple(ends), g.contacts)
 
 
 def subdivide_edge(g: MetricGraph, e: int, t: RationalLike) -> MetricGraph:
@@ -282,12 +272,7 @@ def subdivide_edge(g: MetricGraph, e: int, t: RationalLike) -> MetricGraph:
     t = Fraction(t)
     if not 0 < t < g.lengths[e]:
         raise GraphError(f"subdivision point {t} outside (0, {g.lengths[e]})")
-    edges = g.edge_list()
-    u, v, length = edges[e]
-    w = g.n_vertices
-    edges[e] = (u, w, t)
-    edges.append((w, v, length - t))
-    return from_edge_list(g.n_vertices + 1, edges, g.contacts)
+    return _cut(g, [(e, [t])])
 
 
 def suppress_degree2(g: MetricGraph) -> MetricGraph:
@@ -342,23 +327,11 @@ def join_points(g: MetricGraph, points: Sequence[tuple[int, RationalLike]],
             raise GraphError(f"edge index {e} out of range")
         if not 0 < t < g.lengths[e]:
             raise GraphError(f"offset {t} outside edge {e}")
-    current = g
-    new_vertices: list[int] = []
-    # process per edge so repeated subdivision offsets stay consistent
     by_edge: dict[int, list[Fraction]] = {}
-    for e, t in pts:
+    for e, t in sorted(pts):
         by_edge.setdefault(e, []).append(t)
-    for e in sorted(by_edge):
-        offsets = sorted(by_edge[e])
-        edge_idx = e
-        consumed = Fraction(0)
-        for t in offsets:
-            current = subdivide_edge(current, edge_idx, t - consumed)
-            new_vertices.append(current.n_vertices - 1)
-            # the remainder piece was appended last
-            edge_idx = current.n_edges - 1
-            consumed = t
-    return merge_vertices(current, new_vertices)
+    cut = _cut(g, by_edge.items())
+    return merge_vertices(cut, range(g.n_vertices, cut.n_vertices))
 
 
 MAX_UNIT_EDGES = 10_000
@@ -379,24 +352,15 @@ def unit_subdivided(g: MetricGraph) -> MetricGraph:
     if total > MAX_UNIT_EDGES:
         raise GraphError(f"subdivision would give {total} unit edges, "
                          f"above the budget of {MAX_UNIT_EDGES}")
-    edges: list[tuple[int, int, Fraction]] = []
-    n_vertices = g.n_vertices
-    for u, v, l in g.edge_list():
-        steps = int(l)
-        prev = u
-        for s in range(steps - 1):
-            edges.append((prev, n_vertices, Fraction(1)))
-            prev = n_vertices
-            n_vertices += 1
-        edges.append((prev, v, Fraction(1)))
-    return from_edge_list(n_vertices, edges, g.contacts)
+    return _cut(g, [(e, [Fraction(t) for t in range(1, int(l))])
+                    for e, l in enumerate(g.lengths) if l > 1])
 
 
 def scale_lengths(g: MetricGraph, factor: RationalLike) -> MetricGraph:
     factor = Fraction(factor)
     if factor <= 0:
         raise GraphError("scale factor must be positive")
-    return MetricGraph(tuple(l * factor for l in g.lengths), g.vertices, g.contacts)
+    return MetricGraph(tuple(l * factor for l in g.lengths), g.ends, g.contacts)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +429,7 @@ def to_discrete(g: MetricGraph) -> DiscreteGraph:
         raise GraphError(f"graph has {n} vertices, above the bound of "
                          f"{MAX_EXACT_VERTICES} for exact keys")
     adj = [[0] * n for _ in range(n)]
-    for u, v, _ in g.edge_list():
+    for u, v in g.ends:
         adj[u][v] += 1
         adj[v][u] += 1
     return discrete_from_adj(adj)

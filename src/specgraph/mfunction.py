@@ -144,6 +144,26 @@ class _MChunk(NamedTuple):
     interior: list[int | None]
 
 
+def _float_lengths(g: MetricGraph) -> list[float]:
+    """The edge lengths of g as floats; nothing else here converts g.lengths.
+
+    Every edge block divides by its length (the lambda = 0 block is
+    -1/l, 1/l), so a length is refused unless its float is positive and
+    finite with a finite reciprocal: 1e400 overflows, 1e-400 rounds to 0.
+    """
+    out = []
+    for i, l in enumerate(g.lengths):
+        try:
+            x = float(l)
+        except OverflowError:
+            x = math.inf
+        if not (0.0 < x < math.inf and 1.0 / x < math.inf):
+            raise GraphError(f"edge {i}: length as a float is {x:.6g}, M-functions need "
+                             "a positive finite float with a finite reciprocal")
+        out.append(x)
+    return out
+
+
 class _Kernel:
     """Stacked M-function evaluation of one graph over arrays of lambdas.
 
@@ -157,7 +177,7 @@ class _Kernel:
         if not g.contacts:
             raise GraphError("empty contact set")
         n = self.n = g.n_vertices
-        lengths = [float(l) for l in g.lengths]
+        lengths = _float_lengths(g)
         distinct = sorted(set(lengths))
         row = {l: i for i, l in enumerate(distinct)}
         slots: list[int] = []
@@ -422,7 +442,9 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     if not refine_tol >= 0:
         raise GraphError(f"refinement tolerance must be non-negative, got {refine_tol}")
     _check_samples(k_max / grid_step)
-    _check_samples(sum(k_max * float(l) / math.pi for l in set(g.lengths)))
+    kernel = _Kernel(g)
+    lengths = kernel.lengths.tolist()
+    _check_samples(sum(k_max * l / math.pi for l in lengths))
     raw: list[tuple[float, int, bool]] = []
     notes: list[tuple[tuple[int, ...], str]] = []
 
@@ -434,7 +456,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     while k <= k_max + 1e-12:
         ks.append(k)
         k += grid_step
-    kernel = _Kernel(g)
     counts, interior = _counts(kernel, ks)
     # interior counts are read only where M exists
     interior_counts = [m if n is not None else None for n, m in zip(counts, interior)]
@@ -472,7 +493,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
 
     # crossings exactly at a pole may not change the negative count at all
     # (the pole jump cancels them), so pole locations are probed explicitly
-    candidates = _edge_pole_candidates(g, k_max)
+    candidates = _edge_pole_candidates(lengths, k_max)
     candidates += _interior_pole_candidates(kernel, ks, interior_counts, refine_tol)
     for k0 in sorted(candidates):
         if k0 <= grid_step + _PROBE_EPS:
@@ -497,15 +518,16 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
                            tuple(note for _, note in notes))
 
 
-def _edge_pole_candidates(g: MetricGraph, k_max: float) -> list[float]:
-    """Distinct k values in (0, k_max] where some edge block is singular.
+def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]:
+    """Distinct k values in (0, k_max] where an edge block of one of the
+    float edge lengths is singular.
 
     A pole within 1e-9 of one already kept is dropped; `out` stays sorted,
     so only the two neighbours of the insertion point need checking.
     """
     out: list[float] = []
-    for length in sorted(set(g.lengths)):
-        step = math.pi / float(length)
+    for length in sorted(set(lengths)):
+        step = math.pi / length
         m = 1
         while m * step <= k_max + 1e-12:
             k0 = m * step

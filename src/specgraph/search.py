@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
+from . import graphs
 from .discrete import ln_charpoly
-from .graphs import (CANONICAL_BOUND, DiscreteGraph, GraphError, automorphism_generators,
-                     canonical_form, discrete_betti, discrete_components,
-                     discrete_from_adj)
+from .graphs import (DiscreteGraph, GraphError, automorphism_generators, canonical_form,
+                     discrete_betti, discrete_components, discrete_from_adj)
 from .secular import _discrete_secular
 
 SIMPLE_BOUND = 7
@@ -55,9 +55,9 @@ def enumerate_connected_multi(n: int, m_max: int) -> Iterator[DiscreteGraph]:
     if not 1 <= m_max <= MULTI_EDGE_BOUND:
         raise GraphError(f"enumeration bound: need 1 <= m_max <= {MULTI_EDGE_BOUND}, "
                          f"got {m_max}")
-    if n > CANONICAL_BOUND:
-        raise GraphError(f"enumeration bound: canonical forms need n <= {CANONICAL_BOUND}, "
-                         f"got {n}")
+    if n > graphs.CANONICAL_BOUND:
+        raise GraphError(f"enumeration bound: canonical forms need "
+                         f"n <= {graphs.CANONICAL_BOUND}, got {n}")
     yield from _grow(n, m_max, multi=True)
 
 

@@ -78,8 +78,8 @@ def build_secular_matrix(g: MetricGraph) -> SecularMatrixSpec:
 
 
 def _as_unilateral(g: MetricGraph) -> MetricGraph:
-    if g.is_unilateral:
-        return g
+    """g with unit edges, by unit_subdivided even when g already has them,
+    so that MAX_UNIT_EDGES bounds every input of the exact keys."""
     if any(l.denominator != 1 for l in g.lengths):
         raise SecularError(
             "graph not unilateral and lengths are not integers; "

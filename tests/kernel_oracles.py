@@ -489,7 +489,7 @@ def reference_detectable_spectrum(g: MetricGraph, k_max: float,
         pending_flag = False
 
     eps = 1e-4
-    candidates = _edge_pole_candidates(g, k_max)
+    candidates = _edge_pole_candidates([float(l) for l in g.lengths], k_max)
     if interior_vertices(g):
         poles: list[float] = []
         prev = None

@@ -110,6 +110,16 @@ class TestBasicVerbs:
             assert code == 2 and out == ""
             assert "5001 vertices, above the bound of 120" in err
 
+    def test_unit_edge_budget_covers_unit_inputs(self, tmp_path, capsys, monkeypatch):
+        # six parallel unit edges need no subdivision, but are counted too
+        path = tmp_path / "six.g"
+        path.write_text("graph six\nvertex a\nvertex b\n" + "edge a b\n" * 6)
+        monkeypatch.setattr(specgraph.graphs, "MAX_UNIT_EDGES", 5)
+        for verb in ("secular", "spectrum"):
+            code, out, err = invoke(capsys, verb, str(path))
+            assert code == 2 and out == ""
+            assert "6 unit edges, above the budget of 5" in err
+
 
 class TestCompare:
     @pytest.fixture(autouse=True)
@@ -195,6 +205,19 @@ class TestNumericVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("length", ["1e400", "1e-400"])
+    @pytest.mark.parametrize("argv", [("mfun", "--lambda", "1"),
+                                      ("sweep", "--lmin", "-1", "--lmax", "1", "--steps", "5"),
+                                      ("detect", "--kmax", "1")])
+    def test_extreme_length_exits_2(self, tmp_path, capsys, argv, length):
+        # a length whose float overflows, or rounds to 0, is refused by name
+        path = tmp_path / "x.g"
+        path.write_text(f"graph x\nvertex a contact\nvertex b\nedge a a\nedge a b {length}\n")
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: edge 1: length as a float is ")
+        assert "positive finite float with a finite reciprocal" in err
+
 
 class TestSearchVerb:
     def test_search_n4_and_job_independence(self, tmp_path, capsys):
@@ -221,6 +244,14 @@ class TestSearchVerb:
         code, out, err = invoke(capsys, "search", "--vertices", "1", "--key", key)
         assert code == 2 and out == ""
         assert message in err
+
+    def test_max_edges_default_read_at_call_time(self, monkeypatch, capsys):
+        monkeypatch.setattr(specgraph.search, "MULTI_EDGE_BOUND", 3)
+        code, out, _ = invoke(capsys, "search", "--vertices", "2", "--multi", "--key", "ln")
+        assert code == 0
+        assert out == invoke(capsys, "search", "--vertices", "2", "--multi",
+                             "--max-edges", "3", "--key", "ln")[1]
+        assert out.splitlines()[0] == "graphs 7"
 
     def test_jobs_option_is_gone(self, monkeypatch, capsys):
         code, out, err = invoke(capsys, "search", "--vertices", "3", "--jobs", "2")
@@ -394,10 +425,20 @@ def _grid(rows, cols):
     return from_edge_list(rows * cols, edges)
 
 
+_EXCHANGE_FRAME = ("graph frame\nvertex a contact\nvertex b contact\nvertex c\n"
+                   "vertex d contact\nedge a b\nedge b c\nedge c d\n")
+_CLARIFY_BLOCKS = {"edge": "graph e\nvertex a contact\nvertex b contact\nedge a b\n",
+                   "loop": "graph l\nvertex a contact\nedge a a\n",
+                   "pendant": "graph p\nvertex a contact\nvertex b\nedge a b\n"}
+
+
 # sha256 of CLI output: the search and secular lines rest on both exact
 # keys, a change in their bytes means a key, or the way it is printed,
-# changed; the numeric verbs pin their 12-digit floats the same way.
-# Each entry is (argv, graphs written to files appended to argv, digest).
+# changed; the numeric verbs pin their 12-digit floats the same way, and
+# the construct verbs pin the vertex numbering and contact order of graph
+# surgery.  Each entry is (argv, graphs, digest): graph i is written to a
+# file that argv names as {i}, {dir} is the run's directory, and the
+# digest covers stdout followed by every file the run wrote, by name.
 PINNED_OUTPUTS = {
     "search-secular-6": (["search", "--vertices", "6", "--key", "secular"], (),
                          "6f597da2c1b7feb6d4368b52462163321a4263ba75453d3b0b915dd974bcc563"),
@@ -409,24 +450,44 @@ PINNED_OUTPUTS = {
                     "2658c18041e2783afd6f8818a6aeae9674ca5fa55aa1cbd932a4140bec4fbe02"),
     "search-multi-4-7": (["search", "--multi", "--vertices", "4", "--max-edges", "7"], (),
                          "7b8279c7af2ad676398d5f58549bdd2bfef73f6cf7f794cac13aa6d4c53d49d2"),
-    "secular-K5": (["secular"], ("K5",),
+    "secular-K5": (["secular", "{0}"], ("K5",),
                    "e111347a4f74b24da84aaf61149c9773a51ee86f1dee959d505db9df7765f965"),
-    "secular-Gamma1": (["secular"], ("Gamma1",),
+    "secular-Gamma1": (["secular", "{0}"], ("Gamma1",),
                        "5ad6049b34bcdafb389ecc134e111f9d28feb23aa4c238c4465bc0e2422b53d0"),
-    "secular-grid5x5": (["secular"], (lambda: _grid(5, 5),),
+    "secular-grid5x5": (["secular", "{0}"], (lambda: _grid(5, 5),),
                         "fa08ecae838736ee2e23a55161521f50338e29fc8aaaf09c0e8437594b9524de"),
-    "spectrum-Gamma1": (["spectrum"], ("Gamma1",),
+    "spectrum-Gamma1": (["spectrum", "{0}"], ("Gamma1",),
                         "852f4db80cfb8b2375c2a7b9a58eaf1f778600d1390e422a157a8a65509192a8"),
-    "detect-Q1": (["detect", "--kmax", "12.6"], ("Q1",),
+    "detect-Q1": (["detect", "--kmax", "12.6", "{0}"], ("Q1",),
                   "ef1bf66e686d2d501b93f04d7af67599afafc68f71c914f0199452791b97e73b"),
-    "mfun-Q1": (["mfun", "--lambda", "-2"], ("Q1",),
+    "mfun-Q1": (["mfun", "--lambda", "-2", "{0}"], ("Q1",),
                 "1d97f9eaf874127369b28e608330986b89e55b21cd94e1c5e1f2769fb00224ae"),
-    "sweep-Q1": (["sweep", "--lmin", "-5", "--lmax", "60", "--steps", "240"], ("Q1",),
+    "sweep-Q1": (["sweep", "--lmin", "-5", "--lmax", "60", "--steps", "240", "{0}"], ("Q1",),
                  "1ad623ff427e2412b068b32b76ac15b1cc036941af8939010a2863c9291c520f"),
-    "compare-proposition": (["compare", "--mode", "proposition"], ("Gamma1", "Gamma2"),
+    "compare-proposition": (["compare", "--mode", "proposition", "{0}", "{1}"],
+                            ("Gamma1", "Gamma2"),
                             "59962d23d56e440811284e9c5b6e1ccca5f4686b20a3b5288232821d87a1880f"),
-    "compare-discrete": (["compare", "--mode", "discrete"], ("Gamma1", "Gamma2"),
+    "compare-discrete": (["compare", "--mode", "discrete", "{0}", "{1}"], ("Gamma1", "Gamma2"),
                          "3cdfaed35e8fd43d0c39778d4eb9ab4960f3d93d93e8055595860020c1fd63e2"),
+    "construct-glue-K4-S4": (["construct", "glue", "{0}", "{1}", "--pairing", "0:0,1:1,2:2,3:3"],
+                             ("K4", "S4"),
+                             "542e8e19a30c4adf06578b3210ef2a1e7ed85f6a6345c12c6c920e0940275495"),
+    "construct-chop-K5": (["construct", "chop", "{0}", "--vertex", "4", "--parts", "0,1|2,3"],
+                          ("K5",),
+                          "ab724719e431de524334752d5a0d42fe99949c85ae4aa732d1aabee93fb631ab"),
+    "construct-exchange-fig6": (["construct", "exchange", "--frame", "{0}",
+                                 "--slot", "{1}@0:0,1:1", "--slot", "{2}@0:1,1:2",
+                                 "--swap", "0,1"],
+                                (lambda: parse_graph(_EXCHANGE_FRAME),
+                                 "fig6_cycle", "fig6_eight"),
+                                "4c2a7063fd909f5703a8b0ce7d457b3c09494381c66bb5f1c15ca5b9b6b046ce"),
+    "construct-clarify": (["construct", "clarify"]
+                          + [arg for name in "abcd" for arg in (f"--block-{name}", "{0}")]
+                          + ["--block-e", "{1}", "--block-f", "{2}",
+                             "--out1", "{dir}/out1.g", "--out2", "{dir}/out2.g"],
+                          tuple((lambda text=text: parse_graph(text))
+                                for text in _CLARIFY_BLOCKS.values()),
+                          "7a8b3a1cc1cc986cce4be40d00f385ac8101ccbeaa67ff0c441ecacc71b24ffe"),
 }
 
 
@@ -434,11 +495,14 @@ PINNED_OUTPUTS = {
 def test_output_bytes_pinned(case, tmp_path, capsys):
     # a graph is a catalog id or a function that builds it
     argv, graphs, digest = PINNED_OUTPUTS[case]
-    argv = list(argv)
+    paths = []
     for i, graph in enumerate(graphs):
         path = tmp_path / f"g{i}.g"
         path.write_text(format_graph(catalog(graph) if isinstance(graph, str) else graph()))
-        argv.append(str(path))
-    code, out, _ = invoke(capsys, *argv)
+        paths.append(str(path))
+    inputs = set(tmp_path.iterdir())
+    code, out, _ = invoke(capsys, *(arg.format(*paths, dir=tmp_path) for arg in argv))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    written = sorted(set(tmp_path.iterdir()) - inputs)
+    data = out.encode() + b"".join(path.read_bytes() for path in written)
+    assert hashlib.sha256(data).hexdigest() == digest

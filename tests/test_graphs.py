@@ -27,20 +27,32 @@ class TestValidate:
     def test_single_edge_ok(self):
         assert validate(from_edge_list(2, [(0, 1)])) == []
 
-    def test_endpoint_in_two_classes(self):
-        g = MetricGraph((Fraction(1),), ((0, 1), (1,)), ())
-        assert any("multiple classes" in p for p in validate(g))
+    def test_ends_and_lengths_disagree(self):
+        g = MetricGraph((Fraction(1), Fraction(2)), ((0, 1),), ())
+        assert "1 edge ends for 2 lengths" in validate(g)
+
+    def test_vertex_meeting_no_edge(self):
+        g = MetricGraph((Fraction(1),), ((0, 2),), ())
+        assert validate(g) == ["vertex 1 meets no edge"]
+        with pytest.raises(GraphError, match="every vertex"):
+            from_edge_list(3, [(0, 2)])
+
+    def test_negative_vertex_index(self):
+        g = MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (-1, 1)), ())
+        assert validate(g) == ["negative vertex index on edge 1"]
+        with pytest.raises(GraphError, match="unknown vertex"):
+            from_edge_list(2, [(0, 1), (-1, 1)])
 
     def test_nonpositive_length(self):
-        g = MetricGraph((Fraction(0),), ((0,), (1,)), ())
+        g = MetricGraph((Fraction(0),), ((0, 1),), ())
         assert any("nonpositive length" in p for p in validate(g))
         with pytest.raises(GraphError, match="nonpositive"):
             from_edge_list(2, [(0, 1, 0)])
 
     def test_bad_contacts(self):
-        g = MetricGraph((Fraction(1),), ((0,), (1,)), (5,))
+        g = MetricGraph((Fraction(1),), ((0, 1),), (5,))
         assert any("out of range" in p for p in validate(g))
-        g = MetricGraph((Fraction(1),), ((0,), (1,)), (0, 0))
+        g = MetricGraph((Fraction(1),), ((0, 1),), (0, 0))
         assert any("duplicate contact" in p for p in validate(g))
 
 

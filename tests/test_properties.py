@@ -3,9 +3,10 @@
 A relabelled copy of a graph permutes its vertices, reorders its edges
 and reverses some of them.  Both exact keys and the canonical form must
 not see any of it.  Components and Betti numbers agree between a metric
-graph, its discrete shadow and networkx.  The automorphisms that the
-canonical search reports are checked against a brute-force automorphism
-group.
+graph, its discrete shadow and networkx.  The endpoint classes derived
+from a graph's edge list partition its endpoints.  The automorphisms
+that the canonical search reports are checked against a brute-force
+automorphism group.
 """
 
 from fractions import Fraction
@@ -115,6 +116,19 @@ class TestComponents:
         assert components(g) == nx.number_connected_components(nxg)
         assert betti(g) == discrete_betti(to_discrete(g))
         assert betti(g) == g.n_edges - g.n_vertices + nx.number_connected_components(nxg)
+
+
+class TestDerivedVertices:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(multigraphs())
+    def test_vertices_partition_the_endpoints(self, g):
+        # endpoint 2i sits at ends[i][0] and 2i+1 at ends[i][1]
+        flat = sorted(p for cls in g.vertices for p in cls)
+        assert flat == list(range(2 * g.n_edges))
+        assert len(g.vertices) == g.n_vertices
+        for v, cls in enumerate(g.vertices):
+            assert list(cls) == sorted(cls) and cls
+            assert all(g.ends[p // 2][p % 2] == v for p in cls)
 
 
 @st.composite

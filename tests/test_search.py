@@ -114,6 +114,16 @@ class TestEnumerateMulti:
             next(enumerate_connected_multi(9, 10))
         assert built == []
 
+    def test_canonical_bound_read_at_call_time(self, monkeypatch):
+        # a lowered bound in graphs is the one the up-front check reads
+        built = []
+        monkeypatch.setattr(specgraph.search, "discrete_from_adj",
+                            lambda adj: built.append(adj))
+        monkeypatch.setattr(specgraph.graphs, "CANONICAL_BOUND", 3)
+        with pytest.raises(GraphError, match="canonical forms need n <= 3, got 4"):
+            next(enumerate_connected_multi(4, 5))
+        assert built == []
+
     @pytest.mark.parametrize("n, m_max, classes", [(1, 5, 5), (2, 6, 34), (3, 6, 93),
                                                    (4, 6, 149), (5, 5, 23)])
     def test_classes_match_labelled_brute_force(self, n, m_max, classes, monkeypatch):
