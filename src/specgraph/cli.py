@@ -24,8 +24,7 @@ from .discrete import ln_charpoly, proposition_check
 from .exact import ExactError
 from .graphs import (GraphError, MetricGraph, chop_vertex, format_graph, glue,
                      parse_graph, to_discrete, validate)
-from .mfunction import (DETECT_GRID_STEP, DETECT_REFINE_TOL, detectable_spectrum,
-                        m_function, steklov_sweep)
+from .mfunction import detectable_spectrum, m_function, steklov_sweep
 from .search import classify, enumerate_connected_multi, enumerate_connected_simple
 from .secular import metric_isospectral, secular_poly, spectrum_report
 
@@ -91,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detectable eigenvalues from M-function zeros")
     p.add_argument("file")
     p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--step", type=float, default=DETECT_GRID_STEP)
-    p.add_argument("--tol", type=float, default=DETECT_REFINE_TOL)
+    # None: detectable_spectrum reads DETECT_GRID_STEP and DETECT_REFINE_TOL
+    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("search", help="enumerate small graphs and classify spectra")
     p.add_argument("--vertices", type=int, required=True)

@@ -23,14 +23,13 @@ one-lambda case; `tests/kernel_oracles.py` keeps the per-lambda assembly
 from 2x2 edge blocks (`edge_m_block`), with a singular-value conditioning
 test, as the oracle.
 
-`detectable_spectrum` runs on one kernel throughout: its k grid is one
-stacked evaluation, and its bisection is level-synchronous, so the
-midpoints of every open bracket of a level are evaluated together.  The
-grid and both bisections (Steklov and interior-pole) read `_counts`.
-Only the +-_PROBE_EPS crossing probes at each refined point and pole
-candidate stay one-lambda `steklov_eigs` calls: they are few, taken
-lazily in depth-first order, and they keep `m_function` visible to an
-outside tracer of detect.
+One `detect` is one kernel: `detectable_spectrum` builds a `_Kernel` for
+its k grid and takes every later sample from it.  The grid is one
+stacked evaluation; the Steklov and interior-pole bisections run as one
+level-synchronous loop, so the midpoints of every open bracket of a
+level, of both kinds, are evaluated together; and the +-_PROBE_EPS
+crossing probes of all refined points and pole candidates are one more
+stacked evaluation, read in depth-first order afterwards.
 
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
@@ -61,12 +60,21 @@ CLUSTER_TOL = 1e-7
 #: detect pole probes may take; checked before any sample is built
 MAX_DETECT_SAMPLES = 100_000
 
-#: detect's default k grid step and refinement tolerance
+#: detect's default k grid step and refinement tolerance, read when
+#: detectable_spectrum is called without them
 DETECT_GRID_STEP = 0.01
 DETECT_REFINE_TOL = 1e-8
 
 #: lambdas per stacked evaluation, which bounds its working arrays
 _CHUNK = 256
+
+#: most vertices a graph may have for an M-function, checked before any
+#: array is built: a chunk holds _CHUNK dense n x n matrices, so memory
+#: grows like n^2.  `detect --kmax 3` on a path with one contact (one
+#: run each, shared 2-core x86, Python 3.11, numpy 2.4) takes 4.9 s and
+#: 92 MiB peak RSS at 100 vertices, 13.4 s and 179 MiB at 150, and 27 s
+#: and 270 MiB at 200, the largest input admitted.
+MAX_MFUNCTION_VERTICES = 200
 
 #: sample set of every equivalence check: the negative half line is
 #: pole-free, a few positive values catch sign conventions.
@@ -177,6 +185,9 @@ class _Kernel:
         if not g.contacts:
             raise GraphError("empty contact set")
         n = self.n = g.n_vertices
+        if n > MAX_MFUNCTION_VERTICES:
+            raise GraphError(f"graph has {n} vertices, above the bound of "
+                             f"{MAX_MFUNCTION_VERTICES} for M-functions")
         lengths = _float_lengths(g)
         distinct = sorted(set(lengths))
         row = {l: i for i, l in enumerate(distinct)}
@@ -348,53 +359,63 @@ def _counts(kernel: _Kernel, ks: Sequence[float]
 _Bracket = tuple[tuple[int, ...], float, int, float, int]
 
 
-def _bisect(brackets: list[_Bracket],
-            counts: Callable[[list[float]], list[int | None]],
-            settled: Callable[[int, int], bool],
-            refine_tol: float) -> tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]:
-    """Bisect every bracket level by level; returns (leaves, skipped midpoints).
+def _bisect(groups: Sequence[list[_Bracket]],
+            counts: Callable[[list[float]], Sequence[list[int | None]]],
+            settled: Sequence[Callable[[int, int], bool]],
+            refine_tol: float
+            ) -> list[tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]]:
+    """Bisect the brackets of every group level by level.
 
-    A bracket with settled(n1, n2) holds nothing and is dropped.  One at
-    most refine_tol wide, or with no float strictly between its ends, is a
-    leaf.  Every other bracket is split at 0.5 * (k1 + k2), and the counts
-    at all midpoints of a level come from one call of `counts`.  Where a
-    count is None the midpoint is shifted by 1% of the width and retried,
-    all retries of a level in one more call; if that fails too, the
-    bracket is skipped.  Leaves and skipped midpoints are sorted by path,
-    which is the order a depth-first recursion would meet them in.
+    Group j reads the j-th count list that `counts` returns and drops a
+    bracket with settled[j](n1, n2), which holds nothing.  A bracket at
+    most refine_tol wide, or with no float strictly between its ends, is
+    a leaf.  Every other bracket is split at 0.5 * (k1 + k2), and the
+    counts at all midpoints of a level, of every group, come from one
+    call of `counts`.  Where a bracket's count is None the midpoint is
+    shifted by 1% of the width and retried, all retries of a level in one
+    more call; if that fails too, the bracket is skipped.  Returns
+    (leaves, skipped midpoints) per group, each sorted by path, which is
+    the order a depth-first recursion would meet them in.
     """
-    leaves: list[_Bracket] = []
-    skipped: list[tuple[tuple[int, ...], float]] = []
+    out: list[tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]] = [
+        ([], []) for _ in groups]
+    brackets = [(j, bracket) for j, group in enumerate(groups) for bracket in group]
     while brackets:
-        split: list[_Bracket] = []
+        split: list[tuple[int, _Bracket]] = []
         mids: list[float] = []
-        for bracket in brackets:
+        for j, bracket in brackets:
             _, k1, n1, k2, n2 = bracket
-            if settled(n1, n2):
+            if settled[j](n1, n2):
                 continue
             mid = 0.5 * (k1 + k2)
             if k2 - k1 <= refine_tol or not k1 < mid < k2:
-                leaves.append(bracket)
+                out[j][0].append(bracket)
             else:
-                split.append(bracket)
+                split.append((j, bracket))
                 mids.append(mid)
-        n_mids = counts(mids)
+        if not split:
+            break
+        level = counts(mids)
+        n_mids = [level[j][i] for i, (j, _) in enumerate(split)]
         retry = [i for i, n in enumerate(n_mids) if n is None]
         if retry:
             for i in retry:
-                _, k1, _, k2, _ = split[i]
+                _, (_, k1, _, k2, _) = split[i]
                 mids[i] += 0.01 * (k2 - k1)
-            for i, n in zip(retry, counts([mids[i] for i in retry])):
-                n_mids[i] = n
+            level = counts([mids[i] for i in retry])
+            for r, i in enumerate(retry):
+                n_mids[i] = level[split[i][0]][r]
         brackets = []
-        for (path, k1, n1, k2, n2), mid, n in zip(split, mids, n_mids):
+        for (j, (path, k1, n1, k2, n2)), mid, n in zip(split, mids, n_mids):
             if n is None:
-                skipped.append((path, mid))
+                out[j][1].append((path, mid))
             else:
-                brackets += [(path + (0,), k1, n1, mid, n), (path + (1,), mid, n, k2, n2)]
-    leaves.sort(key=lambda b: b[0])
-    skipped.sort(key=lambda s: s[0])
-    return leaves, skipped
+                brackets += [(j, (path + (0,), k1, n1, mid, n)),
+                             (j, (path + (1,), mid, n, k2, n2))]
+    for leaves, skipped in out:
+        leaves.sort(key=lambda b: b[0])
+        skipped.sort(key=lambda s: s[0])
+    return out
 
 
 #: half-width in k of the crossing probes around a refined point or pole:
@@ -411,28 +432,36 @@ _POLE_MAGNITUDE = 1e4
 
 
 def detectable_spectrum(g: MetricGraph, k_max: float,
-                        grid_step: float = DETECT_GRID_STEP,
-                        refine_tol: float = DETECT_REFINE_TOL) -> DetectionResult:
+                        grid_step: float | None = None,
+                        refine_tol: float | None = None) -> DetectionResult:
     """Detectable eigenvalues k in (grid_step, k_max] with multiplicities.
 
     Tracks the number of negative Steklov eigenvalues along a k grid and
     bisects every net decrease; the drop across the refined bracket is the
-    multiplicity.  Crossings sitting exactly at an edge pole (k a multiple
-    of pi over an edge length) are invisible to the count, so those
-    candidate points are checked separately by counting branches that pass
-    through zero from both sides of the pole.  Remaining brackets with
-    flagged singular samples are skipped and reported; the exact secular
-    route is the authority for zeros merged with interior poles.  The grid
-    and the edge poles probed may each hold at most MAX_DETECT_SAMPLES
-    points; more raise GraphError before any sample is taken.
+    multiplicity.  Crossings sitting exactly at a pole (an edge pole, k a
+    multiple of pi over an edge length, or an interior Dirichlet
+    eigenvalue, located by bisecting the drops of the interior block's
+    negative count) are invisible to the count, so those candidate points
+    are checked separately by counting branches that pass through zero
+    from both sides of the pole.  Remaining brackets with flagged singular
+    samples are skipped and reported; the exact secular route is the
+    authority for zeros merged with interior poles.  The grid and the
+    edge poles probed may each hold at most MAX_DETECT_SAMPLES points;
+    more raise GraphError before any sample is taken.  grid_step and
+    refine_tol default to DETECT_GRID_STEP and DETECT_REFINE_TOL as they
+    are when called.
 
-    Bisection goes level by level: each round evaluates the midpoints of
-    all open brackets in one stacked call on the grid's kernel (see
-    `_bisect`).  Refined points, multiplicities, notes and the order of
-    the crossing probes (hence of their warnings) are those of a
-    depth-first refinement, bracket by bracket.  The probes themselves
-    are one-lambda `steklov_eigs` calls.
+    Every sample comes from one kernel: the grid, then each level of both
+    bisections (see `_bisect`), then the crossing probes of every refined
+    point and every pole candidate, one stacked evaluation each.  Refined
+    points, multiplicities, notes, errors and warnings are those of a
+    depth-first refinement that probes bracket by bracket: the probes are
+    read in that order, and a candidate the skip rule drops is never read.
     """
+    if grid_step is None:
+        grid_step = DETECT_GRID_STEP
+    if refine_tol is None:
+        refine_tol = DETECT_REFINE_TOL
     if not g.contacts:
         raise GraphError("empty contact set")
     if not (math.isfinite(grid_step) and grid_step > 0):
@@ -445,7 +474,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     kernel = _Kernel(g)
     lengths = kernel.lengths.tolist()
     _check_samples(sum(k_max * l / math.pi for l in lengths))
-    raw: list[tuple[float, int, bool]] = []
     notes: list[tuple[tuple[int, ...], str]] = []
 
     # The grid is accumulated, k += grid_step, drift included: printed
@@ -457,8 +485,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         ks.append(k)
         k += grid_step
     counts, interior = _counts(kernel, ks)
-    # interior counts are read only where M exists
-    interior_counts = [m if n is not None else None for n, m in zip(counts, interior)]
 
     brackets: list[_Bracket] = []
     prev: tuple[float, int] | None = None
@@ -479,28 +505,44 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         prev = (k, n)
         pending_flag = False
 
-    leaves, skipped = _bisect(brackets, lambda mids: _counts(kernel, mids)[0],
-                              operator.eq, refine_tol)
+    # The interior block C(lambda) has nondecreasing eigenvalue branches
+    # between edge poles, so its zero crossings, the interior Dirichlet
+    # poles, are bracketed by drops of its negative count, read only
+    # where M exists.
+    pole_brackets: list[_Bracket] = []
+    prev = None
+    for i, (k, n, m) in enumerate(zip(ks, counts, interior)):
+        if n is None or m is None:
+            prev = None
+            continue
+        if prev is not None and prev[1] > m:
+            pole_brackets.append(((i,), prev[0], prev[1], k, m))
+        prev = (k, m)
+
+    (leaves, skipped), (poles, _) = _bisect(
+        [brackets, pole_brackets], lambda mids: _counts(kernel, mids),
+        (operator.eq, operator.le), refine_tol)
     notes += [(path, f"singular midpoints near k={mid:.6g}; bracket skipped")
               for path, mid in skipped]
     notes.sort(key=lambda note: note[0])
-    for _, k1, n1, k2, n2 in leaves:
-        # a negative net change this tight is a pole, not a crossing
-        if n1 > n2:
-            k0 = (k1 + k2) / 2
-            mult, at_pole = _crossing_multiplicity(g, k0, n1 - n2)
-            raw.append((k0, mult, at_pole))
 
+    # a negative net change this tight is a pole, not a crossing
+    drops = [((k1 + k2) / 2, n1 - n2) for _, k1, n1, k2, n2 in leaves if n1 > n2]
     # crossings exactly at a pole may not change the negative count at all
     # (the pole jump cancels them), so pole locations are probed explicitly
     candidates = _edge_pole_candidates(lengths, k_max)
-    candidates += _interior_pole_candidates(kernel, ks, interior_counts, refine_tol)
-    for k0 in sorted(candidates):
-        if k0 <= grid_step + _PROBE_EPS:
-            continue
+    candidates += [(k1 + k2) / 2 for _, k1, _, k2, _ in poles]
+    candidates = [k0 for k0 in sorted(candidates) if k0 > grid_step + _PROBE_EPS]
+    probes = _probes(kernel, [k0 for k0, _ in drops] + candidates)
+
+    raw: list[tuple[float, int, bool]] = []
+    for (k0, drop), (before, after) in zip(drops, probes):
+        mult, at_pole = _crossing_multiplicity(k0, before, after, drop)
+        raw.append((k0, mult, at_pole))
+    for k0, (before, after) in zip(candidates, probes[len(drops):]):
         if any(abs(k0 - kp) < 10 * _PROBE_EPS for kp, _, _ in raw):
             continue
-        mult, _ = _crossing_multiplicity(g, k0, 0)
+        mult, _ = _crossing_multiplicity(k0, before, after, 0)
         if mult > 0:
             raw.append((k0, mult, True))
 
@@ -536,32 +578,6 @@ def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]
                 out.insert(i, k0)
             m += 1
     return out
-
-
-def _interior_pole_candidates(kernel: _Kernel, ks: Sequence[float],
-                              counts: Sequence[int | None],
-                              refine_tol: float) -> list[float]:
-    """Interior Dirichlet eigenvalues in k, the poles of the Schur complement.
-
-    The interior block C(lambda) has nondecreasing eigenvalue branches
-    between edge poles, so its zero crossings are bracketed by the drop in
-    its negative-eigenvalue count, exactly like the detectable spectrum.
-    counts[i] is that count at ks[i] (None to skip the point).
-    """
-    if not len(kernel.inner):
-        return []
-    brackets: list[_Bracket] = []
-    prev: tuple[float, int] | None = None
-    for i, (k, n) in enumerate(zip(ks, counts)):
-        if n is None:
-            prev = None
-            continue
-        if prev is not None and prev[1] > n:
-            brackets.append(((i,), prev[0], prev[1], k, n))
-        prev = (k, n)
-    leaves, _ = _bisect(brackets, lambda mids: _counts(kernel, mids)[1],
-                        operator.le, refine_tol)
-    return [(k1 + k2) / 2 for _, k1, _, k2, _ in leaves]
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +636,31 @@ def _sample_matrices(graphs: Sequence[MetricGraph]
             yield lam, [c.matrices[i] for c in chunks]
 
 
-def _crossing_multiplicity(g: MetricGraph, k: float,
+def _probes(kernel: _Kernel, ks: Sequence[float]
+            ) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Steklov eigenvalues at (k - _PROBE_EPS)^2 and (k + _PROBE_EPS)^2 for
+    every k, None where M is singular, from one stacked evaluation."""
+    lams = [lam for k in ks for lam in ((k - _PROBE_EPS) ** 2, (k + _PROBE_EPS) ** 2)]
+    eigs = [e if ok else None for chunk in kernel.chunks(lams, eigs=True)
+            for ok, e in zip(chunk.regular, chunk.eigs)]
+    return list(zip(eigs[0::2], eigs[1::2]))
+
+
+def _crossing_multiplicity(k: float, before: np.ndarray | None,
+                           after: np.ndarray | None,
                            fallback: int | None) -> tuple[int, bool]:
     """Branches crossing zero at k, robust to a pole sitting at k.
 
-    Away from poles the drop in the negative-eigenvalue count across the
-    bracket (the fallback) is authoritative; a fallback of None takes
-    that drop, clamped at 0, from the two probes at k -+ _PROBE_EPS.  At
-    a pole, branches passing straight through zero are O(eps) on both
-    sides while pole branches are O(1/eps), so small negatives before and
-    small positives after are counted instead.  Returns (multiplicity,
-    pole seen).
+    before and after are the Steklov eigenvalues of the two probes at
+    k -+ _PROBE_EPS (see `_probes`); a singular probe raises
+    SingularSampleError.  Away from poles the drop in the
+    negative-eigenvalue count across the bracket (the fallback) is
+    authoritative; a fallback of None takes that drop, clamped at 0, from
+    the probes.  At a pole, branches passing straight through zero are
+    O(eps) on both sides while pole branches are O(1/eps), so small
+    negatives before and small positives after are counted instead.
+    Returns (multiplicity, pole seen).
     """
-    before = steklov_eigs(g, (k - _PROBE_EPS) ** 2)
-    after = steklov_eigs(g, (k + _PROBE_EPS) ** 2)
     if before is None or after is None:
         raise SingularSampleError(f"singular bracket around k={k:.6g}")
     if max(np.max(np.abs(before)), np.max(np.abs(after))) < _POLE_MAGNITUDE:
@@ -653,13 +680,15 @@ def invisible_multiplicity(g: MetricGraph, k: float) -> int:
     """Secular multiplicity at the fundamental root k minus detectable part.
 
     The detectable part is the number of Steklov branches crossing zero at
-    k, counted pole-robustly from both sides of a tight bracket.
+    k, counted pole-robustly from both probes around k, which are one
+    2-lambda evaluation.
     """
     report = spectrum_report(g)
     sec = report.multiplicity_at(k)
     if sec == 0:
         raise GraphError(f"k={k:.6g} is not a fundamental root")
-    det, _ = _crossing_multiplicity(g, k, None)
+    [(before, after)] = _probes(_Kernel(g), [k])
+    det, _ = _crossing_multiplicity(k, before, after, None)
     invisible = sec - det
     if invisible < 0:
         warnings.warn(

@@ -28,8 +28,13 @@ built on.
 Fraction arithmetic with monic gcds; the library runs it in Z[x] on
 primitive pseudo-remainders.  `reference_detectable_spectrum` is detect
 as a depth-first recursion, `reference_refine`, that counts at one
-midpoint at a time through `reference_m_function`; the library bisects
-all brackets of a level at once on the stacked kernel.
+midpoint at a time through `reference_m_function`, and probes each
+refined point or pole candidate when it reaches it with
+`reference_crossing_multiplicity`, two more one-lambda evaluations; the
+library bisects all brackets of a level at once on the stacked kernel
+and takes every probe of one detect from one stacked evaluation.
+`reference_invisible_multiplicity` is `invisible_multiplicity` on the
+same one-lambda probes.
 `metric_isomorphic` decides isomorphism of small metric graphs by brute
 force over all n! vertex bijections.
 """
@@ -37,6 +42,7 @@ force over all n! vertex bijections.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +55,10 @@ from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGr
                        ProjectivePoly, canonical_form, components, discrete_from_adj,
                        polymat_det, poly_normalize, spectrum_report, to_discrete,
                        unit_subdivided)
-from specgraph.mfunction import (DETECT_GRID_STEP, DETECT_REFINE_TOL, EDGE_SINGULAR_TOL,
-                                 INTERIOR_COND_LIMIT, DetectionResult, _check_samples,
-                                 _crossing_multiplicity, _edge_pole_candidates)
+from specgraph.mfunction import (_POLE_MAGNITUDE, _PROBE_EPS, _PROBE_WINDOW, DETECT_GRID_STEP,
+                                 DETECT_REFINE_TOL, EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT,
+                                 DetectionResult, SingularSampleError, _check_samples,
+                                 _edge_pole_candidates)
 
 
 @dataclass(frozen=True)
@@ -429,15 +436,62 @@ def _reference_interior_count(g: MetricGraph, k: float) -> int | None:
     return int(np.sum(np.linalg.eigvalsh(t[np.ix_(inner, inner)]) < 0.0))
 
 
+def _reference_steklov_eigs(g: MetricGraph, lam: float) -> np.ndarray | None:
+    ev = reference_m_function(g, lam)
+    return np.linalg.eigvalsh(ev.matrix) if ev.regular else None
+
+
+def reference_crossing_multiplicity(g: MetricGraph, k: float,
+                                    fallback: int | None) -> tuple[int, bool]:
+    """Branches crossing zero at k from two one-lambda probes at k -+ eps.
+
+    No pole (every probe eigenvalue below the pole magnitude): the
+    fallback, or with None the drop of the negative count between the
+    probes, clamped at 0.  A pole: the small negatives before and the
+    small positives after, the smaller of the two, with a warning when
+    they differ.  A singular probe raises SingularSampleError.
+    """
+    before = _reference_steklov_eigs(g, (k - _PROBE_EPS) ** 2)
+    after = _reference_steklov_eigs(g, (k + _PROBE_EPS) ** 2)
+    if before is None or after is None:
+        raise SingularSampleError(f"singular bracket around k={k:.6g}")
+    if max(np.max(np.abs(before)), np.max(np.abs(after))) < _POLE_MAGNITUDE:
+        if fallback is None:
+            fallback = max(int(np.sum(before < 0.0) - np.sum(after < 0.0)), 0)
+        return fallback, False
+    nb = int(np.sum((before > -_PROBE_WINDOW) & (before < 0.0)))
+    na = int(np.sum((after < _PROBE_WINDOW) & (after > 0.0)))
+    if nb != na:
+        warnings.warn(
+            f"asymmetric crossing count at pole k={k:.6g}: {nb} before, {na} after",
+            stacklevel=2)
+    return min(nb, na), True
+
+
+def reference_invisible_multiplicity(g: MetricGraph, k: float) -> int:
+    """Secular multiplicity at k minus the one-lambda crossing count, at least 0."""
+    sec = spectrum_report(g).multiplicity_at(k)
+    if sec == 0:
+        raise GraphError(f"k={k:.6g} is not a fundamental root")
+    det, _ = reference_crossing_multiplicity(g, k, None)
+    if det > sec:
+        warnings.warn(
+            f"detectable multiplicity {det} exceeds secular multiplicity {sec} "
+            f"at k={k:.6g}; clamping to 0", stacklevel=2)
+        return 0
+    return sec - det
+
+
 def reference_detectable_spectrum(g: MetricGraph, k_max: float,
                                   grid_step: float = DETECT_GRID_STEP,
                                   refine_tol: float = DETECT_REFINE_TOL
                                   ) -> DetectionResult:
-    """detectable_spectrum with every count taken at one k at a time.
+    """detectable_spectrum with every count and probe taken at one k at a time.
 
-    Grid counts, midpoint counts and interior-block counts all come from
-    the per-lambda oracle; every bracket is refined depth first, and the
-    crossing multiplicity of a leaf is taken as soon as it is reached.
+    Grid counts, midpoint counts, interior-block counts and crossing
+    probes all come from the per-lambda oracle; every bracket is refined
+    depth first, and the crossing multiplicity of a leaf is taken as soon
+    as it is reached.
     """
     if not g.contacts:
         raise GraphError("empty contact set")
@@ -462,7 +516,7 @@ def reference_detectable_spectrum(g: MetricGraph, k_max: float,
         drop = n1 - n2
         if drop > 0:
             k0 = (k1 + k2) / 2
-            mult, at_pole = _crossing_multiplicity(g, k0, drop)
+            mult, at_pole = reference_crossing_multiplicity(g, k0, drop)
             raw.append((k0, mult, at_pole))
 
     def on_skip(mid: float) -> None:
@@ -511,7 +565,7 @@ def reference_detectable_spectrum(g: MetricGraph, k_max: float,
             continue
         if any(abs(k0 - kp) < 10 * eps for kp, _, _ in raw):
             continue
-        mult, _ = _crossing_multiplicity(g, k0, 0)
+        mult, _ = reference_crossing_multiplicity(g, k0, 0)
         if mult > 0:
             raw.append((k0, mult, True))
 

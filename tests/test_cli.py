@@ -205,6 +205,33 @@ class TestNumericVerbs:
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 
+    def test_detect_defaults_read_at_call_time(self, tmp_path, capsys, monkeypatch):
+        # a grid step of pi/8 puts the eighth sample on the edge pole pi
+        path = tmp_path / "p2.g"
+        path.write_text(format_graph(catalog("path_2"), name="path_2"))
+        monkeypatch.setattr(specgraph.mfunction, "DETECT_GRID_STEP", math.pi / 8)
+        code, out, _ = invoke(capsys, "detect", str(path), "--kmax", "4.0")
+        assert code == 0
+        assert out.endswith("# warning: singular sample at k=3.14159\n")
+        assert out == invoke(capsys, "detect", str(path), "--kmax", "4.0",
+                             "--step", repr(math.pi / 8), "--tol", "1e-8")[1]
+        monkeypatch.setattr(specgraph.mfunction, "DETECT_REFINE_TOL", -1.0)
+        code, out, err = invoke(capsys, "detect", str(path), "--kmax", "4.0")
+        assert code == 2 and out == ""
+        assert err == "error: refinement tolerance must be non-negative, got -1.0\n"
+
+    @pytest.mark.parametrize("argv", [("mfun", "--lambda", "1"),
+                                      ("sweep", "--lmin", "-1", "--lmax", "1", "--steps", "5"),
+                                      ("detect", "--kmax", "3")])
+    def test_m_function_vertex_bound_exits_2(self, tmp_path, capsys, argv):
+        # a path of 201 vertices is refused before any array is built
+        path = tmp_path / "path.g"
+        path.write_text(format_graph(from_edge_list(201, [(i, i + 1) for i in range(200)],
+                                                    contacts=(0,)), name="path"))
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: graph has 201 vertices, above the bound of 200 for M-functions\n"
+
     @pytest.mark.parametrize("length", ["1e400", "1e-400"])
     @pytest.mark.parametrize("argv", [("mfun", "--lambda", "1"),
                                       ("sweep", "--lmin", "-1", "--lmax", "1", "--steps", "5"),

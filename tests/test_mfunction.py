@@ -11,18 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specgraph.mfunction
-from specgraph import (GraphError, SingularSampleError, detectable_spectrum,
+from specgraph import (DetectionResult, GraphError, SingularSampleError, detectable_spectrum,
                        from_edge_list, glue,
                        invisible_multiplicity, m_function, method3_verify,
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
-from specgraph.constructions import catalog
-from specgraph.mfunction import _bisect, _counts, _Kernel
+from specgraph.constructions import CATALOG_IDS, catalog
+from specgraph.mfunction import (_CHUNK, _PROBE_EPS, _bisect, _counts, _edge_pole_candidates,
+                                 _Kernel, _probes)
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (edge_m_block, interior_vertices, reference_assemble,
-                            reference_detectable_spectrum, reference_m_function,
-                            reference_refine)
+                            reference_detectable_spectrum, reference_invisible_multiplicity,
+                            reference_m_function, reference_refine)
+
+CONTACT_CATALOG = [name for name in CATALOG_IDS if catalog(name).contacts]
 
 
 def regular_k_samples(count, lo=0.1, hi=3.0, avoid=0.05):
@@ -234,7 +237,7 @@ class TestBisection:
 
         roots = [((i,), k1, count(k1), k2, count(k2))
                  for i, (k1, k2) in enumerate(zip(grid, grid[1:]))]
-        leaves, skipped = _bisect(roots, counts, settled, refine_tol)
+        [(leaves, skipped)] = _bisect([roots], lambda ks: [counts(ks)], [settled], refine_tol)
         ref_leaves, ref_skipped = [], []
         for _, k1, n1, k2, n2 in roots:
             reference_refine(k1, n1, k2, n2, count, settled, refine_tol,
@@ -265,6 +268,38 @@ class TestBisection:
         leaves, skipped, _ = self.run_both(operator.le, count, [0.0, 1.0], 1e-4)
         assert skipped == []
         assert len(leaves) == 1 and leaves[0][1] < 0.8 <= leaves[0][3]
+
+    def test_two_groups_share_each_level(self):
+        # a Steklov-rule and an interior-rule group with their own counts
+        # and singular midpoints: 0.5 is singular for both, the retry at
+        # 0.51 recovers, and there the two counts differ (6 and 2)
+        steklov = crossing_count(self.CROSSINGS, self.SINGULAR)
+        interior = crossing_count((0.45, 1.2, 2.6), (0.5, 2.5, 2.51))
+        grid = [0.0, 1.0, 2.0, 3.0]
+        rules = (operator.eq, operator.le)
+        groups = [[((i,), k1, count(k1), k2, count(k2))
+                   for i, (k1, k2) in enumerate(zip(grid, grid[1:]))]
+                  for count in (steklov, interior)]
+        calls = []
+
+        def counts(ks):
+            calls.append(len(ks))
+            return [steklov(k) for k in ks], [interior(k) for k in ks]
+
+        out = _bisect(groups, counts, rules, 1e-3)
+        for (leaves, skipped), count, settled, roots in zip(out, (steklov, interior),
+                                                             rules, groups):
+            ref_leaves, ref_skipped = [], []
+            for _, k1, n1, k2, n2 in roots:
+                reference_refine(k1, n1, k2, n2, count, settled, 1e-3,
+                                 lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
+            assert [leaf[1:] for leaf in leaves] == ref_leaves
+            assert [mid for _, mid in skipped] == ref_skipped
+        assert [mid for _, mid in out[1][1]] == pytest.approx([2.51])
+        assert len(out[1][0]) == 2
+        # both groups share one call per level, plus one for the retries
+        levels = max(len(path) for leaves, _ in out for path, *_ in leaves)
+        assert len(calls) <= levels + 3
 
     def test_detect_equals_depth_first_reference(self):
         # grid steps of pi/8 and pi/12 put grid samples on edge poles, so
@@ -305,11 +340,108 @@ class TestBisection:
             assert seen[kind] >= 1, seen
 
 
+def pole_length(k):
+    """An edge length, as an exact decimal string, whose first edge pole is the float k."""
+    return repr(math.pi / k)
+
+
+def detect_both(g, k_max, *args):
+    """detectable_spectrum and its depth-first oracle, each with its warning texts."""
+    out = []
+    for detect in (detectable_spectrum, reference_detectable_spectrum):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = detect(g, k_max, *args)
+            except SingularSampleError as exc:
+                result = exc
+        out.append((result, [str(w.message) for w in caught]))
+    return out
+
+
+class TestStackedProbes:
+    """The crossing probes of one detect, stacked on its kernel, against
+    one-lambda evaluations."""
+
+    def test_probes_equal_steklov_eigs_bit_for_bit(self):
+        rng = random.Random(4162)
+        graphs = [catalog(name) for name in CONTACT_CATALOG]
+        graphs += [oracle_graph(rng, i) for i in range(40)]
+        # 134 poles of the long edge: more probes than one chunk holds
+        graphs.append(from_edge_list(3, [(0, 1, 1), (1, 2, 60), (0, 2, "3/2")], (0, 2)))
+        seen = Counter()
+        for g in graphs:
+            # refined points, edge poles, points one probe away from an
+            # edge pole (one singular probe each) and arbitrary k
+            poles = _edge_pole_candidates([float(l) for l in g.lengths], 7.0)
+            ks = [k for k, _ in detectable_spectrum(g, 7.0).points] + poles
+            ks += [k + sign * _PROBE_EPS for k in poles[:3] for sign in (-1, 1)]
+            ks += [rng.uniform(0.05, 7.0) for _ in range(5)]
+            probes = _probes(_Kernel(g), ks)
+            assert len(probes) == len(ks)
+            seen["chunks"] = max(seen["chunks"], -(-2 * len(ks) // _CHUNK))
+            for k, pair in zip(ks, probes):
+                for lam, stacked_eigs in zip(((k - _PROBE_EPS) ** 2, (k + _PROBE_EPS) ** 2), pair):
+                    one = steklov_eigs(g, lam)
+                    if one is None:
+                        assert stacked_eigs is None, (g, k)
+                        seen["singular"] += 1
+                    else:
+                        assert np.array_equal(stacked_eigs, one), (g, k)
+                        seen["regular"] += 1
+        assert seen["singular"] >= 100 and seen["regular"] >= 1000, seen
+        assert seen["chunks"] >= 2, seen
+
+    def test_detect_probes_span_two_chunks(self):
+        # 146 edge poles up to k = 11, so the probes of the candidates
+        # alone fill more than one chunk
+        g = from_edge_list(3, [(0, 1, 1), (1, 2, 40), (0, 2, "3/2")], (0, 2))
+        assert len(_edge_pole_candidates([1.0, 40.0, 1.5], 11.0)) > _CHUNK // 2
+        (new, new_warnings), (ref, ref_warnings) = detect_both(g, 11.0, 0.05)
+        assert new == ref
+        assert new_warnings == ref_warnings
+        assert len(new.points) >= 10
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1), (0, 1, pole_length(math.pi + _PROBE_EPS))],
+        [(0, 1, pole_length(math.pi - 5 * _PROBE_EPS)), (0, 1, 1),
+         (0, 1, pole_length(math.pi + _PROBE_EPS))]])
+    def test_singular_probe_raises_in_depth_first_order(self, edges):
+        # an edge pole at pi + eps puts a probe of the pole candidate pi on
+        # a pole; in the second graph a pole warning comes first
+        g = from_edge_list(2, edges, (0, 1))
+        assert steklov_eigs(g, (math.pi + _PROBE_EPS) ** 2) is None
+        (new, new_warnings), (ref, ref_warnings) = detect_both(g, 4.0)
+        assert isinstance(new, SingularSampleError)
+        assert str(new) == str(ref) == "singular bracket around k=3.14159"
+        assert new_warnings == ref_warnings == (
+            [] if len(edges) == 2 else ["asymmetric crossing count at pole k=3.14109: "
+                                        "1 before, 0 after"])
+
+    def test_skipped_singular_candidate_does_not_raise(self):
+        # the candidate pi - 5 eps is a crossing, so the candidates pi and
+        # pi + eps within 10 eps of it are skipped; both of them have a
+        # singular probe, which the stacked evaluation takes but never reads
+        g = from_edge_list(4, [(0, 1, pole_length(math.pi - 5 * _PROBE_EPS)), (2, 3, 1),
+                               (2, 3, pole_length(math.pi + _PROBE_EPS))], (0, 1, 2, 3))
+        candidates = _edge_pole_candidates([float(l) for l in g.lengths], 4.0)
+        assert candidates == [math.pi - 5 * _PROBE_EPS, math.pi, math.pi + _PROBE_EPS]
+        kernel = _Kernel(g)
+        assert [any(e is None for e in pair) for pair in _probes(kernel, candidates)] == [
+            False, True, True]
+        (new, new_warnings), (ref, ref_warnings) = detect_both(g, 4.0)
+        assert new == ref
+        assert new.points == ((math.pi - 5 * _PROBE_EPS, 1),)
+        assert new_warnings == ref_warnings == [
+            "asymmetric crossing count at pole k=3.14109: 2 before, 1 after"]
+
+
 class TestInvisible:
     def test_catalog_cross_validation(self):
-        for name in ("path_2", "path_3", "S2", "S4", "K4", "K5", "Q1", "Q2",
-                     "Gamma1", "Gamma2", "Gamma1p", "Gamma2p",
-                     "figure_eight_unit", "watermelon_stick_unit"):
+        # every catalog graph with contacts: detect + invisible = secular at
+        # each fundamental root, and invisible equals its one-lambda oracle
+        assert len(CONTACT_CATALOG) == 28
+        for name in CONTACT_CATALOG:
             g = catalog(name)
             rep = spectrum_report(g)
             detected = dict()
@@ -317,8 +449,19 @@ class TestInvisible:
                 detected[round(k, 6)] = m
             for k, sec in rep.fundamental_roots:
                 inv = invisible_multiplicity(g, k)
+                assert inv == reference_invisible_multiplicity(g, k), (name, k)
                 det = detected.get(round(k, 6), 0)
                 assert det + inv == sec, (name, k)
+
+    def test_path_4_miss_at_third_turn(self):
+        # today's counts at a known miss: cos(pi x / 3) is nonzero at both
+        # contacts, but an interior pole at the same k hides its crossing,
+        # so detect drops k = pi/3 and counts it invisible
+        g = catalog("path_4")
+        k = math.pi / 3
+        assert spectrum_report(g).multiplicity_at(k) == 1
+        assert all(abs(p - k) > 1e-3 for p, _ in detectable_spectrum(g, 3.2).points)
+        assert invisible_multiplicity(g, k) == reference_invisible_multiplicity(g, k) == 1
 
     def test_first_partner_at_full_turn(self):
         assert invisible_multiplicity(catalog("Gamma1"), 2 * math.pi) == 5
@@ -644,6 +787,40 @@ class TestBudgets:
         monkeypatch.setattr(specgraph.mfunction, "MAX_DETECT_SAMPLES", 100)
         with pytest.raises(GraphError, match="above the budget of 100"):
             detectable_spectrum(g, 4.0, grid_step=0.1)
+
+    def test_detect_defaults_read_at_call_time(self, monkeypatch):
+        # a grid step of pi/8 puts the eighth sample on the edge pole pi
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        monkeypatch.setattr(specgraph.mfunction, "DETECT_GRID_STEP", math.pi / 8)
+        monkeypatch.setattr(specgraph.mfunction, "DETECT_REFINE_TOL", 1e-6)
+        res = detectable_spectrum(g, 4.0)
+        assert res == detectable_spectrum(g, 4.0, math.pi / 8, 1e-6)
+        assert res.warnings == ("singular sample at k=3.14159",)
+        monkeypatch.setattr(specgraph.mfunction, "DETECT_GRID_STEP", 5.0)
+        with pytest.raises(GraphError, match="grid step must be positive"):
+            detectable_spectrum(g, 4.0, grid_step=math.nan)
+        assert detectable_spectrum(g, 4.0) == DetectionResult((), ())
+
+    def test_m_function_vertex_bound(self, monkeypatch):
+        # checked in _Kernel before the lengths are read or any array built
+        path = from_edge_list(6, [(i, i + 1) for i in range(5)], contacts=(0,))
+        monkeypatch.setattr(specgraph.mfunction, "MAX_MFUNCTION_VERTICES", 6)
+        assert m_function(path, -1.0).regular
+        monkeypatch.setattr(specgraph.mfunction, "MAX_MFUNCTION_VERTICES", 5)
+
+        def no_lengths(g):
+            raise AssertionError("lengths read above the vertex bound")
+
+        monkeypatch.setattr(specgraph.mfunction, "_float_lengths", no_lengths)
+        calls = [lambda: m_function(path, -1.0), lambda: steklov_eigs(path, 1.0),
+                 lambda: steklov_sweep(path, -1.0, 1.0, 5),
+                 lambda: detectable_spectrum(path, 3.0),
+                 lambda: steklov_equivalent(path, path),
+                 lambda: invisible_multiplicity(path, math.pi)]
+        for call in calls:
+            with pytest.raises(GraphError,
+                               match="graph has 6 vertices, above the bound of 5 for M-functions"):
+                call()
 
     def test_sweep_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
