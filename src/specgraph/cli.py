@@ -12,10 +12,9 @@ later call in the process.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
-
-import numpy as np
 
 from . import search
 from .constructions import (CATALOG_IDS, ComposedHost, Slot,
@@ -199,7 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if branches is None:
             lines.append(f"{_fmt(lam)},0," + "," * b)
         else:
-            det = float(np.prod(branches))
+            det = math.prod(branches)
             lines.append(f"{_fmt(lam)},1,"
                          + ",".join(_fmt(x) for x in branches)
                          + f",{_fmt(det)}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +58,16 @@ class ProjectivePoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def unit_circle_roots(self) -> tuple[tuple[float, int], ...]:
+        """poly_roots_unit_circle(self), computed once per object.
+
+        The polynomials that `secular_poly`'s cache returns keep their
+        roots until that cache is cleared; UNIT_CIRCLE_TOL is read when
+        they are first computed.
+        """
+        return tuple(poly_roots_unit_circle(self))
 
     def __call__(self, x: Fraction | int) -> Fraction:
         acc = Fraction(0)

@@ -11,12 +11,13 @@ Evaluation is stacked: `_Kernel` takes a whole array of lambdas, builds
 every vertex-indexed derivative map T(lambda) as one array (edge blocks
 once per distinct length, added edge by edge in edge order), and runs
 eigvalsh of the interior block C, the solve, the Schur complement and
-eigvalsh of M as stacked numpy calls, a fixed number of lambdas at a
-time.  C is symmetric, so its one eigvalsh gives both its singular values
-(the conditioning test) and its negative count (whose drops locate the
-interior Dirichlet poles).  Every value is the one a separate evaluation
-at each lambda gives, bit for bit: the stacked LAPACK calls run the same
-routine on each matrix, np.sin and np.cos agree with math.sin and
+eigvalsh of M as stacked numpy calls, chunked by entry budget
+(_CHUNK_ENTRIES array entries per chunk).  C is symmetric, so its one
+eigvalsh gives both its singular values (the conditioning test) and its
+negative count (whose drops locate the interior Dirichlet poles).
+Every value is the one a separate evaluation at each lambda gives, bit
+for bit: the stacked LAPACK calls run the same routine on each matrix,
+whatever else the chunk holds, np.sin and np.cos agree with math.sin and
 math.cos, and the hyperbolic blocks for lambda < 0 stay on math.tanh and
 math.sinh because np.tanh and np.sinh do not.  `m_function` is the
 one-lambda case; `tests/kernel_oracles.py` keeps the per-lambda assembly
@@ -65,16 +66,19 @@ MAX_DETECT_SAMPLES = 100_000
 DETECT_GRID_STEP = 0.01
 DETECT_REFINE_TOL = 1e-8
 
-#: lambdas per stacked evaluation, which bounds its working arrays
-_CHUNK = 256
+#: array entries one stacked evaluation may take: a lambda costs n^2
+#: entries of T plus 8E bincount bins and weights, so a chunk holds
+#: _CHUNK_ENTRIES // (n^2 + 8E) lambdas, and at least one
+_CHUNK_ENTRIES = 1 << 20
 
-#: most vertices a graph may have for an M-function, checked before any
-#: array is built: a chunk holds _CHUNK dense n x n matrices, so memory
-#: grows like n^2.  `detect --kmax 3` on a path with one contact (one
-#: run each, shared 2-core x86, Python 3.11, numpy 2.4) takes 4.9 s and
-#: 92 MiB peak RSS at 100 vertices, 13.4 s and 179 MiB at 150, and 27 s
-#: and 270 MiB at 200, the largest input admitted.
+#: most vertices and edges a graph may have for an M-function, checked
+#: before its lengths are read or any array is built.  The entry budget
+#: keeps each working array of a chunk near 8 MiB, so the bounds cap the
+#: time of one lambda: `detect --kmax 1.5` on a path of 200 vertices with
+#: one contact (25 lambdas per chunk; shared 2-core x86, Python 3.11,
+#: numpy 2.4) takes 12 s and 56 MiB peak RSS.
 MAX_MFUNCTION_VERTICES = 200
+MAX_MFUNCTION_EDGES = 10_000
 
 #: sample set of every equivalence check: the negative half line is
 #: pole-free, a few positive values catch sign conventions.
@@ -111,8 +115,8 @@ def _edge_terms(lengths: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.n
     for lambda = k^2 > 0, the hyperbolic analogue for lambda < 0 and the
     -1/l, 1/l limit at 0, with the formulas and the order of operations
     of the one-edge oracle `tests/kernel_oracles.py::edge_m_block`.  The
-    trigonometric formulas run over the whole stack; lambda <= 0 is then
-    overwritten one value at a time.
+    trigonometric formulas run over the whole stack; lambda <= 0, where
+    the stack has one, is then overwritten one value at a time.
     """
     nl = len(lengths)
     ab = np.empty((2 * nl, len(lams)))
@@ -122,18 +126,20 @@ def _edge_terms(lengths: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.n
         s = np.sin(kl)
         np.divide(-k * np.cos(kl), s, out=ab[:nl])
         np.divide(k, s, out=ab[nl:])
-    singular = np.logical_or.reduce(np.abs(s) < EDGE_SINGULAR_TOL, axis=0)
-    for j in (lams <= 0).nonzero()[0]:
-        singular[j] = False
-        if lams[j] == 0:
-            ab[:nl, j] = -1.0 / lengths
-            ab[nl:, j] = 1.0 / lengths
-            continue
-        kappa = math.sqrt(-float(lams[j]))
-        for i, l in enumerate(lengths.tolist()):
-            x = kappa * l
-            ab[i, j] = -kappa / math.tanh(x)
-            ab[nl + i, j] = kappa / math.sinh(x) if x < 350.0 else 0.0
+    singular = (np.abs(s) < EDGE_SINGULAR_TOL).any(axis=0)
+    nonpositive = lams <= 0
+    if nonpositive.any():
+        for j in nonpositive.nonzero()[0]:
+            singular[j] = False
+            if lams[j] == 0:
+                ab[:nl, j] = -1.0 / lengths
+                ab[nl:, j] = 1.0 / lengths
+                continue
+            kappa = math.sqrt(-float(lams[j]))
+            for i, l in enumerate(lengths.tolist()):
+                x = kappa * l
+                ab[i, j] = -kappa / math.tanh(x)
+                ab[nl + i, j] = kappa / math.sinh(x) if x < 350.0 else 0.0
     return ab, singular
 
 
@@ -178,7 +184,12 @@ class _Kernel:
     The constructor does the per-graph work once.  Edge e adds a to
     T[u, u] and T[v, v] and b to T[u, v] and T[v, u], in that order;
     `slots` lists these flat positions in T edge by edge and `picks` the
-    row of the matching entry in the array of _edge_terms.
+    row of the matching entry in the array of _edge_terms.  `cc`, `ii`
+    and `ci` list row by row the flat positions in T of the contact
+    block, the interior block C and the contact-interior block B, so that
+    `take` gathers each block of a whole stack as one C-contiguous array
+    (a strided gather would send `B @ X` down another matmul loop).
+    `entries` is what one lambda costs of the chunk budget.
     """
 
     def __init__(self, g: MetricGraph) -> None:
@@ -188,6 +199,9 @@ class _Kernel:
         if n > MAX_MFUNCTION_VERTICES:
             raise GraphError(f"graph has {n} vertices, above the bound of "
                              f"{MAX_MFUNCTION_VERTICES} for M-functions")
+        if g.n_edges > MAX_MFUNCTION_EDGES:
+            raise GraphError(f"graph has {g.n_edges} edges, above the bound of "
+                             f"{MAX_MFUNCTION_EDGES} for M-functions")
         lengths = _float_lengths(g)
         distinct = sorted(set(lengths))
         row = {l: i for i, l in enumerate(distinct)}
@@ -200,27 +214,35 @@ class _Kernel:
         self.lengths = np.array(distinct)
         self.slots = np.array(slots, dtype=np.intp).reshape(-1, 1)
         self.picks = np.array(picks, dtype=np.intp)
+        self.entries = n * n + 8 * g.n_edges
         contact_set = set(g.contacts)
-        self.contact = np.array(g.contacts, dtype=np.intp).reshape(-1, 1)
-        self.inner = np.array([v for v in range(n) if v not in contact_set],
-                              dtype=np.intp).reshape(-1, 1)
+        contact = np.array(g.contacts, dtype=np.intp)
+        inner = np.array([v for v in range(n) if v not in contact_set], dtype=np.intp)
+        self.nb, self.ni = len(contact), len(inner)
+        self.cc = (contact.reshape(-1, 1) * n + contact).ravel()
+        self.ii = (inner.reshape(-1, 1) * n + inner).ravel()
+        self.ci = (contact.reshape(-1, 1) * n + inner).ravel()
 
     def assemble(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """T(lambda) for every lambda as one stack, and the edge-singular lambdas.
+        """T(lambda) for every lambda as one stack of flat rows, and the
+        edge-singular lambdas.
 
         The terms are listed edge by edge, and np.bincount adds the
         weights of each bin in input order starting from 0.0, so every
         entry of T is summed edge by edge, as one assembly per lambda
-        would.  Rows at edge-singular lambdas hold meaningless values.
+        would.  Rows at edge-singular lambdas are zero.
         """
         terms, singular = _edge_terms(self.lengths, lams)
         size = self.n * self.n
         bins = (self.slots + np.arange(0, len(lams) * size, size)).ravel()
         t = np.bincount(bins, terms[self.picks].ravel(), len(lams) * size)
-        return t.reshape(len(lams), self.n, self.n), singular
+        t = t.reshape(len(lams), size)
+        t[singular] = 0.0
+        return t, singular
 
     def chunks(self, lams: Sequence[float], eigs: bool = False) -> Iterator[_MChunk]:
-        """M at every lambda, _CHUNK lambdas per yielded chunk.
+        """M at every lambda, as many lambdas per yielded chunk as
+        _CHUNK_ENTRIES allows (read at call time), and at least one.
 
         Interior vertices are eliminated by a Schur complement; a lambda is
         singular when an edge block is singular or the interior block is
@@ -229,32 +251,34 @@ class _Kernel:
         lams = np.asarray(lams, dtype=float)
         if not np.isfinite(lams).all():
             raise GraphError("lambda must be finite")
-        for start in range(0, len(lams), _CHUNK):
-            yield self._chunk(lams[start:start + _CHUNK], eigs)
+        step = max(1, _CHUNK_ENTRIES // self.entries)
+        for start in range(0, len(lams), step):
+            yield self._chunk(lams[start:start + step], eigs)
 
     def _chunk(self, lams: np.ndarray, eigs: bool) -> _MChunk:
-        contact, inner = self.contact, self.inner
+        nb, ni = self.nb, self.ni
         t, singular = self.assemble(lams)
-        m = t[:, contact, contact.T]
-        rows = (~singular).nonzero()[0]
+        m = t.take(self.cc, axis=1).reshape(-1, nb, nb)
+        regular = ~singular
         negative = np.zeros(len(lams), dtype=np.intp)
-        if len(inner):
-            c = t[rows.reshape(-1, 1, 1), inner, inner.T]
+        if ni:
+            # every C of the stack goes through eigvalsh, the zero C of an
+            # edge-singular lambda too
+            c = t.take(self.ii, axis=1).reshape(-1, ni, ni)
             w = np.linalg.eigvalsh(c)
-            negative[rows] = np.sum(w < 0.0, axis=1)
+            negative = (w < 0.0).sum(1)
             # C is symmetric, so its singular values are the |w|
             sv = np.abs(w)
-            keep = ~(sv.min(axis=1) < np.maximum(1.0, sv.max(axis=1)) / INTERIOR_COND_LIMIT)
-            rows, c = rows[keep], c[keep]
-            b = t[rows.reshape(-1, 1, 1), contact, inner.T]
-            m[rows] = m[rows] - b @ np.linalg.solve(c, b.transpose(0, 2, 1))
-        regular = np.zeros(len(lams), dtype=bool)
-        regular[rows] = True
-        m[~regular] = np.nan
-        ev = None
+            regular &= ~(sv.min(1) < np.maximum(1.0, sv.max(1)) / INTERIOR_COND_LIMIT)
+            # the solve takes the regular rows, gathered only when there are others
+            rows = slice(None) if regular.all() else regular.nonzero()[0]
+            b = t.take(self.ci, axis=1).reshape(-1, nb, ni)[rows]
+            m[rows] -= b @ np.linalg.solve(c[rows], b.transpose(0, 2, 1))
+        ev = np.linalg.eigvalsh(m) if eigs else None
+        irregular = ~regular
+        m[irregular] = np.nan
         if eigs:
-            ev = np.full(m.shape[:2], np.nan)
-            ev[rows] = np.linalg.eigvalsh(m[rows])
+            ev[irregular] = np.nan
         interior = [None if s else n for s, n in zip(singular.tolist(), negative.tolist())]
         return _MChunk(regular, m, ev, interior)
 
@@ -348,7 +372,7 @@ def _counts(kernel: _Kernel, ks: Sequence[float]
     steklov: list[int | None] = []
     interior: list[int | None] = []
     for chunk in kernel.chunks(k * k, eigs=True):
-        negative = np.sum(chunk.eigs < 0.0, axis=1)
+        negative = (chunk.eigs < 0.0).sum(1)
         steklov += [n if ok else None for ok, n in zip(chunk.regular, negative.tolist())]
         interior += chunk.interior
     return steklov, interior
@@ -663,12 +687,12 @@ def _crossing_multiplicity(k: float, before: np.ndarray | None,
     """
     if before is None or after is None:
         raise SingularSampleError(f"singular bracket around k={k:.6g}")
-    if max(np.max(np.abs(before)), np.max(np.abs(after))) < _POLE_MAGNITUDE:
+    if max(np.abs(before).max(), np.abs(after).max()) < _POLE_MAGNITUDE:
         if fallback is None:
-            fallback = max(int(np.sum(before < 0.0) - np.sum(after < 0.0)), 0)
+            fallback = max(int((before < 0.0).sum() - (after < 0.0).sum()), 0)
         return fallback, False
-    nb = int(np.sum((before > -_PROBE_WINDOW) & (before < 0.0)))
-    na = int(np.sum((after < _PROBE_WINDOW) & (after > 0.0)))
+    nb = int(((before > -_PROBE_WINDOW) & (before < 0.0)).sum())
+    na = int(((after < _PROBE_WINDOW) & (after > 0.0)).sum())
     if nb != na:
         warnings.warn(
             f"asymmetric crossing count at pole k={k:.6g}: {nb} before, {na} after",

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exact import (ProjectivePoly, _deflate_linear, poly_mul, poly_normalize,
-                    poly_pow, polymat_det, poly_roots_unit_circle)
+                    poly_pow, polymat_det)
 from .graphs import (DiscreteGraph, GraphError, MetricGraph, components, to_discrete,
                      unit_subdivided)
 
@@ -171,6 +171,10 @@ class SpectrumReport:
 
 
 def spectrum_report(g: MetricGraph) -> SpectrumReport:
-    """Fundamental roots of the secular polynomial, with multiplicities."""
-    roots = poly_roots_unit_circle(secular_poly(g))
-    return SpectrumReport(tuple(roots), components(g))
+    """Fundamental roots of the secular polynomial, with multiplicities.
+
+    The roots are extracted once per polynomial object (see
+    `ProjectivePoly.unit_circle_roots`), so repeated reports on one graph
+    cost a cache lookup until `secular_poly.cache_clear()`.
+    """
+    return SpectrumReport(secular_poly(g).unit_circle_roots, components(g))

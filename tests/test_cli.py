@@ -232,6 +232,18 @@ class TestNumericVerbs:
         assert code == 2 and out == ""
         assert err == "error: graph has 201 vertices, above the bound of 200 for M-functions\n"
 
+    @pytest.mark.parametrize("argv", [("mfun", "--lambda", "1"),
+                                      ("sweep", "--lmin", "-1", "--lmax", "1", "--steps", "5"),
+                                      ("detect", "--kmax", "3")])
+    def test_m_function_edge_bound_exits_2(self, tmp_path, capsys, argv):
+        # 10,001 parallel edges at a contact are refused before any array
+        # is built; 10,000 are the largest input admitted
+        path = tmp_path / "wide.g"
+        path.write_text("graph wide\nvertex a contact\nvertex b\n" + "edge a b\n" * 10_001)
+        code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: graph has 10001 edges, above the bound of 10000 for M-functions\n"
+
     @pytest.mark.parametrize("length", ["1e400", "1e-400"])
     @pytest.mark.parametrize("argv", [("mfun", "--lambda", "1"),
                                       ("sweep", "--lmin", "-1", "--lmax", "1", "--steps", "5"),

@@ -17,8 +17,8 @@ from specgraph import (DetectionResult, GraphError, SingularSampleError, detecta
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
-from specgraph.mfunction import (_CHUNK, _PROBE_EPS, _bisect, _counts, _edge_pole_candidates,
-                                 _Kernel, _probes)
+from specgraph.mfunction import (_PROBE_EPS, _bisect, _counts, _edge_pole_candidates, _Kernel,
+                                 _probes)
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (edge_m_block, interior_vertices, reference_assemble,
@@ -359,11 +359,18 @@ def detect_both(g, k_max, *args):
     return out
 
 
+def chunk_lambdas(kernel):
+    """Lambdas per chunk of a kernel under the current entry budget."""
+    return max(1, specgraph.mfunction._CHUNK_ENTRIES // kernel.entries)
+
+
 class TestStackedProbes:
     """The crossing probes of one detect, stacked on its kernel, against
     one-lambda evaluations."""
 
-    def test_probes_equal_steklov_eigs_bit_for_bit(self):
+    def test_probes_equal_steklov_eigs_bit_for_bit(self, monkeypatch):
+        # a small entry budget, so that most probe sets span several chunks
+        monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES", 4096)
         rng = random.Random(4162)
         graphs = [catalog(name) for name in CONTACT_CATALOG]
         graphs += [oracle_graph(rng, i) for i in range(40)]
@@ -377,9 +384,10 @@ class TestStackedProbes:
             ks = [k for k, _ in detectable_spectrum(g, 7.0).points] + poles
             ks += [k + sign * _PROBE_EPS for k in poles[:3] for sign in (-1, 1)]
             ks += [rng.uniform(0.05, 7.0) for _ in range(5)]
-            probes = _probes(_Kernel(g), ks)
+            kernel = _Kernel(g)
+            probes = _probes(kernel, ks)
             assert len(probes) == len(ks)
-            seen["chunks"] = max(seen["chunks"], -(-2 * len(ks) // _CHUNK))
+            seen["chunks"] = max(seen["chunks"], -(-2 * len(ks) // chunk_lambdas(kernel)))
             for k, pair in zip(ks, probes):
                 for lam, stacked_eigs in zip(((k - _PROBE_EPS) ** 2, (k + _PROBE_EPS) ** 2), pair):
                     one = steklov_eigs(g, lam)
@@ -392,11 +400,13 @@ class TestStackedProbes:
         assert seen["singular"] >= 100 and seen["regular"] >= 1000, seen
         assert seen["chunks"] >= 2, seen
 
-    def test_detect_probes_span_two_chunks(self):
+    def test_detect_probes_span_two_chunks(self, monkeypatch):
         # 146 edge poles up to k = 11, so the probes of the candidates
-        # alone fill more than one chunk
+        # alone fill more than one chunk of 256 lambdas
         g = from_edge_list(3, [(0, 1, 1), (1, 2, 40), (0, 2, "3/2")], (0, 2))
-        assert len(_edge_pole_candidates([1.0, 40.0, 1.5], 11.0)) > _CHUNK // 2
+        monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES", 256 * _Kernel(g).entries)
+        assert chunk_lambdas(_Kernel(g)) == 256
+        assert len(_edge_pole_candidates([1.0, 40.0, 1.5], 11.0)) > 256 // 2
         (new, new_warnings), (ref, ref_warnings) = detect_both(g, 11.0, 0.05)
         assert new == ref
         assert new_warnings == ref_warnings
@@ -654,7 +664,7 @@ class TestStackedKernelOracle:
         rng = random.Random(4105)
         graphs = [catalog("Gamma1"), catalog("Q1"), catalog("S3")]
         graphs += [oracle_graph(rng, i) for i in range(12)]
-        # the accumulated grid of detectable_spectrum, spanning three chunks
+        # the accumulated grid of detectable_spectrum
         ks = []
         k = 0.01
         while k <= 6.3 + 1e-12:
@@ -713,6 +723,56 @@ class TestStackedKernelOracle:
                     assert side[0] and not side[-1], (g, lam0)
                 n_poles += 1
         assert n_poles >= 30, n_poles
+
+
+def two_squares(contacts):
+    """Two 4-cycles of unit edges sharing vertex 0."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)]
+    return from_edge_list(7, edges, contacts)
+
+
+#: for unit edges: an edge pole, and an interior Dirichlet pole of every
+#: graph below (a hub of unit spokes, or an interior vertex on two unit
+#: edges, has T_vv = -2k cot k = 0 at k = pi/2)
+EDGE_POLE = math.pi ** 2
+INTERIOR_POLE = (math.pi / 2) ** 2
+
+
+class TestStackPlacement:
+    """A lambda gives the same bits alone, in an all-regular stack and in a
+    stack that also holds an edge-singular and an interior-singular lambda."""
+
+    #: just below the edge pole pi, both half-lines, zero, and values where
+    #: a strided gather of B (another matmul loop) changed M at one contact
+    LAMS = ((math.pi - 1e-8) ** 2, 0.3, 0.5516242170333864 ** 2, 2.345, -1.7, 0.0, 30.5)
+
+    @pytest.mark.parametrize("g", [
+        two_squares((0,)), two_squares((0, 2)), two_squares((0, 2, 5)),
+        from_edge_list(4, [(0, 3), (1, 3), (2, 3)], (0, 1, 2)),
+        from_edge_list(5, [(0, 4), (1, 4), (2, 4), (3, 4), (0, 1, 3), (0, 3, "3/2")], (0, 3)),
+        from_edge_list(5, [(0, 1), (1, 2, 3), (2, 3), (2, 4, "3/2"), (0, 4, 3)], (2,))])
+    def test_lambda_alone_and_in_stacks(self, g):
+        assert reference_assemble(g, EDGE_POLE) is None
+        assert reference_assemble(g, INTERIOR_POLE) is not None
+        assert not reference_m_function(g, INTERIOR_POLE).regular
+        lams = [lam for lam in self.LAMS if reference_m_function(g, lam).regular]
+        assert len(lams) >= 6
+        mixed = [EDGE_POLE, *lams[:3], INTERIOR_POLE, *lams[3:]]
+        kernel = _Kernel(g)
+        [regular] = kernel.chunks(lams, eigs=True)
+        [chunk] = kernel.chunks(mixed, eigs=True)
+        assert regular.regular.all()
+        assert chunk.regular.tolist() == [lam not in (EDGE_POLE, INTERIOR_POLE) for lam in mixed]
+        assert chunk.interior[0] is None and chunk.interior[4] is not None
+        assert np.isnan(chunk.matrices[[0, 4]]).all() and np.isnan(chunk.eigs[[0, 4]]).all()
+        for i, lam in enumerate(lams):
+            [alone] = kernel.chunks([lam], eigs=True)
+            assert np.array_equal(alone.matrices[0], reference_m_function(g, lam).matrix), lam
+            j = mixed.index(lam)
+            for stack, at in ((regular, i), (chunk, j)):
+                assert np.array_equal(stack.matrices[at], alone.matrices[0]), lam
+                assert np.array_equal(stack.eigs[at], alone.eigs[0]), lam
+                assert stack.interior[at] == alone.interior[0], lam
 
 
 @st.composite
@@ -821,6 +881,58 @@ class TestBudgets:
             with pytest.raises(GraphError,
                                match="graph has 6 vertices, above the bound of 5 for M-functions"):
                 call()
+
+    def test_m_function_edge_bound(self, monkeypatch):
+        # checked in _Kernel before the lengths are read or any array built
+        path = from_edge_list(6, [(i, i + 1) for i in range(5)], contacts=(0,))
+        monkeypatch.setattr(specgraph.mfunction, "MAX_MFUNCTION_EDGES", 5)
+        assert m_function(path, -1.0).regular
+        monkeypatch.setattr(specgraph.mfunction, "MAX_MFUNCTION_EDGES", 4)
+
+        def no_lengths(g):
+            raise AssertionError("lengths read above the edge bound")
+
+        monkeypatch.setattr(specgraph.mfunction, "_float_lengths", no_lengths)
+        calls = [lambda: m_function(path, -1.0), lambda: steklov_eigs(path, 1.0),
+                 lambda: steklov_sweep(path, -1.0, 1.0, 5),
+                 lambda: detectable_spectrum(path, 3.0),
+                 lambda: steklov_equivalent(path, path),
+                 lambda: invisible_multiplicity(path, math.pi)]
+        for call in calls:
+            with pytest.raises(GraphError,
+                               match="graph has 5 edges, above the bound of 4 for M-functions"):
+                call()
+
+    def test_small_chunk_budget_keeps_outputs(self, monkeypatch):
+        # the entry budget is read at call time; chunks of 1, 2 or 3
+        # lambdas give the sweeps and detects of the default budget
+        graphs = [catalog(name) for name in CONTACT_CATALOG]
+        expected = [(steklov_sweep(g, -5.0, 60.0, 120), detectable_spectrum(g, 6.5))
+                    for g in graphs]
+        budget = specgraph.mfunction._CHUNK_ENTRIES
+        for i, (g, want) in enumerate(zip(graphs, expected)):
+            per_chunk = 1 + i % 3
+            kernel = _Kernel(g)
+            assert budget // kernel.entries >= 120
+            monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES",
+                                per_chunk * kernel.entries + kernel.entries - 1)
+            assert chunk_lambdas(kernel) == per_chunk
+            sizes = [len(chunk.regular) for chunk in kernel.chunks([-1.0] * 7)]
+            assert sizes == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+            got = (steklov_sweep(g, -5.0, 60.0, 120), detectable_spectrum(g, 6.5))
+            assert got == want, g
+
+    @pytest.mark.parametrize("g, per_chunk", [
+        (from_edge_list(200, [(i, i + 1) for i in range(199)], contacts=(0,)), 25),
+        (from_edge_list(2, [(0, 1)] * 10_000, contacts=(0,)), 13)])
+    def test_lambdas_per_chunk_at_the_bounds(self, g, per_chunk):
+        # a lambda costs n^2 + 8E entries: 41,592 on the path of 200
+        # vertices, 80,004 on 10,000 parallel edges
+        kernel = _Kernel(g)
+        budget = specgraph.mfunction._CHUNK_ENTRIES
+        assert kernel.entries * per_chunk <= budget < kernel.entries * (per_chunk + 1)
+        lams = [-1.0 - 0.1 * i for i in range(2 * per_chunk + 1)]
+        assert [len(chunk.regular) for chunk in kernel.chunks(lams)] == [per_chunk, per_chunk, 1]
 
     def test_sweep_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import specgraph
-from specgraph import (SecularError, betti, build_secular_matrix, components,
-                       from_edge_list, ln_charpoly, metric_isospectral,
+from specgraph import (ExactError, SecularError, betti, build_secular_matrix, components,
+                       from_edge_list, invisible_multiplicity, ln_charpoly, metric_isospectral,
                        poly_mul, poly_normalize, poly_pow,
                        poly_roots_unit_circle, polymat_det, scale_lengths, secular_poly,
                        spectrum_report, subdivide_edge, to_discrete,
@@ -245,6 +245,41 @@ class TestSpectrumReport:
         rep = spectrum_report(catalog("Gamma1"))
         assert rep.multiplicity_at(2 * math.pi) == 6
         assert rep.multiplicity_at(math.pi) == 4
+
+    def test_roots_extracted_once_per_polynomial(self, monkeypatch):
+        # invisible_multiplicity reports the spectrum again at every root;
+        # the roots live on the cached polynomial, so they are found once
+        calls = []
+        real = specgraph.exact.poly_roots_unit_circle
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(specgraph.exact, "poly_roots_unit_circle", counting)
+        g = catalog("Gamma1")
+        secular_poly.cache_clear()
+        rep = spectrum_report(g)
+        assert len(rep.fundamental_roots) >= 5
+        for k, _ in rep.fundamental_roots:
+            invisible_multiplicity(g, k)
+        assert spectrum_report(g) == rep
+        assert calls == [secular_poly(g)]
+        # clearing the polynomial cache drops the roots with it
+        secular_poly.cache_clear()
+        assert spectrum_report(g) == rep
+        assert len(calls) == 2
+
+    def test_unit_circle_tol_read_when_roots_first_found(self, monkeypatch):
+        g = catalog("Gamma1")
+        secular_poly.cache_clear()
+        rep = spectrum_report(g)
+        # some float root of Gamma1's square-free factors is off |z| = 1
+        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 1e-300)
+        assert spectrum_report(g) == rep
+        secular_poly.cache_clear()
+        with pytest.raises(ExactError, match="root off unit circle"):
+            spectrum_report(g)
 
     def test_multiplicities_sum_to_degree(self):
         rng = random.Random(53)
