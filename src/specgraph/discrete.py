@@ -5,11 +5,14 @@ The characteristic polynomial of I - D^{-1}A, which is similar to the
 symmetric normalized Laplacian I - D^{-1/2}AD^{-1/2} and therefore has
 the same spectrum, is det(mu D - (D - A)) / det D.  That matrix is the
 pencil A - cD of `secular.SecularMatrixSpec` at c = 1 - mu, so both
-exact keys come from one degree-V integer pencil and one
-evaluation-interpolation kernel.  Generic metric eigenvalues k^2 (k not
-a multiple of pi) satisfy 1 - cos(k) = mu for some normalized-Laplacian
-eigenvalue mu; together with the first Betti number this decides metric
-isospectrality (`proposition_check`).
+exact keys come from one degree-V integer pencil q(c) = det(A - cD),
+computed once per discrete graph (`secular._pencil`) and shifted here to
+c = 1 - mu by exact integer additions, not evaluated a second time.
+Clearing either key's cache (`ln_charpoly.cache_clear()`,
+`secular_poly.cache_clear()`) drops the shared pencils too.  Generic
+metric eigenvalues k^2 (k not a multiple of pi) satisfy 1 - cos(k) = mu
+for some normalized-Laplacian eigenvalue mu; together with the first
+Betti number this decides metric isospectrality (`proposition_check`).
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import polymat_det
 from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, to_discrete
-from .secular import SecularMatrixSpec
+from .secular import _clears_pencil, _pencil
 
 
 @dataclass(frozen=True)
@@ -43,20 +45,27 @@ class LnCharpoly:
         return f"{label}: " + " ".join(str(c) for c in self.coeffs)
 
 
+@_clears_pencil
 @lru_cache(maxsize=4096)
 def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     """Exact charpoly of I - D^{-1}A (same spectrum as the normalized Laplacian).
 
-    Computed as det(mu D - (D - A)), the pencil A - cD at c = 1 - mu,
-    degree n with leading coefficient det D, made monic.
+    Computed as det(mu D - (D - A)), the pencil q(c) = det(A - cD) at
+    c = 1 - mu, degree n with leading coefficient det D, made monic.  q is
+    the one `secular._pencil` of d, shared with the secular key; it is
+    shifted here exactly, by O(n^2) integer additions.
     """
-    degrees = d.degrees()
-    if any(deg == 0 for deg in degrees):
+    if any(deg == 0 for deg in d.degrees()):
         raise GraphError("degree zero vertex")
-    spec = SecularMatrixSpec(d.adj, degrees, d.n_edges)
-    det = polymat_det(lambda mu: spec.entry_matrix(1 - mu), d.n, d.n)
-    lead = det.coeffs[-1]
-    return LnCharpoly(tuple(Fraction(c, lead) for c in det.coeffs))
+    p = list(_pencil(d))
+    n = len(p) - 1
+    # Taylor shift: the coefficients of q(1 + x)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            p[j] += p[j + 1]
+    # then x = -mu
+    p = [-c if j % 2 else c for j, c in enumerate(p)]
+    return LnCharpoly(tuple(Fraction(c, p[-1]) for c in p))
 
 
 def ln_isospectral(d1: DiscreteGraph, d2: DiscreteGraph) -> bool:

@@ -4,7 +4,8 @@ Everything here is exact: rationals are `fractions.Fraction`, matrices are
 plain row-major lists of ints and Fractions, and polynomials are
 coefficient lists with the constant term first.  Both exact spectral
 keys, the secular polynomial and the normalized-Laplacian charpoly, come
-from the V x V integer pencil det(A - cD) and share one kernel,
+from the V x V integer pencil det(A - cD), which one call of one kernel
+determines per discrete graph (`secular._pencil`).  That kernel is
 `polymat_det`: Bareiss determinants at consecutive integer sample points,
 Newton forward differences divided exactly by j!, and certification at
 one extra point.  On integer matrices the whole kernel stays in `int`;

@@ -373,6 +373,8 @@ class DiscreteGraph:
 
     Off-diagonal entries count parallel edges; a diagonal entry is twice
     the number of loops at that vertex, so degrees are plain row sums.
+    Entries must be `int`: the exact keys compute with them in integer
+    arithmetic.
     """
 
     n: int
@@ -381,13 +383,21 @@ class DiscreteGraph:
     def __post_init__(self) -> None:
         if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
             raise GraphError("adjacency matrix has wrong shape")
-        for i in range(self.n):
-            if self.adj[i][i] % 2:
+        for i, row in enumerate(self.adj):
+            a = row[i]
+            if type(a) is not int:
+                raise GraphError("adjacency entries must be integers")
+            if a < 0:
+                raise GraphError("negative diagonal entry")
+            if a % 2:
                 raise GraphError("odd diagonal entry (loops count twice)")
             for j in range(i):
-                if self.adj[i][j] != self.adj[j][i]:
+                a, b = row[j], self.adj[j][i]
+                if type(a) is not int or type(b) is not int:
+                    raise GraphError("adjacency entries must be integers")
+                if a != b:
                     raise GraphError("adjacency matrix not symmetric")
-                if self.adj[i][j] < 0:
+                if a < 0:
                     raise GraphError("negative multiplicity")
 
     def degree(self, u: int) -> int:

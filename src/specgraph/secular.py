@@ -10,10 +10,14 @@ with A the adjacency matrix (a loop adds 2 to its diagonal entry) and D
 the degree matrix (von Below, LAA 71, 1985; Kottos and Smilansky, Ann.
 Phys. 274, 1999).  Since 2z A - (z^2 + 1) D = 2z (A - cD) with
 c = (z^2 + 1) / 2z, the cosine of k for z = e^{ik}, what is computed is
-the degree-V pencil q(c) = det(A - cD), the same pencil that gives the
-normalized-Laplacian charpoly at c = 1 - mu, followed by the z-transform
+the degree-V pencil q(c) = det(A - cD), followed by the z-transform
 
     det(2z A - (z^2 + 1) D) = sum_j q_j (z^2 + 1)^j (2z)^(V - j).
+
+q is the same pencil that gives the normalized-Laplacian charpoly at
+c = 1 - mu (`discrete.ln_charpoly`).  It is computed once per discrete
+graph and cached (`_pencil`); both exact keys derive from it, and
+`secular_poly.cache_clear()` or `ln_charpoly.cache_clear()` drops it.
 
 When N < V (forest components) the power of (z^2 - 1) is negative and is
 divided out exactly.  Nonzero eigenvalues are (k + 2*pi*m)^2 for each
@@ -115,6 +119,28 @@ def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
 
 
 @lru_cache(maxsize=4096)
+def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
+    """Coefficients of q(c) = det(A - cD) of d, projectively normalized:
+    the one determinant behind both exact keys of d."""
+    spec = SecularMatrixSpec(d.adj, d.degrees(), d.n_edges)
+    return polymat_det(spec.entry_matrix, spec.size, spec.size).coeffs
+
+
+def _clears_pencil(cached):
+    """Make cached.cache_clear() empty the `_pencil` cache too, so that a
+    cleared key cache recomputes its determinants."""
+    clear = cached.cache_clear
+
+    def cache_clear() -> None:
+        clear()
+        _pencil.cache_clear()
+
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_clears_pencil
+@lru_cache(maxsize=4096)
 def secular_poly(g: MetricGraph) -> ProjectivePoly:
     """Exact secular polynomial of g, degree 2N, projectively normalized.
 
@@ -133,9 +159,7 @@ def _discrete_secular(d: DiscreteGraph) -> ProjectivePoly:
         raise GraphError("discrete graph has no edges")
     if not all(degrees):
         raise GraphError("every vertex must meet at least one edge endpoint")
-    spec = SecularMatrixSpec(d.adj, degrees, d.n_edges)
-    q = polymat_det(spec.entry_matrix, spec.size, spec.size)
-    return _times_z2_minus_1(_c_to_z(q.coeffs, spec.size), spec.n_edges - spec.size)
+    return _times_z2_minus_1(_c_to_z(_pencil(d), d.n), d.n_edges - d.n)
 
 
 def metric_isospectral(g1: MetricGraph, g2: MetricGraph) -> bool:

@@ -267,6 +267,13 @@ class TestDiscrete:
             discrete_from_adj([[1]])
         with pytest.raises(GraphError, match="not symmetric"):
             discrete_from_adj([[0, 1], [0, 0]])
+        # the exact keys assume nonnegative int entries: a negative diagonal
+        # gave degrees (-1, 3), a float entry crashed ln_charpoly later
+        with pytest.raises(GraphError, match="negative diagonal"):
+            discrete_from_adj([[-2, 1], [1, 2]])
+        for adj in ([[0, 1.0], [1.0, 0]], [[0, 1.0], [1, 0]], [[2.0]]):
+            with pytest.raises(GraphError, match="must be integers"):
+                discrete_from_adj(adj)
 
 
 class TestCanonicalForm:

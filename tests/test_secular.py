@@ -1,16 +1,17 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import specgraph
-from specgraph import (ExactError, SecularError, betti, build_secular_matrix, components,
-                       from_edge_list, invisible_multiplicity, ln_charpoly, metric_isospectral,
-                       poly_mul, poly_normalize, poly_pow,
-                       poly_roots_unit_circle, polymat_det, scale_lengths, secular_poly,
-                       spectrum_report, subdivide_edge, to_discrete,
-                       unit_subdivided)
+from specgraph import (ExactError, SecularError, betti, build_secular_matrix, classify,
+                       components, enumerate_connected_simple, from_edge_list,
+                       invisible_multiplicity, ln_charpoly, metric_isospectral,
+                       poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
+                       polymat_det, scale_lengths, secular_poly, spectrum_report,
+                       subdivide_edge, to_discrete, unit_subdivided)
 from specgraph.constructions import catalog
 from specgraph.secular import _c_to_z, _times_z2_minus_1
 
@@ -109,7 +110,6 @@ class TestVertexMatrix:
             return polymat_det(entry_eval, size, degree_bound)
 
         monkeypatch.setattr(specgraph.secular, "polymat_det", counting)
-        monkeypatch.setattr(specgraph.discrete, "polymat_det", counting)
         g = from_edge_list(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2, 2)])
         secular_poly.cache_clear()
         ln_charpoly.cache_clear()
@@ -117,6 +117,42 @@ class TestVertexMatrix:
         ln_charpoly(to_discrete(g))
         # the length-2 edge subdivides into V = 4; the shadow has 3 vertices
         assert calls == [(4, 4), (3, 3)]
+        # on a unit graph both keys share one pencil, in either order
+        unit = from_edge_list(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2)])
+        d = to_discrete(unit)
+        keys = (lambda: secular_poly(unit), lambda: ln_charpoly(d))
+        for order in (keys, keys[::-1]):
+            secular_poly.cache_clear()
+            ln_charpoly.cache_clear()
+            calls.clear()
+            for key in order:
+                key()
+            assert calls == [(3, 3)]
+        # either cache_clear() drops the pencil, so the key recomputes it
+        ln_charpoly.cache_clear()
+        ln_charpoly(d)
+        assert len(calls) == 2
+        secular_poly.cache_clear()
+        secular_poly(unit)
+        assert len(calls) == 3
+
+    def test_key_cache_clears_empty_every_cache(self):
+        # the benchmark starts each pass cold by clearing the two key
+        # caches; any other cache in the package must empty with them
+        g = catalog("Gamma1")
+        secular_poly(g)
+        spectrum_report(g)
+        ln_charpoly(to_discrete(g))
+        classify(enumerate_connected_simple(4), "secular")
+        classify(enumerate_connected_simple(4), "ln")
+        secular_poly.cache_clear()
+        ln_charpoly.cache_clear()
+        sizes = {f"{name}.{attr}": value.cache_info().currsize
+                 for name, module in list(sys.modules.items())
+                 if name == "specgraph" or name.startswith("specgraph.")
+                 for attr, value in vars(module).items() if hasattr(value, "cache_info")}
+        assert "specgraph.secular._pencil" in sizes
+        assert set(sizes.values()) == {0}, sizes
 
 
 def _random_component(rng, tree):
@@ -167,9 +203,18 @@ class TestVertexKernelOracle:
                 seen["forest"] += betti(g) == 0
                 seen["disconnected"] += components(g) > 1
                 seen["long"] += any(l > 1 for l in g.lengths)
-                assert secular_poly(g) == scattering_secular_poly(g), g
                 d = to_discrete(g)
-                assert ln_charpoly(d) == faddeev_ln_charpoly(d), g
+                expected = (scattering_secular_poly(g), faddeev_ln_charpoly(d))
+                # a unit graph's two keys share one pencil: cold, ln key
+                # first, then cold again, secular key first
+                secular_poly.cache_clear()
+                ln_charpoly.cache_clear()
+                ln = ln_charpoly(d)
+                assert (secular_poly(g), ln) == expected, g
+                secular_poly.cache_clear()
+                ln_charpoly.cache_clear()
+                sec = secular_poly(g)
+                assert (sec, ln_charpoly(d)) == expected, g
                 cases += 1
         assert cases == 200
         assert min(seen.values()) >= 20, seen
