@@ -31,7 +31,6 @@ from .mfunction import (DEFAULT_SAMPLES, DetectionResult, EquivalenceResult,
 from .search import (IsospectralFamily, classify, enumerate_connected_multi,
                      enumerate_connected_simple)
 from .secular import (SecularError, SecularMatrixSpec, SpectrumReport,
-                      build_secular_matrix, metric_isospectral, secular_poly,
-                      spectrum_report)
+                      metric_isospectral, secular_poly, spectrum_report)
 
 __version__ = "0.1.0"

@@ -37,6 +37,16 @@ def _as_length(value: RationalLike) -> Fraction:
     return frac
 
 
+def _as_contacts(contacts: Sequence[int], n_vertices: int) -> tuple[int, ...]:
+    out = tuple(contacts)
+    for c in out:
+        if not 0 <= c < n_vertices:
+            raise GraphError(f"contact {c} references unknown vertex")
+    if len(set(out)) != len(out):
+        raise GraphError("repeated contact")
+    return out
+
+
 @dataclass(frozen=True)
 class MetricGraph:
     """Edges with rational lengths and their end vertices, and contacts.
@@ -80,7 +90,7 @@ class MetricGraph:
         return sum(self.lengths, Fraction(0))
 
     def with_contacts(self, contacts: Sequence[int]) -> "MetricGraph":
-        return MetricGraph(self.lengths, self.ends, tuple(contacts))
+        return MetricGraph(self.lengths, self.ends, _as_contacts(contacts, self.n_vertices))
 
     def edge_list(self) -> list[tuple[int, int, Fraction]]:
         """Edges as (vertex, vertex, length) triples."""
@@ -90,7 +100,12 @@ class MetricGraph:
 def from_edge_list(n_vertices: int,
                    edges: Iterable[tuple[int, int] | tuple[int, int, RationalLike]],
                    contacts: Sequence[int] = ()) -> MetricGraph:
-    """Build a MetricGraph from vertex-labelled edges (default length 1)."""
+    """Build a MetricGraph from vertex-labelled edges (default length 1).
+
+    Raises GraphError for a nonpositive length, an edge at an unknown
+    vertex, a vertex on no edge, and a contact that is not a vertex or is
+    repeated.
+    """
     ends: list[tuple[int, int]] = []
     lengths: list[Fraction] = []
     for edge in edges:
@@ -102,7 +117,7 @@ def from_edge_list(n_vertices: int,
         lengths.append(length)
     if len({x for e in ends for x in e}) != n_vertices:
         raise GraphError("every vertex must meet at least one edge endpoint")
-    return MetricGraph(tuple(lengths), tuple(ends), tuple(contacts))
+    return MetricGraph(tuple(lengths), tuple(ends), _as_contacts(contacts, n_vertices))
 
 
 def validate(g: MetricGraph) -> list[str]:
@@ -579,12 +594,15 @@ def parse_graph(text: str) -> MetricGraph:
         vertex <id> [contact]
         edge <vid> <vid> [length]    # length integer or p/q, default 1
 
-    Contact order is the order of contact-flagged vertex lines.
+    Contact order is the order of contact-flagged vertex lines.  Every
+    check of `from_edge_list` is made here, with a line number, so the
+    graph is built directly.
     """
     name_seen = False
     ids: dict[str, int] = {}
     contacts: list[int] = []
-    edges: list[tuple[int, int, Fraction]] = []
+    lengths: list[Fraction] = []
+    ends: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -614,19 +632,20 @@ def parse_graph(text: str) -> MetricGraph:
                 length = _as_length(tokens[3]) if len(tokens) == 4 else Fraction(1)
             except (ValueError, ZeroDivisionError, GraphError) as exc:
                 raise GraphFormatError(f"line {lineno}: bad length ({exc})") from None
-            edges.append((ids[tokens[1]], ids[tokens[2]], length))
+            lengths.append(length)
+            ends.append((ids[tokens[1]], ids[tokens[2]]))
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {directive!r}")
     if not name_seen:
         raise GraphFormatError("line 1: missing graph directive")
-    if not edges:
+    if not ends:
         raise GraphFormatError("graph has no edges")
-    used = {u for u, _, _ in edges} | {v for _, v, _ in edges}
+    used = {x for e in ends for x in e}
     if len(used) != len(ids):
         unused = sorted(set(ids.values()) - used)
         names = [vid for vid, ix in ids.items() if ix in unused]
         raise GraphFormatError(f"isolated vertex ids: {', '.join(names)}")
-    return from_edge_list(len(ids), edges, contacts)
+    return MetricGraph(tuple(lengths), tuple(ends), tuple(contacts))
 
 
 def format_graph(g: MetricGraph, name: str = "g") -> str:

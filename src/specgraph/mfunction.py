@@ -7,22 +7,22 @@ blocks and a Schur complement over the interior vertices.  Its
 eigenvalues at fixed real lambda are the Steklov eigenvalues; their zero
 crossings as lambda increases mark the detectable part of the spectrum.
 
-Evaluation is stacked: `_Kernel` takes a whole array of lambdas, builds
-every vertex-indexed derivative map T(lambda) as one array (edge blocks
-once per distinct length, added edge by edge in edge order), and runs
-eigvalsh of the interior block C, the solve, the Schur complement and
-eigvalsh of M as stacked numpy calls, chunked by entry budget
-(_CHUNK_ENTRIES array entries per chunk).  C is symmetric, so its one
-eigvalsh gives both its singular values (the conditioning test) and its
-negative count (whose drops locate the interior Dirichlet poles).
+Evaluation is stacked: `_Kernel.evaluate` takes a whole array of lambdas
+and returns M, or only its ascending eigenvalues (nb floats per lambda),
+indexed by lambda.  It builds every vertex-indexed derivative map T(lambda)
+as one array (edge blocks once per distinct length, added edge by edge in
+edge order) and runs eigvalsh of the interior block C, the solve, the
+Schur complement and eigvalsh of M as stacked numpy calls of at most
+_CHUNK_ENTRIES array entries, a split no caller sees.  C is symmetric, so
+its one eigvalsh gives both its singular values (the conditioning test)
+and its negative count (whose drops locate the interior Dirichlet poles).
 Every value is the one a separate evaluation at each lambda gives, bit
 for bit: the stacked LAPACK calls run the same routine on each matrix,
-whatever else the chunk holds, np.sin and np.cos agree with math.sin and
+whatever else the stack holds, np.sin and np.cos agree with math.sin and
 math.cos, and the hyperbolic blocks for lambda < 0 stay on math.tanh and
-math.sinh because np.tanh and np.sinh do not.  `m_function` is the
-one-lambda case; `tests/kernel_oracles.py` keeps the per-lambda assembly
-from 2x2 edge blocks (`edge_m_block`), with a singular-value conditioning
-test, as the oracle.
+math.sinh because np.tanh and np.sinh do not.  `tests/kernel_oracles.py`
+keeps the per-lambda assembly from 2x2 edge blocks (`edge_m_block`), with
+a singular-value conditioning test, as the oracle.
 
 One `detect` is one kernel: `detectable_spectrum` builds a `_Kernel` for
 its k grid and takes every later sample from it.  The grid is one
@@ -66,16 +66,16 @@ MAX_DETECT_SAMPLES = 100_000
 DETECT_GRID_STEP = 0.01
 DETECT_REFINE_TOL = 1e-8
 
-#: array entries one stacked evaluation may take: a lambda costs n^2
-#: entries of T plus 8E bincount bins and weights, so a chunk holds
-#: _CHUNK_ENTRIES // (n^2 + 8E) lambdas, and at least one
+#: array entries one stacked call of `_Kernel.evaluate` may take: a lambda
+#: costs n^2 entries of T plus 8E bincount bins and weights, so a call
+#: holds _CHUNK_ENTRIES // (n^2 + 8E) lambdas, and at least one
 _CHUNK_ENTRIES = 1 << 20
 
 #: most vertices and edges a graph may have for an M-function, checked
 #: before its lengths are read or any array is built.  The entry budget
-#: keeps each working array of a chunk near 8 MiB, so the bounds cap the
-#: time of one lambda: `detect --kmax 1.5` on a path of 200 vertices with
-#: one contact (25 lambdas per chunk; shared 2-core x86, Python 3.11,
+#: keeps each working array of a stacked call near 8 MiB, so the bounds cap
+#: the time of one lambda: `detect --kmax 1.5` on a path of 200 vertices
+#: with one contact (25 lambdas per call; shared 2-core x86, Python 3.11,
 #: numpy 2.4) takes 12 s and 56 MiB peak RSS.
 MAX_MFUNCTION_VERTICES = 200
 MAX_MFUNCTION_EDGES = 10_000
@@ -143,18 +143,18 @@ def _edge_terms(lengths: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.n
     return ab, singular
 
 
-class _MChunk(NamedTuple):
-    """Stacked M-function values at consecutive lambdas.
+class _MValues(NamedTuple):
+    """Stacked M-function values, one row per requested lambda.
 
-    regular[i] says whether M exists at the i-th lambda; the rows of
-    matrices and eigs at singular lambdas are NaN.  eigs is None unless
-    requested.  interior[i] counts the negative eigenvalues of the
-    interior block of T, None where an edge block is singular.
+    regular[i] says whether M exists at the i-th lambda.  values[i] is M
+    there, or its ascending eigenvalues when those were requested; rows
+    at singular lambdas are NaN.  interior[i] counts the negative
+    eigenvalues of the interior block of T, None where an edge block is
+    singular.
     """
 
     regular: np.ndarray
-    matrices: np.ndarray
-    eigs: np.ndarray | None
+    values: np.ndarray
     interior: list[int | None]
 
 
@@ -189,7 +189,7 @@ class _Kernel:
     block, the interior block C and the contact-interior block B, so that
     `take` gathers each block of a whole stack as one C-contiguous array
     (a strided gather would send `B @ X` down another matmul loop).
-    `entries` is what one lambda costs of the chunk budget.
+    `entries` is what one lambda costs of the entry budget.
     """
 
     def __init__(self, g: MetricGraph) -> None:
@@ -240,22 +240,31 @@ class _Kernel:
         t[singular] = 0.0
         return t, singular
 
-    def chunks(self, lams: Sequence[float], eigs: bool = False) -> Iterator[_MChunk]:
-        """M at every lambda, as many lambdas per yielded chunk as
-        _CHUNK_ENTRIES allows (read at call time), and at least one.
+    def evaluate(self, lams: Sequence[float], eigs: bool = False) -> _MValues:
+        """M at every lambda, or its ascending eigenvalues when eigs is set.
 
-        Interior vertices are eliminated by a Schur complement; a lambda is
-        singular when an edge block is singular or the interior block is
-        numerically non-invertible (interior Dirichlet eigenvalue).
+        The stacked calls take as many lambdas as _CHUNK_ENTRIES allows
+        (read at call time), and at least one; their results fill one
+        array per request.  Interior vertices are eliminated by a Schur
+        complement; a lambda is singular when an edge block is singular
+        or the interior block is numerically non-invertible (interior
+        Dirichlet eigenvalue).
         """
         lams = np.asarray(lams, dtype=float)
         if not np.isfinite(lams).all():
             raise GraphError("lambda must be finite")
+        n = len(lams)
+        regular = np.empty(n, dtype=bool)
+        values = np.empty((n, self.nb) if eigs else (n, self.nb, self.nb))
+        interior: list[int | None] = []
         step = max(1, _CHUNK_ENTRIES // self.entries)
-        for start in range(0, len(lams), step):
-            yield self._chunk(lams[start:start + step], eigs)
+        for start in range(0, n, step):
+            part = slice(start, start + step)
+            regular[part], values[part], negative = self._chunk(lams[part], eigs)
+            interior += negative
+        return _MValues(regular, values, interior)
 
-    def _chunk(self, lams: np.ndarray, eigs: bool) -> _MChunk:
+    def _chunk(self, lams: np.ndarray, eigs: bool) -> _MValues:
         nb, ni = self.nb, self.ni
         t, singular = self.assemble(lams)
         m = t.take(self.cc, axis=1).reshape(-1, nb, nb)
@@ -274,13 +283,10 @@ class _Kernel:
             rows = slice(None) if regular.all() else regular.nonzero()[0]
             b = t.take(self.ci, axis=1).reshape(-1, nb, ni)[rows]
             m[rows] -= b @ np.linalg.solve(c[rows], b.transpose(0, 2, 1))
-        ev = np.linalg.eigvalsh(m) if eigs else None
-        irregular = ~regular
-        m[irregular] = np.nan
-        if eigs:
-            ev[irregular] = np.nan
+        values = np.linalg.eigvalsh(m) if eigs else m
+        values[~regular] = np.nan
         interior = [None if s else n for s, n in zip(singular.tolist(), negative.tolist())]
-        return _MChunk(regular, m, ev, interior)
+        return _MValues(regular, values, interior)
 
 
 def m_function(g: MetricGraph, lam: float) -> MFunEval:
@@ -290,18 +296,16 @@ def m_function(g: MetricGraph, lam: float) -> MFunEval:
     singular when an edge block is singular or the interior block is
     numerically non-invertible (interior Dirichlet eigenvalue).
     """
-    chunk = next(_Kernel(g).chunks([lam]))
-    if not chunk.regular[0]:
+    m = _Kernel(g).evaluate([lam])
+    if not m.regular[0]:
         return MFunEval(lam, None, False)
-    return MFunEval(lam, chunk.matrices[0], True)
+    return MFunEval(lam, m.values[0], True)
 
 
 def steklov_eigs(g: MetricGraph, lam: float) -> np.ndarray | None:
     """Sorted Steklov eigenvalues at lambda, or None at a singular point."""
-    ev = m_function(g, lam)
-    if not ev.regular:
-        return None
-    return np.linalg.eigvalsh(ev.matrix)
+    ev = _Kernel(g).evaluate([lam], eigs=True)
+    return ev.values[0] if ev.regular[0] else None
 
 
 @dataclass(frozen=True)
@@ -341,11 +345,9 @@ def steklov_sweep(g: MetricGraph, lambda_min: float, lambda_max: float,
     _check_samples(steps)
     grid = [lambda_min + (lambda_max - lambda_min) * i / (steps - 1)
             for i in range(steps)]
-    branches: list[tuple[float, ...] | None] = []
-    for chunk in _Kernel(g).chunks(grid, eigs=True):
-        branches += [tuple(e.tolist()) if ok else None
-                     for ok, e in zip(chunk.regular, chunk.eigs)]
-    return SteklovCurve(tuple(grid), tuple(branches))
+    ev = _Kernel(g).evaluate(grid, eigs=True)
+    return SteklovCurve(tuple(grid), tuple(
+        tuple(e) if ok else None for ok, e in zip(ev.regular.tolist(), ev.values.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +371,10 @@ def _counts(kernel: _Kernel, ks: Sequence[float]
     of T, None where an edge block is singular.
     """
     k = np.array(ks, dtype=float)
-    steklov: list[int | None] = []
-    interior: list[int | None] = []
-    for chunk in kernel.chunks(k * k, eigs=True):
-        negative = (chunk.eigs < 0.0).sum(1)
-        steklov += [n if ok else None for ok, n in zip(chunk.regular, negative.tolist())]
-        interior += chunk.interior
-    return steklov, interior
+    ev = kernel.evaluate(k * k, eigs=True)
+    negative = (ev.values < 0.0).sum(1)
+    return ([n if ok else None for ok, n in zip(ev.regular.tolist(), negative.tolist())],
+            ev.interior)
 
 
 #: a bracket (path, k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1;
@@ -647,17 +646,15 @@ def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
 def _sample_matrices(graphs: Sequence[MetricGraph]
                      ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """(lambda, M of every graph) per DEFAULT_SAMPLES lambda, from one
-    stacked evaluation each.
+    stacked evaluation per graph.
 
     Raises SingularSampleError at the first sample where any M is singular.
     """
-    it = iter(DEFAULT_SAMPLES)
-    for chunks in zip(*(_Kernel(g).chunks(DEFAULT_SAMPLES) for g in graphs)):
-        for i in range(len(chunks[0].regular)):
-            lam = next(it)
-            if not all(c.regular[i] for c in chunks):
-                raise SingularSampleError(f"singular sample lambda={lam}")
-            yield lam, [c.matrices[i] for c in chunks]
+    ms = [kernel.evaluate(DEFAULT_SAMPLES) for kernel in [_Kernel(g) for g in graphs]]
+    for i, lam in enumerate(DEFAULT_SAMPLES):
+        if not all(m.regular[i] for m in ms):
+            raise SingularSampleError(f"singular sample lambda={lam}")
+        yield lam, [m.values[i] for m in ms]
 
 
 def _probes(kernel: _Kernel, ks: Sequence[float]
@@ -665,8 +662,8 @@ def _probes(kernel: _Kernel, ks: Sequence[float]
     """Steklov eigenvalues at (k - _PROBE_EPS)^2 and (k + _PROBE_EPS)^2 for
     every k, None where M is singular, from one stacked evaluation."""
     lams = [lam for k in ks for lam in ((k - _PROBE_EPS) ** 2, (k + _PROBE_EPS) ** 2)]
-    eigs = [e if ok else None for chunk in kernel.chunks(lams, eigs=True)
-            for ok, e in zip(chunk.regular, chunk.eigs)]
+    ev = kernel.evaluate(lams, eigs=True)
+    eigs = [e if ok else None for ok, e in zip(ev.regular.tolist(), ev.values)]
     return list(zip(eigs[0::2], eigs[1::2]))
 
 

@@ -72,15 +72,6 @@ class SecularMatrixSpec:
                 for i, (row, deg) in enumerate(zip(self.adj, self.degrees))]
 
 
-def build_secular_matrix(g: MetricGraph) -> SecularMatrixSpec:
-    """Secular matrix structure of g; requires all edge lengths equal to 1."""
-    if not g.is_unilateral:
-        raise SecularError(
-            "graph not unilateral; subdivide integer lengths into unit edges first")
-    d = to_discrete(g)
-    return SecularMatrixSpec(d.adj, d.degrees(), g.n_edges)
-
-
 def _as_unilateral(g: MetricGraph) -> MetricGraph:
     """g with unit edges, by unit_subdivided even when g already has them,
     so that MAX_UNIT_EDGES bounds every input of the exact keys."""

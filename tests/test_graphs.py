@@ -55,6 +55,26 @@ class TestValidate:
         g = MetricGraph((Fraction(1),), ((0, 1),), (0, 0))
         assert any("duplicate contact" in p for p in validate(g))
 
+    @pytest.mark.parametrize("contacts, message", [
+        ((5,), "contact 5 references unknown vertex"),
+        ((0, -1), "contact -1 references unknown vertex"),
+        ((2,), "contact 2 references unknown vertex"),
+        ((0, 0), "repeated contact"),
+        ((1, 0, 1), "repeated contact")])
+    def test_bad_contacts_rejected(self, contacts, message):
+        # before, (5,) failed later with an IndexError inside m_function
+        # and (0, 0) gave an M with a repeated row
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            from_edge_list(2, [(0, 1)], contacts=contacts)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            from_edge_list(2, [(0, 1)]).with_contacts(contacts)
+
+    def test_contacts_kept_in_order(self):
+        g = from_edge_list(3, [(0, 1), (1, 2)], contacts=[2, 0])
+        assert g.contacts == (2, 0)
+        assert g.with_contacts(range(3)).contacts == (0, 1, 2)
+        assert g.with_contacts(()).contacts == ()
+
 
 class TestTopology:
     def test_betti_k5(self):
@@ -392,6 +412,35 @@ edge a b 4/2
     def test_missing_graph_line(self):
         with pytest.raises(GraphFormatError, match="missing graph directive"):
             parse_graph("vertex a\nvertex b\nedge a b\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("graph\n", "line 1: graph needs exactly one name"),
+        ("graph g\nvertex a boundary\n", "line 2: bad vertex directive"),
+        ("graph g\nvertex a\n# b\nvertex a\n", "line 4: duplicate vertex id 'a'"),
+        ("graph g\nvertex a\nedge a\n", "line 3: bad edge directive"),
+        ("graph g\nvertex a\nedge a b\n", "line 3: undeclared vertex id 'b'"),
+        ("graph g\nvertex a\nvertex b\nedge a b -2\n",
+         "line 4: bad length (nonpositive length -2)"),
+        ("graph g\nvertex a\nvertex b\nedge a b 1/0\n",
+         "line 4: bad length (Fraction(1, 0))"),
+        ("graph g\nvertex a\nvertex b\nedge a b x\n",
+         "line 4: bad length (Invalid literal for Fraction: 'x')"),
+        ("graph g\nfoo bar\n", "line 2: unknown directive 'foo'"),
+        ("vertex a\n", "line 1: missing graph directive"),
+        ("graph g\nvertex a\n", "graph has no edges"),
+        ("graph g\nvertex a\nvertex b\nvertex c contact\nvertex d\nedge a b\n",
+         "isolated vertex ids: c, d")])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    def test_parse_equals_edge_list(self):
+        text = ("graph g\nvertex a\nvertex b contact\nvertex c contact\n"
+                "edge b a 3/2\nedge a a\nedge c b 2\n")
+        g = parse_graph(text)
+        assert g == from_edge_list(3, [(1, 0, "3/2"), (0, 0), (2, 1, 2)], contacts=(1, 2))
+        assert all(type(l) is Fraction for l in g.lengths)
 
 
 class TestUnionHelpers:

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import specgraph.mfunction
-from specgraph import (DetectionResult, GraphError, SingularSampleError, detectable_spectrum,
-                       from_edge_list, glue,
+from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSampleError,
+                       detectable_spectrum, from_edge_list, glue,
                        invisible_multiplicity, m_function, method3_verify,
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
@@ -364,6 +364,26 @@ def chunk_lambdas(kernel):
     return max(1, specgraph.mfunction._CHUNK_ENTRIES // kernel.entries)
 
 
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """(lambdas requested, sizes of its stacked calls) for every
+    `_Kernel.evaluate` call, in call order."""
+    calls = []
+    evaluate, chunk = _Kernel.evaluate, _Kernel._chunk
+
+    def spy_evaluate(self, lams, eigs=False):
+        calls.append((len(lams), []))
+        return evaluate(self, lams, eigs)
+
+    def spy_chunk(self, lams, eigs):
+        calls[-1][1].append(len(lams))
+        return chunk(self, lams, eigs)
+
+    monkeypatch.setattr(_Kernel, "evaluate", spy_evaluate)
+    monkeypatch.setattr(_Kernel, "_chunk", spy_chunk)
+    return calls
+
+
 class TestStackedProbes:
     """The crossing probes of one detect, stacked on its kernel, against
     one-lambda evaluations."""
@@ -611,11 +631,9 @@ def interior_poles(g, lam_max, steps=2000):
     return out
 
 
-def stacked(g, lams):
-    """All chunks of one stacked evaluation, joined: regular, matrices, eigs, interior counts."""
-    regular, matrices, eigs, interior = zip(*_Kernel(g).chunks(lams, eigs=True))
-    return (np.concatenate(regular), np.concatenate(matrices), np.concatenate(eigs),
-            [n for part in interior for n in part])
+def stacked(g, lams, eigs=False):
+    """One stacked evaluation of g at every lambda: M, or its eigenvalues."""
+    return _Kernel(g).evaluate(lams, eigs)
 
 
 class TestStackedKernelOracle:
@@ -637,7 +655,9 @@ class TestStackedKernelOracle:
             seen["one contact"] += len(g.contacts) == 1
             seen.update(f"length {l}" for l in set(g.lengths))
             lams = oracle_lambdas(rng, g)
-            regular, matrices, eigs, interior_neg = stacked(g, lams)
+            m, ev = stacked(g, lams), stacked(g, lams, eigs=True)
+            regular, interior_neg = m.regular, m.interior
+            assert ev.regular.tolist() == regular.tolist() and ev.interior == interior_neg
             for i, lam in enumerate(lams):
                 ref = reference_m_function(g, lam)
                 one = m_function(g, lam)
@@ -651,9 +671,9 @@ class TestStackedKernelOracle:
                 if not ref.regular:
                     seen["interior singular"] += 1
                     continue
-                assert np.array_equal(matrices[i], ref.matrix), (g, lam)
+                assert np.array_equal(m.values[i], ref.matrix), (g, lam)
                 assert np.array_equal(one.matrix, ref.matrix), (g, lam)
-                assert np.array_equal(eigs[i], np.linalg.eigvalsh(ref.matrix)), (g, lam)
+                assert np.array_equal(ev.values[i], np.linalg.eigvalsh(ref.matrix)), (g, lam)
                 seen["regular"] += 1
         for kind in ("loop", "parallel", "no interior", "one contact", "length 1",
                      "length 2", "length 3", "length 3/2", "edge singular", "regular"):
@@ -714,7 +734,7 @@ class TestStackedKernelOracle:
             assert len(interior_vertices(g)) >= 2
             for lam0 in interior_poles(g, 60.0):
                 lams = [lam0 * (1 + sign * d) for d in offsets for sign in (-1, 1)]
-                regular = stacked(g, lams)[0]
+                regular = stacked(g, lams).regular
                 ref = [reference_m_function(g, lam).regular for lam in lams]
                 assert regular.tolist() == ref, (g, lam0)
                 assert [m_function(g, lam).regular for lam in lams] == ref, (g, lam0)
@@ -751,7 +771,7 @@ class TestStackPlacement:
         from_edge_list(4, [(0, 3), (1, 3), (2, 3)], (0, 1, 2)),
         from_edge_list(5, [(0, 4), (1, 4), (2, 4), (3, 4), (0, 1, 3), (0, 3, "3/2")], (0, 3)),
         from_edge_list(5, [(0, 1), (1, 2, 3), (2, 3), (2, 4, "3/2"), (0, 4, 3)], (2,))])
-    def test_lambda_alone_and_in_stacks(self, g):
+    def test_lambda_alone_and_in_stacks(self, g, stacked_calls):
         assert reference_assemble(g, EDGE_POLE) is None
         assert reference_assemble(g, INTERIOR_POLE) is not None
         assert not reference_m_function(g, INTERIOR_POLE).regular
@@ -759,20 +779,25 @@ class TestStackPlacement:
         assert len(lams) >= 6
         mixed = [EDGE_POLE, *lams[:3], INTERIOR_POLE, *lams[3:]]
         kernel = _Kernel(g)
-        [regular] = kernel.chunks(lams, eigs=True)
-        [chunk] = kernel.chunks(mixed, eigs=True)
-        assert regular.regular.all()
-        assert chunk.regular.tolist() == [lam not in (EDGE_POLE, INTERIOR_POLE) for lam in mixed]
-        assert chunk.interior[0] is None and chunk.interior[4] is not None
-        assert np.isnan(chunk.matrices[[0, 4]]).all() and np.isnan(chunk.eigs[[0, 4]]).all()
-        for i, lam in enumerate(lams):
-            [alone] = kernel.chunks([lam], eigs=True)
-            assert np.array_equal(alone.matrices[0], reference_m_function(g, lam).matrix), lam
-            j = mixed.index(lam)
-            for stack, at in ((regular, i), (chunk, j)):
-                assert np.array_equal(stack.matrices[at], alone.matrices[0]), lam
-                assert np.array_equal(stack.eigs[at], alone.eigs[0]), lam
-                assert stack.interior[at] == alone.interior[0], lam
+        for eigs in (False, True):
+            stacked_calls.clear()
+            regular = kernel.evaluate(lams, eigs)
+            stack = kernel.evaluate(mixed, eigs)
+            # each request is one stacked call
+            assert stacked_calls == [(len(lams), [len(lams)]), (len(mixed), [len(mixed)])]
+            assert regular.regular.all()
+            assert stack.regular.tolist() == [lam not in (EDGE_POLE, INTERIOR_POLE)
+                                              for lam in mixed]
+            assert stack.interior[0] is None and stack.interior[4] is not None
+            assert np.isnan(stack.values[[0, 4]]).all()
+            for i, lam in enumerate(lams):
+                alone = kernel.evaluate([lam], eigs)
+                ref = reference_m_function(g, lam).matrix
+                assert np.array_equal(alone.values[0],
+                                      np.linalg.eigvalsh(ref) if eigs else ref), lam
+                for whole, at in ((regular, i), (stack, mixed.index(lam))):
+                    assert np.array_equal(whole.values[at], alone.values[0]), lam
+                    assert whole.interior[at] == alone.interior[0], lam
 
 
 @st.composite
@@ -903,7 +928,7 @@ class TestBudgets:
                                match="graph has 5 edges, above the bound of 4 for M-functions"):
                 call()
 
-    def test_small_chunk_budget_keeps_outputs(self, monkeypatch):
+    def test_small_chunk_budget_keeps_outputs(self, monkeypatch, stacked_calls):
         # the entry budget is read at call time; chunks of 1, 2 or 3
         # lambdas give the sweeps and detects of the default budget
         graphs = [catalog(name) for name in CONTACT_CATALOG]
@@ -916,23 +941,74 @@ class TestBudgets:
             assert budget // kernel.entries >= 120
             monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES",
                                 per_chunk * kernel.entries + kernel.entries - 1)
-            assert chunk_lambdas(kernel) == per_chunk
-            sizes = [len(chunk.regular) for chunk in kernel.chunks([-1.0] * 7)]
-            assert sizes == [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+            stacked_calls.clear()
+            whole = kernel.evaluate([-1.0] * 7)
+            sizes = [per_chunk] * (7 // per_chunk) + [7 % per_chunk] * (7 % per_chunk > 0)
+            assert stacked_calls == [(7, sizes)]
+            assert len(whole.regular) == len(whole.values) == len(whole.interior) == 7
             got = (steklov_sweep(g, -5.0, 60.0, 120), detectable_spectrum(g, 6.5))
             assert got == want, g
+
+        # the Steklov certificates compare all nine samples, in order, when
+        # their graphs split the samples into chunks of different sizes
+        monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES", budget)
+        pairs = [(catalog("fig6_cycle"), catalog("fig6_eight")),
+                 (catalog("Gamma1"), catalog("Q1"))]
+        hosts = [(catalog("K4"), catalog("Q1"), catalog("Q2")),
+                 (catalog("S4"), catalog("Q1"), catalog("Q2"))]
+        cases = [(steklov_equivalent, (a, b)) for a, b in pairs]
+        cases += [(steklov_equivalent, (b, a)) for a, b in pairs]
+        cases += [(method3_verify, host) for host in hosts]
+        expected = [check(*args) for check, args in cases]
+        assert [bool(r) for r in expected] == [True, False, True, False, True, True]
+        for (check, args), want in zip(cases, expected):
+            # the smallest graph takes two samples per chunk, the others one
+            monkeypatch.setattr(specgraph.mfunction, "_CHUNK_ENTRIES",
+                                2 * min(_Kernel(g).entries for g in args))
+            stacked_calls.clear()
+            got = check(*args)
+            assert got == want, args
+            assert [n for n, _ in stacked_calls] == [len(DEFAULT_SAMPLES)] * len(args)
+            assert len({tuple(sizes) for _, sizes in stacked_calls}) == 2, stacked_calls
+            if check is method3_verify:
+                assert [s.lam for s in got.samples] == list(DEFAULT_SAMPLES)
 
     @pytest.mark.parametrize("g, per_chunk", [
         (from_edge_list(200, [(i, i + 1) for i in range(199)], contacts=(0,)), 25),
         (from_edge_list(2, [(0, 1)] * 10_000, contacts=(0,)), 13)])
-    def test_lambdas_per_chunk_at_the_bounds(self, g, per_chunk):
+    def test_lambdas_per_chunk_at_the_bounds(self, g, per_chunk, stacked_calls):
         # a lambda costs n^2 + 8E entries: 41,592 on the path of 200
         # vertices, 80,004 on 10,000 parallel edges
         kernel = _Kernel(g)
         budget = specgraph.mfunction._CHUNK_ENTRIES
         assert kernel.entries * per_chunk <= budget < kernel.entries * (per_chunk + 1)
         lams = [-1.0 - 0.1 * i for i in range(2 * per_chunk + 1)]
-        assert [len(chunk.regular) for chunk in kernel.chunks(lams)] == [per_chunk, per_chunk, 1]
+        for eigs in (False, True):
+            stacked_calls.clear()
+            whole = kernel.evaluate(lams, eigs)
+            assert stacked_calls == [(len(lams), [per_chunk, per_chunk, 1])]
+            for i, lam in enumerate(lams):
+                alone = kernel.evaluate([lam], eigs)
+                assert whole.regular[i] == alone.regular[0]
+                assert np.array_equal(whole.values[i], alone.values[0])
+                assert whole.interior[i] == alone.interior[0]
+
+    def test_zero_lambda_requests(self, stacked_calls):
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        for eigs, shape in ((False, (0, 2, 2)), (True, (0, 2))):
+            empty = _Kernel(g).evaluate([], eigs)
+            assert empty.regular.shape == (0,) and empty.values.shape == shape
+            assert empty.interior == []
+        assert stacked_calls == [(0, []), (0, [])]
+        # k_max below the step: an empty grid and no probes
+        stacked_calls.clear()
+        assert detectable_spectrum(g, 0.005) == DetectionResult((), ())
+        assert stacked_calls == [(0, []), (0, [])]
+        # one grid evaluation with a count of one everywhere, no edge pole
+        # below pi: no bracket, no candidate, an empty probe request
+        stacked_calls.clear()
+        assert detectable_spectrum(g, 1.0) == DetectionResult((), ())
+        assert stacked_calls == [(100, [100]), (0, [])]
 
     def test_sweep_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))

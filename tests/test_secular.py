@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import specgraph
-from specgraph import (ExactError, SecularError, betti, build_secular_matrix, classify,
+from specgraph import (ExactError, SecularError, SecularMatrixSpec, betti, classify,
                        components, enumerate_connected_simple, from_edge_list,
                        invisible_multiplicity, ln_charpoly, metric_isospectral,
                        poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
@@ -52,8 +52,6 @@ class TestSecularMatrix:
 
     def test_rejects_noninteger_lengths(self):
         g = from_edge_list(2, [(0, 1, Fraction(1, 2))])
-        with pytest.raises(SecularError, match="not unilateral"):
-            build_secular_matrix(g)
         with pytest.raises(SecularError, match="unit edges"):
             secular_poly(g)
 
@@ -64,25 +62,30 @@ class TestVertexMatrix:
     the vertex matrix at z."""
 
     @staticmethod
+    def pencil(g):
+        d = to_discrete(g)
+        return SecularMatrixSpec(d.adj, d.degrees(), d.n_edges)
+
+    @staticmethod
     def vertex_matrix(layout, z):
         c = (z * z + 1) / (2 * z)
         return [[2 * z * x for x in row] for row in layout.entry_matrix(c)]
 
     def test_single_edge(self):
-        layout = build_secular_matrix(from_edge_list(2, [(0, 1)]))
+        layout = self.pencil(from_edge_list(2, [(0, 1)]))
         assert (layout.size, layout.n_edges) == (2, 1)
         assert layout.degrees == (1, 1)
         assert layout.entry_matrix(2) == [[-2, 1], [1, -2]]
         assert self.vertex_matrix(layout, Fraction(2)) == [[-5, 4], [4, -5]]
 
     def test_loop_counts_twice(self):
-        layout = build_secular_matrix(from_edge_list(1, [(0, 0)]))
+        layout = self.pencil(from_edge_list(1, [(0, 0)]))
         assert layout.adj == ((2,),) and layout.degrees == (2,)
         # 2z * 2 - (z^2 + 1) * 2 = -2 (z - 1)^2
         assert self.vertex_matrix(layout, Fraction(3)) == [[-8]]
 
     def test_path(self):
-        layout = build_secular_matrix(from_edge_list(3, [(0, 1), (1, 2)]))
+        layout = self.pencil(from_edge_list(3, [(0, 1), (1, 2)]))
         assert layout.degrees == (1, 2, 1)
         z = Fraction(1, 2)
         assert self.vertex_matrix(layout, z) == [[Fraction(-5, 4), 1, 0],
@@ -92,7 +95,7 @@ class TestVertexMatrix:
     def test_forest_divides_out_z2_minus_1(self):
         # a path has E = V - 1: det = (z^2 - 1)^2 (z^2 + 1), secular z^4 - 1
         path = from_edge_list(3, [(0, 1), (1, 2)])
-        layout = build_secular_matrix(path)
+        layout = self.pencil(path)
         q = polymat_det(layout.entry_matrix, 3, 3)
         assert (poly_normalize(_c_to_z(q.coeffs, 3))
                 == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1])))
