@@ -12,8 +12,8 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
                             method2_exchange, method2_permute, substitute)
 from .discrete import (LnCharpoly, PropositionReport, ln_charpoly,
                        ln_isospectral, proposition_check)
-from .exact import (ExactError, ProjectivePoly, RationalMatrix, det_exact,
-                    poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
+from .exact import (ExactError, ProjectivePoly, det_exact, poly_mul,
+                    poly_normalize, poly_pow, poly_roots_unit_circle,
                     polymat_det, squarefree_factors)
 from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      betti, canonical_form, chop_vertex, components,

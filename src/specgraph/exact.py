@@ -1,31 +1,29 @@
-"""Exact rational linear algebra and integer polynomials.
+"""Exact integer linear algebra and integer polynomials.
 
-Everything here is exact: rationals are `fractions.Fraction`, matrices are
-plain row-major lists of ints and Fractions, and polynomials are
-coefficient lists with the constant term first.  Both exact spectral
+The layer computes in Z only: matrices are plain row-major lists of
+ints, polynomials are int coefficient lists with the constant term
+first, and a non-integer input raises ExactError.  Both exact spectral
 keys, the secular polynomial and the normalized-Laplacian charpoly, come
 from the V x V integer pencil det(A - cD), which one call of one kernel
 determines per discrete graph (`secular._pencil`).  That kernel is
 `polymat_det`: Bareiss determinants at consecutive integer sample points,
 Newton forward differences divided exactly by j!, and certification at
-one extra point.  On integer matrices the whole kernel stays in `int`;
-a Fraction appears only where a matrix entry or a value is not an
-integer.  The square-free decomposition runs in Z[x] too.  The only
-floating point lives in `poly_roots_unit_circle`, which locates roots
-numerically after the multiplicity structure has been extracted exactly.
+one extra point.  The square-free decomposition runs in Z[x] too.
+Rational determinants and Newton interpolation in Fractions live in
+`tests/kernel_oracles.py`, as oracles.  The only floating point lives in
+`poly_roots_unit_circle`, which locates roots numerically after the
+multiplicity structure has been extracted exactly.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-
-RationalMatrix = Sequence[Sequence[Fraction | int]]
 
 
 class ExactError(ValueError):
@@ -70,12 +68,6 @@ class ProjectivePoly:
         """
         return tuple(poly_roots_unit_circle(self))
 
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def line(self) -> str:
         """Single-line serialization: `poly: c0 c1 ... cD`."""
         return "poly: " + " ".join(str(c) for c in self.coeffs)
@@ -91,22 +83,17 @@ class ProjectivePoly:
         return self.line()
 
 
-def poly_normalize(coeffs: Sequence[Fraction | int]) -> ProjectivePoly:
-    """Normalize rational coefficients to the projective representative.
+def poly_normalize(coeffs: Sequence[int]) -> ProjectivePoly:
+    """Normalize integer coefficients to the projective representative.
 
-    Clears denominators (integer input stays in int), divides out the
-    integer content and flips the global sign so the leading coefficient
-    is positive.  Rejects the zero polynomial.
+    Divides out the content and flips the global sign so the leading
+    coefficient is positive.  Rejects the zero polynomial.
     """
     ints = list(coeffs)
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:
         raise ExactError("zero polynomial not projective")
-    if not all(isinstance(c, int) for c in ints):
-        fracs = [Fraction(c) for c in ints]
-        den = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (den // f.denominator) for f in fracs]
     content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
@@ -146,19 +133,22 @@ def _deflate_linear(coeffs: list[int], root: int) -> list[int] | None:
 # exact determinants
 # ---------------------------------------------------------------------------
 
-def _check_square(m: RationalMatrix) -> int:
+def det_exact(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss
+    elimination.
+
+    The working copy takes each entry through `operator.index`, so an entry
+    that is not an integer (a Fraction, a float) raises ExactError.
+    """
     n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
+    try:
+        a = [list(map(operator.index, row)) for row in m]
+    except TypeError as exc:
+        raise ExactError(f"matrix entries must be integers: {exc}") from None
+    if n == 0 or any(len(row) != n for row in a):
         raise ExactError("matrix must be square and nonempty")
-    return n
-
-
-def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss elimination; exact determinant of an int matrix."""
-    n = len(rows)
     sign = 1
     prev = 1
-    a = [list(row) for row in rows]
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -180,29 +170,15 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def det_exact(m: RationalMatrix) -> int | Fraction:
-    """Exact determinant of a square rational matrix; an int for an int matrix."""
-    n = _check_square(m)
-    if all(type(x) is int for row in m for x in row):
-        return m[0][0] if n == 1 else _bareiss_det(m)
-    scale = 1
-    int_rows: list[list[int]] = []
-    for row in m:
-        den = math.lcm(*(x.denominator for x in row))
-        scale *= den
-        int_rows.append([x.numerator * (den // x.denominator) for x in row])
-    det = int_rows[0][0] if n == 1 else _bareiss_det(int_rows)
-    return Fraction(det, scale)
-
-
-def _interpolate(start: int, values: Sequence[int | Fraction]) -> list[int | Fraction]:
-    """Monomial coefficients of the polynomial through (start + i, values[i]).
+def _interpolate(start: int, values: Sequence[int]) -> list[int]:
+    """Integer monomial coefficients of the polynomial through
+    (start + i, values[i]).
 
     Newton's forward-difference form at the consecutive points: the j-th
     coefficient is the j-th difference divided by j!.  The division is
-    exact for a polynomial with integer coefficients, so integer values
-    give int coefficients; a Fraction appears only where it does not
-    divide.
+    exact for a polynomial with integer coefficients; a remainder means
+    the values are not those of one of degree len(values) - 1 or less,
+    and raises ExactError.
     """
     diffs = list(values)
     newton = [diffs[0]]
@@ -210,9 +186,10 @@ def _interpolate(start: int, values: Sequence[int | Fraction]) -> list[int | Fra
     for j in range(1, len(diffs)):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
         fact *= j
-        d = diffs[0]
-        newton.append(d // fact if isinstance(d, int) and d % fact == 0
-                      else Fraction(d, fact))
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ExactError(f"degree bound violated: difference {j} not divisible by {j}!")
+        newton.append(q)
     # Horner in the Newton basis: p = n0 + (x - s)(n1 + (x - s - 1)(n2 + ...))
     coeffs = [newton[-1]]
     for j in range(len(newton) - 2, -1, -1):
@@ -226,12 +203,12 @@ def _interpolate(start: int, values: Sequence[int | Fraction]) -> list[int | Fra
     return coeffs
 
 
-def polymat_det(entry_eval: Callable[[int], RationalMatrix],
+def polymat_det(entry_eval: Callable[[int], Sequence[Sequence[int]]],
                 size: int,
                 degree_bound: int) -> ProjectivePoly:
     """Exact determinant of a polynomial matrix by evaluation-interpolation.
 
-    `entry_eval(z0)` must return the size x size rational matrix at the
+    `entry_eval(z0)` must return the size x size integer matrix at the
     integer sample point z0.  The determinant is evaluated exactly at
     degree_bound+1 consecutive integers, interpolated, and certified at one
     extra point; a mismatch means the stated degree bound is wrong.

@@ -40,6 +40,8 @@ def _as_length(value: RationalLike) -> Fraction:
 def _as_contacts(contacts: Sequence[int], n_vertices: int) -> tuple[int, ...]:
     out = tuple(contacts)
     for c in out:
+        if type(c) is not int:
+            raise GraphError(f"contact {c!r} is not an integer vertex index")
         if not 0 <= c < n_vertices:
             raise GraphError(f"contact {c} references unknown vertex")
     if len(set(out)) != len(out):
@@ -104,13 +106,15 @@ def from_edge_list(n_vertices: int,
 
     Raises GraphError for a nonpositive length, an edge at an unknown
     vertex, a vertex on no edge, and a contact that is not a vertex or is
-    repeated.
+    repeated.  Vertex indices and contacts must be ints (bools are not).
     """
     ends: list[tuple[int, int]] = []
     lengths: list[Fraction] = []
     for edge in edges:
         u, v = edge[0], edge[1]
         length = _as_length(edge[2]) if len(edge) > 2 else Fraction(1)
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"edge ({u!r}, {v!r}) has a vertex index that is not an integer")
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise GraphError(f"edge ({u}, {v}) references unknown vertex")
         ends.append((u, v))
@@ -125,9 +129,16 @@ def validate(g: MetricGraph) -> list[str]:
     problems: list[str] = []
     if len(g.ends) != g.n_edges:
         problems.append(f"{len(g.ends)} edge ends for {g.n_edges} lengths")
+    integer = True
     for i, (u, v) in enumerate(g.ends):
-        if u < 0 or v < 0:
+        if type(u) is not int or type(v) is not int:
+            problems.append(f"non-integer vertex index on edge {i}")
+            integer = False
+        elif u < 0 or v < 0:
             problems.append(f"negative vertex index on edge {i}")
+    if not integer:
+        # without integer indices the vertices 0..n_vertices-1 are undefined
+        return problems
     met = {x for e in g.ends for x in e}
     for v in range(g.n_vertices):
         if v not in met:
@@ -136,7 +147,9 @@ def validate(g: MetricGraph) -> list[str]:
         if l <= 0:
             problems.append(f"nonpositive length on edge {i}")
     for c in g.contacts:
-        if not 0 <= c < g.n_vertices:
+        if type(c) is not int:
+            problems.append(f"contact index {c!r} not an integer")
+        elif not 0 <= c < g.n_vertices:
             problems.append(f"contact index {c} out of range")
     if len(set(g.contacts)) != len(g.contacts):
         problems.append("duplicate contact index")

@@ -28,7 +28,6 @@ the number of components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -52,22 +51,19 @@ class SecularError(GraphError):
 class SecularMatrixSpec:
     """Structure of the V x V pencil A - cD of a unilateral graph.
 
-    `adj` is the discrete adjacency matrix (loops count 2 on the diagonal),
-    `degrees` its row sums and `n_edges` the number of unit edges, which
-    fixes the power of (z^2 - 1) relating the pencil's determinant to the
-    secular polynomial.
+    `adj` is the discrete adjacency matrix (loops count 2 on the diagonal)
+    and `degrees` its row sums.
     """
 
     adj: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
-    n_edges: int
 
     @property
     def size(self) -> int:
         return len(self.adj)
 
-    def entry_matrix(self, c: Fraction | int) -> list[list[Fraction | int]]:
-        """The matrix A - cD."""
+    def entry_matrix(self, c: int) -> list[list[int]]:
+        """The integer matrix A - cD at the integer sample point c."""
         return [[a - c * deg if i == j else a for j, a in enumerate(row)]
                 for i, (row, deg) in enumerate(zip(self.adj, self.degrees))]
 
@@ -113,7 +109,7 @@ def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
 def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     """Coefficients of q(c) = det(A - cD) of d, projectively normalized:
     the one determinant behind both exact keys of d."""
-    spec = SecularMatrixSpec(d.adj, d.degrees(), d.n_edges)
+    spec = SecularMatrixSpec(d.adj, d.degrees())
     return polymat_det(spec.entry_matrix, spec.size, spec.size).coeffs
 
 

@@ -3,7 +3,11 @@
 `scattering_secular_poly` is the secular polynomial as the determinant of
 the 2N x 2N bond-scattering matrix E(z) - S_v, where E(z) couples the two
 ends of each edge by z and S_v is block diagonal with blocks (2/d)J - I
-for standard (Kirchhoff) conditions.  `faddeev_ln_charpoly` is the
+for standard (Kirchhoff) conditions.  Each endpoint row is multiplied by
+its vertex degree d, which makes the pencil integer and scales its
+determinant by the constant prod d_v^(d_v), lost in projective
+normalization.  `cofactor_det` is the determinant of a rational matrix by
+cofactor expansion along the first row.  `faddeev_ln_charpoly` is the
 normalized-Laplacian charpoly by the Faddeev-LeVerrier recurrence on
 I - D^{-1}A.  The library computes both keys from V x V determinants
 instead; these formulations share no matrix with it.
@@ -74,17 +78,20 @@ class ScatteringMatrixSpec:
     pairs: tuple[tuple[int, int], ...]
     blocks: tuple[tuple[int, ...], ...]
 
-    def entry_matrix(self, z: Fraction) -> list[list[Fraction]]:
-        m = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for a, b in self.pairs:
-            m[a][b] += z
-            m[b][a] += z
+    def entry_matrix(self, z: int) -> list[list[int]]:
+        """E(z) - S_v with each endpoint row multiplied by its vertex degree
+        d: the z entries become dz and the scattering block 2J - dI."""
+        m = [[0] * self.size for _ in range(self.size)]
+        degree = [0] * self.size
         for block in self.blocks:
             d = len(block)
-            off = Fraction(2, d)
             for a in block:
+                degree[a] = d
                 for b in block:
-                    m[a][b] -= off - (1 if a == b else 0)
+                    m[a][b] -= 2 - (d if a == b else 0)
+        for a, b in self.pairs:
+            m[a][b] += degree[a] * z
+            m[b][a] += degree[b] * z
         return m
 
 
@@ -99,6 +106,14 @@ def scattering_secular_poly(g: MetricGraph) -> ProjectivePoly:
     """Secular polynomial of an integer-length graph from the 2N x 2N matrix."""
     layout = build_scattering_matrix(g if g.is_unilateral else unit_subdivided(g))
     return polymat_det(layout.entry_matrix, layout.size, layout.size)
+
+
+def cofactor_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
 
 def charpoly_exact(m: list[list[Fraction]]) -> list[Fraction]:
@@ -373,6 +388,12 @@ def _fpoly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return _fpoly_trim(out)
 
 
+def _fpoly_to_z(p: Sequence[Fraction]) -> list[int]:
+    """The integer-normalized representative of a rational polynomial."""
+    den = math.lcm(*(c.denominator for c in p))
+    return list(poly_normalize([int(c * den) for c in p]).coeffs)
+
+
 def reference_squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
     """Yun decomposition over Q with monic gcds, factors normalized to Z."""
     p = _fpoly_trim([Fraction(c) for c in coeffs])
@@ -390,7 +411,7 @@ def reference_squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int],
     while len(w) > 1:
         gi = _fpoly_gcd(w, z)
         if len(gi) > 1:
-            out.append((list(poly_normalize(gi).coeffs), i))
+            out.append((_fpoly_to_z(gi), i))
         w, _ = _fpoly_divmod(w, gi)
         y, _ = _fpoly_divmod(z, gi)
         z = _fpoly_sub(y, _fpoly_derivative(w))

@@ -12,7 +12,8 @@ from specgraph.exact import (ExactError, ProjectivePoly, _interpolate, det_exact
 from specgraph import GraphError, secular_poly
 from specgraph.constructions import CATALOG_IDS, catalog
 
-from kernel_oracles import charpoly_exact, reference_interpolate, reference_squarefree_factors
+from kernel_oracles import (charpoly_exact, cofactor_det, reference_interpolate,
+                            reference_squarefree_factors)
 
 
 def frac_poly_mul(a, b):
@@ -23,12 +24,16 @@ def frac_poly_mul(a, b):
     return out
 
 
+def evaluate(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolyNormalize:
     def test_scale_and_sign(self):
         assert poly_normalize([-2, 0, 2]).coeffs == (-1, 0, 1)
-
-    def test_clears_denominators(self):
-        assert poly_normalize([Fraction(1, 2), Fraction(1, 4)]).coeffs == (2, 1)
 
     def test_global_sign_flip_on_big_product(self):
         plus = poly_mul(poly_mul(poly_pow([-1, 1], 7), poly_pow([1, 1], 5)),
@@ -48,7 +53,7 @@ class TestPolyNormalize:
                 coeffs[0] = 1
             p = poly_normalize(coeffs)
             assert poly_normalize(p.coeffs) == p
-            c = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice((1, -1))
+            c = rng.randint(1, 9) * rng.choice((1, -1))
             assert poly_normalize([c * x for x in coeffs]) == p
 
     def test_trailing_zeros_stripped(self):
@@ -61,53 +66,82 @@ class TestPolyNormalize:
 
 class TestDetExact:
     def test_2x2(self):
-        m = [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        assert det_exact(m) == Fraction(1, 2)
+        assert det_exact([[1, 2], [3, 4]]) == -2
+        assert type(det_exact([[1, 2], [3, 4]])) is int
 
     def test_singular(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert det_exact(m) == 0
+        assert det_exact([[1, 2], [2, 4]]) == 0
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 0.5, 2.0])
+    def test_non_integer_entry_rejected(self, entry):
+        # unchecked, Bareiss floor division would give 0 for
+        # [[1/2, 1], [1, 3]], whose determinant is 1/2
+        with pytest.raises(ExactError, match="integers"):
+            det_exact([[entry]])
+        with pytest.raises(ExactError, match="integers"):
+            det_exact([[entry, 1], [1, 3]])
+        with pytest.raises(ExactError, match="integers"):
+            polymat_det(lambda z: [[entry, z], [z, 1]], 2, 2)
+
+    def test_not_square_rejected(self):
+        for m in ([], [[1, 2]], [[1, 2], [3]]):
+            with pytest.raises(ExactError, match="square"):
+                det_exact(m)
 
     def test_matches_permanent_free_cofactor_oracle(self):
-        # brute-force cofactor expansion as the independent check
-        def cofactor_det(m):
-            n = len(m)
-            if n == 1:
-                return m[0][0]
-            total = Fraction(0)
-            for j in range(n):
-                minor = [row[:j] + row[j + 1:] for row in m[1:]]
-                total += (-1) ** j * m[0][j] * cofactor_det(minor)
-            return total
-
+        # zero leading pivots force row swaps; rank-deficient matrices are
+        # singular however the elimination pivots
         rng = random.Random(11)
-        for _ in range(10):
-            n = rng.randint(1, 5)
-            m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(n)] for _ in range(n)]
-            assert det_exact(m) == cofactor_det(m)
+        swaps = singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            shape = rng.randrange(3)
+            if shape == 1 and n > 1:
+                m[0][0] = 0
+                for i in range(1, rng.randint(1, n)):
+                    m[i][0] = 0
+            elif shape == 2 and n > 1:
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-3, 3)
+                m[i] = [c * x for x in m[j]]
+            swaps += m[0][0] == 0 and any(row[0] for row in m[1:])
+            got = det_exact(m)
+            assert type(got) is int
+            assert got == cofactor_det(m), m
+            singular += got == 0
+        assert swaps >= 50 and singular >= 80
 
 
 class TestPolymatDet:
     def test_offdiag_linear(self):
         def entries(z):
-            zero = Fraction(0)
-            return [[zero, z - 1], [z - 1, zero]]
+            return [[0, z - 1], [z - 1, 0]]
 
         assert polymat_det(entries, 2, 2).coeffs == (1, -2, 1)
 
     def test_melon(self):
         def entries(z):
-            return [[Fraction(-1), z], [z, Fraction(-1)]]
+            return [[-1, z], [z, -1]]
 
         assert polymat_det(entries, 2, 2).coeffs == (-1, 0, 1)
 
     def test_degree_bound_violation(self):
         def entries(z):
-            return [[z * z, Fraction(0)], [Fraction(0), z * z]]
+            return [[z * z, 0], [0, z * z]]
 
         with pytest.raises(ExactError, match="degree bound violated"):
             polymat_det(entries, 2, 3)
+
+    def test_integer_valued_pencil_not_in_z_rejected(self):
+        # z(z - 1)/2 is an integer at every integer z, but it is not in Z[z]
+        def entries(z):
+            return [[z * (z - 1) // 2]]
+
+        with pytest.raises(ExactError, match="degree bound violated"):
+            polymat_det(entries, 1, 2)
+        with pytest.raises(ExactError, match="degree bound violated"):
+            polymat_det(entries, 1, 4)
 
     def test_reevaluation_at_random_points(self):
         rng = random.Random(3)
@@ -118,20 +152,14 @@ class TestPolymatDet:
             return [[c0 + c1 * z for c0, c1 in row] for row in rows]
 
         p = polymat_det(entries, 3, 3)
-        # the projective scalar is fixed by matching at one point
-        base = Fraction(7, 2)
-        scale = det_exact(entries(base)) / p(base)
+        # the projective scalar is fixed by matching at one point outside
+        # the sample points
+        base = 7
+        scale = Fraction(det_exact(entries(base)), evaluate(p.coeffs, base))
         assert scale != 0
         for _ in range(5):
-            x = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
-            assert det_exact(entries(x)) == scale * p(x)
-
-
-def evaluate(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+            x = rng.randint(-300, 300)
+            assert det_exact(entries(x)) == scale * evaluate(p.coeffs, x)
 
 
 class TestInterpolationOracle:
@@ -155,56 +183,62 @@ class TestInterpolationOracle:
                 assert p == poly_normalize(coeffs)
                 assert all(type(c) is int for c in p.coeffs)
 
-    def test_rational_values_take_the_same_path(self):
+    def test_cleared_rational_polynomials_at_any_start(self):
+        # a rational polynomial times the lcm of its denominators, sampled
+        # from a random start: the library's projective key of the original
         rng = random.Random(1997)
         for degree in range(13):
             for _ in range(4):
                 coeffs = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 40))
                           for _ in range(degree + 1)]
                 coeffs[-1] = coeffs[-1] or Fraction(1, 3)
+                den = math.lcm(*(c.denominator for c in coeffs))
+                cleared = [int(c * den) for c in coeffs]
                 start = rng.randint(-5, 5)
                 points = list(range(start, start + degree + 1))
-                values = [evaluate(coeffs, Fraction(x)) for x in points]
-                assert _interpolate(start, values) == coeffs
-                assert reference_interpolate(points, values) == coeffs
-                p = polymat_det(lambda z: [[evaluate(coeffs, Fraction(z))]], 1, degree)
-                assert p == poly_normalize(coeffs)
+                values = [evaluate(cleared, x) for x in points]
+                assert _interpolate(start, values) == cleared
+                assert reference_interpolate(points, values) == cleared
+                assert reference_interpolate(
+                    points, [evaluate(coeffs, Fraction(x)) for x in points]) == coeffs
+                p = polymat_det(lambda z: [[evaluate(cleared, z)]], 1, degree)
+                assert p == poly_normalize(cleared)
 
     def test_integer_valued_polynomial_with_fraction_coefficients(self):
         # binomial(z, j) takes integer values at integers but its
-        # coefficients are not integers: the j! division must not truncate
-        for j in range(1, 9):
+        # coefficients are not integers: the j! division must not truncate,
+        # it must refuse; j! binomial(z, j) is the falling factorial, in Z[z]
+        for j in range(2, 9):
             falling = [1]
             for i in range(j):
                 falling = poly_mul(falling, [-i, 1])
-            coeffs = [Fraction(c, math.factorial(j)) for c in falling]
             points = range(-3, j - 2)
             values = [evaluate(falling, x) // math.factorial(j) for x in points]
-            assert _interpolate(-3, values) == coeffs
-            assert reference_interpolate(points, values) == coeffs
+            assert reference_interpolate(points, values) == [
+                Fraction(c, math.factorial(j)) for c in falling]
+            with pytest.raises(ExactError, match="degree bound violated"):
+                _interpolate(-3, values)
+            assert _interpolate(-3, [evaluate(falling, x) for x in points]) == falling
 
     def test_matrices_against_reference(self):
         rng = random.Random(2021)
         for _ in range(30):
             n = rng.randint(1, 4)
-            integer = rng.random() < 0.5
             rows = [[(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)]
                     for _ in range(n)]
-            dens = [[1 if integer else rng.randint(1, 4) for _ in range(n)] for _ in range(n)]
 
             def entries(z):
-                return [[Fraction(c0 + c1 * z, d) if d > 1 else c0 + c1 * z
-                         for (c0, c1), d in zip(row, drow)] for row, drow in zip(rows, dens)]
+                return [[c0 + c1 * z for c0, c1 in row] for row in rows]
 
             start = -(n // 2)
             points = list(range(start, start + n + 1))
             values = [det_exact(entries(z)) for z in points]
-            if integer:
-                assert all(type(v) is int for v in values)
+            assert all(type(v) is int for v in values)
             if not any(values):
                 continue
-            assert polymat_det(entries, n, n) == poly_normalize(
-                reference_interpolate(points, values))
+            reference = reference_interpolate(points, values)
+            assert all(c.denominator == 1 for c in reference)
+            assert polymat_det(entries, n, n) == poly_normalize([int(c) for c in reference])
 
 
 class TestCharpoly:

@@ -69,6 +69,31 @@ class TestValidate:
         with pytest.raises(GraphError, match=f"^{message}$"):
             from_edge_list(2, [(0, 1)]).with_contacts(contacts)
 
+    @pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.0), (True, 0)])
+    def test_non_integer_vertex_rejected(self, edge):
+        # a float index would give a graph whose vertices and shadow raise
+        # TypeError
+        with pytest.raises(GraphError, match="has a vertex index that is not an integer"):
+            from_edge_list(2, [edge], contacts=(0,))
+
+    @pytest.mark.parametrize("contacts", [(1.0,), (True,), (0, Fraction(1))])
+    def test_non_integer_contact_rejected(self, contacts):
+        # format_graph would write contacts 1.0 and True as v1.0 and vTrue
+        with pytest.raises(GraphError, match="is not an integer vertex index"):
+            from_edge_list(2, [(0, 1)], contacts=contacts)
+        with pytest.raises(GraphError, match="is not an integer vertex index"):
+            from_edge_list(2, [(0, 1)]).with_contacts(contacts)
+
+    def test_non_integer_indices_reported(self):
+        g = MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (1.0, 2)), (0,))
+        assert validate(g) == ["non-integer vertex index on edge 1"]
+        g = MetricGraph((Fraction(1),), ((False, 1),), ())
+        assert validate(g) == ["non-integer vertex index on edge 0"]
+        g = MetricGraph((Fraction(1),), ((0, 1),), (1.0, True))
+        assert validate(g)[:2] == ["contact index 1.0 not an integer",
+                                   "contact index True not an integer"]
+        assert validate(MetricGraph((Fraction(1),), ((0, 1),), (1, 0))) == []
+
     def test_contacts_kept_in_order(self):
         g = from_edge_list(3, [(0, 1), (1, 2)], contacts=[2, 0])
         assert g.contacts == (2, 0)
