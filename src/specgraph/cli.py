@@ -194,14 +194,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     curve = steklov_sweep(g, args.lmin, args.lmax, args.steps)
     b = len(g.contacts)
     lines = ["lambda,regular," + ",".join(f"mu_{i + 1}" for i in range(b)) + ",det"]
+    # "%.12g" formats a float as _fmt does; one pattern formats a whole row
+    singular_row = "%.12g,0," + "," * b
+    regular_row = "%.12g,1," + ",".join(["%.12g"] * (b + 1))
     for lam, branches in zip(curve.grid, curve.branches):
         if branches is None:
-            lines.append(f"{_fmt(lam)},0," + "," * b)
+            lines.append(singular_row % lam)
         else:
-            det = math.prod(branches)
-            lines.append(f"{_fmt(lam)},1,"
-                         + ",".join(_fmt(x) for x in branches)
-                         + f",{_fmt(det)}")
+            lines.append(regular_row % (lam, *branches, math.prod(branches)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -25,8 +25,13 @@ keeps the per-lambda assembly from 2x2 edge blocks (`edge_m_block`), with
 a singular-value conditioning test, as the oracle.
 
 One `detect` is one kernel: `detectable_spectrum` builds a `_Kernel` for
-its k grid and takes every later sample from it.  The grid is one
-stacked evaluation; the Steklov and interior-pole bisections run as one
+its k grid and takes every later sample from it.  The grid takes two
+stacked evaluations (`_grid_counts`): a coarse pass over the ends of the
+pieces between edge poles and every _GRID_STRIDE-th point, then a fine
+pass over every stretch whose ends differ in a count or are singular.
+Between edge poles M is a matrix Herglotz function, monotone in lambda
+with its interior block, so a stretch whose ends agree has their counts
+throughout.  The Steklov and interior-pole bisections run as one
 level-synchronous loop, so the midpoints of every open bracket of a
 level, of both kinds, are evaluated together; and the +-_PROBE_EPS
 crossing probes of all refined points and pole candidates are one more
@@ -377,6 +382,58 @@ def _counts(kernel: _Kernel, ks: Sequence[float]
             ev.interior)
 
 
+#: grid steps per coarse stretch of detect's grid: on the 28 catalog
+#: graphs with contacts at k <= 12.6, strides 8 to 16 evaluate 199-220 of
+#: the 1,260 grid points per detect (4 evaluates 345, 24 evaluates 240)
+_GRID_STRIDE = 8
+
+
+def _grid_counts(kernel: _Kernel, ks: Sequence[float], lengths: Sequence[float]
+                 ) -> tuple[list[int | None], list[int | None]]:
+    """`_counts` at every k of the ascending grid ks, from two stacked passes.
+
+    The grid is cut into pieces at every edge pole (`_edge_poles`, before
+    `_edge_pole_candidates` merges those closer than 1e-9), so that the
+    points on either side of a pole end two pieces.  The coarse pass
+    evaluates each piece's ends and every _GRID_STRIDE-th point between.
+    Between two edge poles T(lambda) is a matrix Herglotz function, so the
+    eigenvalues of M and of its interior block C are nondecreasing in
+    lambda wherever they exist, and both negative counts are
+    nonincreasing: a coarse stretch whose ends are regular and agree in
+    both counts has those counts, and no zero eigenvalue of C, at every
+    point between.  The fine pass evaluates every inner point of every
+    other stretch.  An edge-singular point lies within about 1e-10/l of a
+    pole, so it ends a piece or sits in a run of such points from a piece
+    end, and never inside a stretch with regular ends.
+    """
+    n = len(ks)
+    if not n:
+        return [], []
+    poles = _edge_poles(lengths, ks[-1])
+    starts = sorted(set(np.searchsorted(np.array(ks), poles).tolist()) - {0, n})
+    counts: list[int | None] = [None] * n
+    interior: list[int | None] = [None] * n
+
+    def fill(indices: list[int]) -> None:
+        for i, c, m in zip(indices, *_counts(kernel, [ks[i] for i in indices])):
+            counts[i], interior[i] = c, m
+
+    coarse: list[int] = []
+    for a, b in zip([0] + starts, starts + [n]):
+        coarse += range(a, b - 1, _GRID_STRIDE)
+        coarse.append(b - 1)
+    fill(coarse)
+    fine: list[int] = []
+    for a, b in zip(coarse, coarse[1:]):
+        if counts[a] is not None and (counts[a], interior[a]) == (counts[b], interior[b]):
+            counts[a + 1:b] = [counts[a]] * (b - a - 1)
+            interior[a + 1:b] = [interior[a]] * (b - a - 1)
+        else:
+            fine += range(a + 1, b)
+    fill(fine)
+    return counts, interior
+
+
 #: a bracket (path, k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1;
 #: path is the grid index of its root followed by 0/1 for left/right halves
 _Bracket = tuple[tuple[int, ...], float, int, float, int]
@@ -474,9 +531,11 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     refine_tol default to DETECT_GRID_STEP and DETECT_REFINE_TOL as they
     are when called.
 
-    Every sample comes from one kernel: the grid, then each level of both
-    bisections (see `_bisect`), then the crossing probes of every refined
-    point and every pole candidate, one stacked evaluation each.  Refined
+    Every sample comes from one kernel: the grid's coarse and fine passes
+    (see `_grid_counts`), which give the counts a full evaluation of the
+    grid gives, then each level of both bisections (see `_bisect`), then
+    the crossing probes of every refined point and every pole candidate,
+    one stacked evaluation each.  Refined
     points, multiplicities, notes, errors and warnings are those of a
     depth-first refinement that probes bracket by bracket: the probes are
     read in that order, and a candidate the skip rule drops is never read.
@@ -507,7 +566,7 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     while k <= k_max + 1e-12:
         ks.append(k)
         k += grid_step
-    counts, interior = _counts(kernel, ks)
+    counts, interior = _grid_counts(kernel, ks, lengths)
 
     brackets: list[_Bracket] = []
     prev: tuple[float, int] | None = None
@@ -583,23 +642,30 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
                            tuple(note for _, note in notes))
 
 
-def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]:
-    """Distinct k values in (0, k_max] where an edge block of one of the
-    float edge lengths is singular.
-
-    A pole within 1e-9 of one already kept is dropped; `out` stays sorted,
-    so only the two neighbours of the insertion point need checking.
-    """
+def _edge_poles(lengths: Sequence[float], k_max: float) -> list[float]:
+    """Every k = m*pi/l in (0, k_max] where the edge block of one of the
+    float edge lengths l is singular, by distinct length, then by m."""
     out: list[float] = []
     for length in sorted(set(lengths)):
         step = math.pi / length
         m = 1
         while m * step <= k_max + 1e-12:
-            k0 = m * step
-            i = bisect.bisect_left(out, k0)
-            if not any(abs(k0 - other) < 1e-9 for other in out[max(i - 1, 0):i + 1]):
-                out.insert(i, k0)
+            out.append(m * step)
             m += 1
+    return out
+
+
+def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]:
+    """The distinct `_edge_poles` of lengths up to k_max, ascending.
+
+    A pole within 1e-9 of one already kept is dropped; `out` stays sorted,
+    so only the two neighbours of the insertion point need checking.
+    """
+    out: list[float] = []
+    for k0 in _edge_poles(lengths, k_max):
+        i = bisect.bisect_left(out, k0)
+        if not any(abs(k0 - other) < 1e-9 for other in out[max(i - 1, 0):i + 1]):
+            out.insert(i, k0)
     return out
 
 

@@ -17,11 +17,12 @@ from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSam
                        metric_isospectral, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
-from specgraph.mfunction import (_PROBE_EPS, _bisect, _counts, _edge_pole_candidates, _Kernel,
-                                 _probes)
+from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _bisect, _counts,
+                                 _edge_pole_candidates, _grid_counts, _Kernel, _probes)
 
 from conftest import random_connected_multigraph
-from kernel_oracles import (edge_m_block, interior_vertices, reference_assemble,
+from kernel_oracles import (_reference_interior_count, _reference_negative_count,
+                            edge_m_block, interior_vertices, reference_assemble,
                             reference_detectable_spectrum, reference_invisible_multiplicity,
                             reference_m_function, reference_refine)
 
@@ -464,6 +465,72 @@ class TestStackedProbes:
         assert new.points == ((math.pi - 5 * _PROBE_EPS, 1),)
         assert new_warnings == ref_warnings == [
             "asymmetric crossing count at pole k=3.14109: 2 before, 1 after"]
+
+
+def detect_grid(step, k_max):
+    """The k grid of detectable_spectrum, accumulated by k += step."""
+    ks, k = [], step
+    while k <= k_max + 1e-12:
+        ks.append(k)
+        k += step
+    return ks
+
+
+class TestGridPass:
+    """The counts of detect's two-pass grid, evaluated or carried, against
+    the one-lambda oracle at every grid k."""
+
+    def check(self, g, step, k_max, seen, stacked_calls):
+        ks = detect_grid(step, k_max)
+        kernel = _Kernel(g)
+        stacked_calls.clear()
+        counts, interior = _grid_counts(kernel, ks, kernel.lengths.tolist())
+        ref_counts = [_reference_negative_count(g, k) for k in ks]
+        ref_interior = [_reference_interior_count(g, k) for k in ks]
+        assert counts == ref_counts, (g, step)
+        assert interior == ref_interior, (g, step)
+        seen["grid"] += len(ks)
+        seen["evaluated"] += sum(n for n, _ in stacked_calls)
+        seen["edge singular"] += ref_interior.count(None)
+        seen["interior singular"] += sum(
+            n is None and m is not None for n, m in zip(ref_counts, ref_interior))
+        regular = [(n, m) for n, m in zip(ref_counts, ref_interior) if n is not None]
+        seen["steklov changes"] += sum(a[0] != b[0] for a, b in zip(regular, regular[1:]))
+        seen["interior changes"] += sum(a[1] != b[1] for a, b in zip(regular, regular[1:]))
+
+    def test_catalog_against_oracle(self, stacked_calls):
+        seen = Counter()
+        for name in CONTACT_CATALOG:
+            self.check(catalog(name), DETECT_GRID_STEP, 12.6, seen, stacked_calls)
+        assert seen["edge singular"] == 0 and seen["steklov changes"] >= 100, seen
+        assert seen["interior changes"] >= 20, seen
+        assert seen["evaluated"] < 0.4 * seen["grid"], seen
+
+    def test_seeded_graphs_against_oracle(self, stacked_calls):
+        # grid steps of pi/8 and pi/12 put grid samples on edge poles and
+        # on interior Dirichlet poles
+        rng = random.Random(4221)
+        lengths = (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+        seen = Counter()
+        for i in range(50):
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(v), v, rng.choice(lengths)) for v in range(1, n)]
+            for _ in range(rng.randint(1 if n == 1 else 0, 4)):
+                edges.append((rng.randrange(n), rng.randrange(n), rng.choice(lengths)))
+            g = from_edge_list(n, edges, rng.sample(range(n), rng.randint(1, n)))
+            step = (0.01, math.pi / 8, math.pi / 12)[i % 3]
+            self.check(g, step, rng.uniform(3.0, 12.6), seen, stacked_calls)
+        for kind in ("edge singular", "interior singular", "interior changes"):
+            assert seen[kind] >= 5, seen
+        assert seen["steklov changes"] >= 100, seen
+
+    def test_detect_requests_few_grid_lambdas(self, stacked_calls):
+        # the first two evaluations of a detect are the coarse and the
+        # fine pass over its grid of 1,260 points
+        assert len(detect_grid(DETECT_GRID_STEP, 12.6)) == 1260
+        detectable_spectrum(catalog("Gamma1"), 12.6)
+        (coarse, _), (fine, _) = stacked_calls[:2]
+        assert coarse + fine <= 300, stacked_calls
 
 
 class TestInvisible:
@@ -1000,15 +1067,17 @@ class TestBudgets:
             assert empty.regular.shape == (0,) and empty.values.shape == shape
             assert empty.interior == []
         assert stacked_calls == [(0, []), (0, [])]
-        # k_max below the step: an empty grid and no probes
+        # k_max below the step: an empty grid, which evaluates nothing,
+        # and no probes
         stacked_calls.clear()
         assert detectable_spectrum(g, 0.005) == DetectionResult((), ())
-        assert stacked_calls == [(0, []), (0, [])]
-        # one grid evaluation with a count of one everywhere, no edge pole
-        # below pi: no bracket, no candidate, an empty probe request
+        assert stacked_calls == [(0, [])]
+        # a grid of 100 points with a count of one everywhere and no edge
+        # pole below pi: a coarse pass of the ends and every 8th point, an
+        # empty fine pass, no bracket, no candidate, an empty probe request
         stacked_calls.clear()
         assert detectable_spectrum(g, 1.0) == DetectionResult((), ())
-        assert stacked_calls == [(100, [100]), (0, [])]
+        assert stacked_calls == [(14, [14]), (0, []), (0, [])]
 
     def test_sweep_sample_budget(self, monkeypatch):
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
