@@ -217,6 +217,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.max_edges is not None and not args.multi:
+        raise GraphError("--max-edges applies only with --multi")
     if args.multi:
         m_max = search.MULTI_EDGE_BOUND if args.max_edges is None else args.max_edges
         graphs = list(enumerate_connected_multi(args.vertices, m_max))

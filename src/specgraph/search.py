@@ -8,7 +8,11 @@ every class, because a connected graph has a vertex whose deletion, with
 its loops, leaves it connected (a leaf of a spanning tree).  For
 multigraphs with at most m edges a vertex may use only the edges left
 after one for each vertex still to come.  Columns that an automorphism
-of the parent maps to a smaller column are skipped (see `_grow`).
+of the parent maps to a smaller column are skipped, and so is a child
+whose new vertex cannot be the one its class deletes: a vertex of the
+largest invariant f among those whose deletion keeps the graph connected
+(canonical augmentation, McKay, J. Algorithms 26, 1998; see `_grow`).
+Only the children left are canonicalized.
 Classification groups graphs by exact spectral keys and reuses the
 canonical form each enumerated graph already carries.
 """
@@ -24,7 +28,7 @@ from .graphs import (DiscreteGraph, GraphError, automorphism_generators, canonic
                      discrete_betti, discrete_components, discrete_from_adj)
 from .secular import _discrete_secular
 
-SIMPLE_BOUND = 7
+SIMPLE_BOUND = 8
 MULTI_VERTEX_BOUND = 4
 MULTI_EDGE_BOUND = 8
 
@@ -78,10 +82,29 @@ def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
     column in an orbit of the group G the generators span gives an
     isomorphic child; and the least column of each G-orbit is never
     skipped, because each generator maps it to a column of the same
-    orbit, which is no smaller.  Any
-    subgroup of Aut(parent) will do, so the generators need not span all
-    of it.  Which isomorphic child a level keeps can depend on the
-    pruning; the forms and their order do not.
+    orbit, which is no smaller.  Any subgroup of Aut(parent) will do, so
+    the generators need not span all of it.
+
+    A child is canonicalized only when its new vertex k could be the
+    vertex its class deletes.  Let f(v) be the degree of v, its diagonal
+    entry and the sorted degrees of its neighbours, each counted once per
+    edge; an isomorphism keeps f.  The child is dropped, before a
+    DiscreteGraph is built, when some other vertex v has f(v) > f(k) and
+    deleting v leaves the child connected (`_may_delete_last`).  This
+    loses no class either.  A class X on k + 1 vertices has a vertex m of
+    the largest f among its non-cut vertices (there are at least two).
+    X - m is connected.  X has at most m_max - (n - 1 - k) edges and
+    X - m at least one fewer, within the bound of the previous level,
+    which therefore holds a representative P of X - m.  Carried onto P,
+    the loops and the column of m give a child isomorphic to X whose new
+    vertex plays the part of m; if pruning skips that column, the least
+    column of its orbit gives another such child, through an automorphism
+    of P that fixes k.  In that child no non-cut vertex has a larger f
+    than k, so it passes.  (The new vertex itself is never a cut vertex,
+    since the parent is connected.)  Ties in f leave several children of
+    one class, and the level dict keeps the first.  Which isomorphic
+    child a level keeps can depend on the pruning and the filter; the
+    forms and their order do not.
     """
     top = m_max if multi else 1
     level: dict[bytes, DiscreteGraph] = {}
@@ -97,12 +120,53 @@ def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
                 if not any(col) or any(tuple([col[i] for i in p]) < col for p in perms):
                     continue
                 for loops in range(budget - sum(col) + 1) if multi else (0,):
-                    child = discrete_from_adj([row + (c,) for row, c in zip(d.adj, col)]
-                                              + [col + (2 * loops,)])
-                    nxt.setdefault(canonical_form(child), child)
+                    adj = [row + (c,) for row, c in zip(d.adj, col)] + [col + (2 * loops,)]
+                    if _may_delete_last(adj):
+                        child = discrete_from_adj(adj)
+                        nxt.setdefault(canonical_form(child), child)
         level = nxt
     for key in sorted(level):
         yield level[key]
+
+
+def _vertex_invariant(adj: list[tuple[int, ...]], deg: list[int], v: int) -> tuple:
+    """f(v): degree, diagonal entry and the sorted degrees of v's
+    neighbours, each counted once per edge; kept by every isomorphism."""
+    return (deg[v], adj[v][v],
+            sorted(deg[u] for u, c in enumerate(adj[v]) if u != v for _ in range(c)))
+
+
+def _may_delete_last(adj: list[tuple[int, ...]]) -> bool:
+    """False when a vertex other than the last has a larger f and deleting
+    it leaves the graph connected (see `_grow`)."""
+    k = len(adj) - 1
+    deg = [sum(row) for row in adj]
+    f_last = None
+    for v in range(k):
+        if deg[v] < deg[k]:
+            continue
+        if deg[v] == deg[k]:
+            if f_last is None:
+                f_last = _vertex_invariant(adj, deg, k)
+            if _vertex_invariant(adj, deg, v) <= f_last:
+                continue
+        if _connected_without(adj, v):
+            return False
+    return True
+
+
+def _connected_without(adj: list[tuple[int, ...]], v: int) -> bool:
+    """Whether the graph of adj stays connected when vertex v is deleted."""
+    start = 1 if v == 0 else 0
+    seen = {v, start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w, c in enumerate(adj[u]):
+            if c and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def _columns(k: int, top: int, budget: int) -> Iterator[tuple[int, ...]]:

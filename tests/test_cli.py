@@ -412,7 +412,9 @@ class TestConstructVerbs:
         (["construct", "clarify"] + [arg for name in "abcdef"
                                      for arg in (f"--block-{name}", "{dir}/k5.g")]
          + ["--splits", "1,2|3"],
-         "--splits expects two slot pairs like '2,3|1,4', got '1,2|3'")])
+         "--splits expects two slot pairs like '2,3|1,4', got '1,2|3'"),
+        (["search", "--vertices", "2", "--max-edges", "3"],
+         "--max-edges applies only with --multi")])
     def test_malformed_option_names_its_form(self, tmp_path, capsys, argv, message):
         _exchange_argv(tmp_path, capsys)
         (tmp_path / "k5.g").write_text(format_graph(catalog("K5")))

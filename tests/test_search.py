@@ -2,8 +2,12 @@ import math
 import random
 from itertools import combinations_with_replacement, permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import specgraph.graphs
 import specgraph.search
 from specgraph import (GraphError, canonical_form, catalog, classify,
                        discrete_from_adj, enumerate_connected_multi,
@@ -60,7 +64,7 @@ class TestEnumerateSimple:
 
     def test_bound(self):
         with pytest.raises(GraphError, match="enumeration bound"):
-            list(enumerate_connected_simple(8))
+            list(enumerate_connected_simple(9))
 
     def test_counts_and_n7_classes_match_graph_atlas(self):
         nx = pytest.importorskip("networkx")
@@ -158,14 +162,69 @@ class TestEnumerateMulti:
 
 
 class TestOrbitPruning:
+    # ties in f are common among the multigraphs of (4, 8) and (5, 6)
     @pytest.mark.parametrize("n, m_max, multi",
                              [(n, n * (n - 1) // 2, False) for n in range(1, 8)]
-                             + [(3, 6, True), (4, 7, True)])
-    def test_same_forms_as_unpruned_reference(self, n, m_max, multi):
+                             + [(3, 6, True), (4, 7, True), (4, 8, True), (5, 6, True)])
+    def test_same_forms_as_unpruned_reference(self, n, m_max, multi, monkeypatch):
+        monkeypatch.setattr(specgraph.search, "MULTI_VERTEX_BOUND", 5)
         pruned = (enumerate_connected_multi(n, m_max) if multi
                   else enumerate_connected_simple(n))
         assert ([canonical_form(d) for d in pruned]
                 == [canonical_form(d) for d in reference_grow(n, m_max, multi)])
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Edge list of a connected multigraph on 2-6 vertices: a random
+    spanning tree plus loops and parallel edges."""
+    n = draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    return n, edges
+
+
+class TestAugmentationFilter:
+    @pytest.mark.parametrize("enumerate_, bound", [
+        (lambda: enumerate_connected_simple(6), 150),
+        (lambda: enumerate_connected_multi(4, 7), 560),
+        (lambda: enumerate_connected_simple(7), 1100)], ids=["simple-6", "multi-4-7", "simple-7"])
+    def test_canonical_search_count(self, enumerate_, bound, monkeypatch):
+        # children the filter drops are never canonicalized
+        calls = []
+        canonical_search = specgraph.graphs._canonical_search
+        monkeypatch.setattr(specgraph.graphs, "_canonical_search",
+                            lambda d: calls.append(d) or canonical_search(d))
+        list(enumerate_())
+        assert len(calls) <= bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(connected_multigraphs())
+    def test_accepts_exactly_a_largest_non_cut_vertex(self, graph):
+        n, edges = graph
+        g = nx.MultiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        # networkx counts a loop twice in a degree, as the adjacency does
+        f = {v: (g.degree(v), 2 * g.number_of_edges(v, v),
+                 tuple(sorted(g.degree(u) for _, u in g.edges(v) if u != v)))
+             for v in g}
+        non_cut = [v for v in g if nx.is_connected(g.subgraph(set(g) - {v}))]
+        adj = [[0] * n for _ in range(n)]
+        for u, v in edges:
+            adj[u][v] += 1
+            adj[v][u] += 1
+        for v in range(n):
+            order = [u for u in range(n) if u != v] + [v]
+            last = [tuple(adj[i][j] for j in order) for i in order]
+            accepted = specgraph.search._may_delete_last(last)
+            if v in non_cut:
+                assert accepted == (f[v] == max(f[u] for u in non_cut))
+            else:
+                # a child's new vertex is never a cut vertex; the filter
+                # then looks only at the other vertices
+                assert accepted == all(f[u] <= f[v] for u in non_cut)
 
 
 class TestClassify:
