@@ -22,7 +22,7 @@ from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      join_points, merge_vertices, metric_from_discrete,
                      parse_graph, scale_lengths,
                      subdivide_edge, suppress_degree2, to_discrete,
-                     unit_subdivided, validate)
+                     unit_subdivided)
 from .mfunction import (DEFAULT_SAMPLES, DetectionResult, EquivalenceResult,
                         MFunEval, Method3Report, SingularSampleError,
                         SteklovCurve, detectable_spectrum,

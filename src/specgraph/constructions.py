@@ -210,7 +210,8 @@ def assemble(host: ComposedHost) -> MetricGraph:
     g = host.frame
     for slot in host.slots:
         glued = glue(g, slot.graph, [(fp, sp) for sp, fp in slot.attach])
-        g = glued.with_contacts(g.contacts + glued.contacts[len(g.contacts):])
+        g = MetricGraph(glued.lengths, glued.ends,
+                        g.contacts + glued.contacts[len(g.contacts):])
     return g
 
 

@@ -8,14 +8,19 @@ subset of vertices may be flagged as the ordered contact set, which is
 where boundary data (M-functions, Steklov eigenvalues) lives.
 
 All types are immutable values and all operations are pure: surgery
-returns a new graph and never edits its input.
+returns a new graph and never edits its input.  Every graph is valid by
+construction: the MetricGraph and DiscreteGraph constructors check their
+invariants and raise GraphError, so surgery results need no separate
+check.  `from_edge_list` is the converting builder: it takes a vertex
+count and converts each length with Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -30,45 +35,63 @@ class GraphFormatError(GraphError):
 RationalLike = Fraction | int | str
 
 
-def _as_length(value: RationalLike) -> Fraction:
-    frac = Fraction(value)
-    if frac <= 0:
-        raise GraphError(f"nonpositive length {value}")
-    return frac
-
-
-def _as_contacts(contacts: Sequence[int], n_vertices: int) -> tuple[int, ...]:
-    out = tuple(contacts)
-    for c in out:
-        if type(c) is not int:
-            raise GraphError(f"contact {c!r} is not an integer vertex index")
-        if not 0 <= c < n_vertices:
-            raise GraphError(f"contact {c} references unknown vertex")
-    if len(set(out)) != len(out):
-        raise GraphError("repeated contact")
-    return out
-
-
 @dataclass(frozen=True)
 class MetricGraph:
     """Edges with rational lengths and their end vertices, and contacts.
 
     lengths[i] is the length of edge i and ends[i] = (u, v) the vertices
     at its first and second end (u == v for a loop); the vertices are
-    0..n_vertices-1.  contacts is an ordered tuple of vertex indices.
+    0..n_vertices-1, and n_vertices is derived from ends.  contacts is an
+    ordered tuple of vertex indices.
+
+    The constructor raises GraphError unless there is one end pair per
+    length, every vertex index is an int (not a bool) and not negative,
+    every vertex 0..n_vertices-1 meets an edge, every length is a positive
+    Fraction, and the contacts are distinct int vertex indices.  Every
+    graph, surgery results included, is therefore valid.
     """
 
     lengths: tuple[Fraction, ...]
     ends: tuple[tuple[int, int], ...]
     contacts: tuple[int, ...] = ()
+    n_vertices: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # whole-tuple passes, and messages formatted only on failure: every
+        # parsed file and surgery step pays for this check
+        lengths, ends, contacts = self.lengths, self.ends, self.contacts
+        if len(ends) != len(lengths) or any(len(e) != 2 for e in ends):
+            raise GraphError(f"need one (u, v) end pair per length, got {len(ends)} "
+                             f"ends for {len(lengths)} lengths")
+        flat = list(chain.from_iterable(ends))
+        if not all(type(x) is int for x in flat):
+            u, v = next(e for e in ends if type(e[0]) is not int or type(e[1]) is not int)
+            raise GraphError(f"edge ({u!r}, {v!r}) has a vertex index that is not an integer")
+        met = set(flat)
+        if met and min(met) < 0:
+            u, v = next(e for e in ends if min(e) < 0)
+            raise GraphError(f"edge ({u}, {v}) has a negative vertex index")
+        n = 1 + max(met, default=-1)
+        if len(met) != n:
+            raise GraphError("every vertex must meet at least one edge endpoint")
+        if not all(type(l) is Fraction and l.numerator > 0 for l in lengths):
+            l = next(l for l in lengths if type(l) is not Fraction or l.numerator <= 0)
+            raise GraphError(f"nonpositive length {l}" if type(l) is Fraction
+                             else f"length {l!r} is not a Fraction")
+        if contacts:
+            if not all(type(c) is int for c in contacts):
+                c = next(c for c in contacts if type(c) is not int)
+                raise GraphError(f"contact {c!r} is not an integer vertex index")
+            if min(contacts) < 0 or max(contacts) >= n:
+                c = next(c for c in contacts if not 0 <= c < n)
+                raise GraphError(f"contact {c} references unknown vertex")
+            if len(set(contacts)) != len(contacts):
+                raise GraphError("repeated contact")
+        object.__setattr__(self, "n_vertices", n)
 
     @property
     def n_edges(self) -> int:
         return len(self.lengths)
-
-    @cached_property
-    def n_vertices(self) -> int:
-        return 1 + max((max(e) for e in self.ends), default=-1)
 
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -91,9 +114,6 @@ class MetricGraph:
     def total_length(self) -> Fraction:
         return sum(self.lengths, Fraction(0))
 
-    def with_contacts(self, contacts: Sequence[int]) -> "MetricGraph":
-        return MetricGraph(self.lengths, self.ends, _as_contacts(contacts, self.n_vertices))
-
     def edge_list(self) -> list[tuple[int, int, Fraction]]:
         """Edges as (vertex, vertex, length) triples."""
         return [(u, v, l) for (u, v), l in zip(self.ends, self.lengths)]
@@ -102,58 +122,24 @@ class MetricGraph:
 def from_edge_list(n_vertices: int,
                    edges: Iterable[tuple[int, int] | tuple[int, int, RationalLike]],
                    contacts: Sequence[int] = ()) -> MetricGraph:
-    """Build a MetricGraph from vertex-labelled edges (default length 1).
+    """Build a MetricGraph on the vertices 0..n_vertices-1 from
+    vertex-labelled edges, converting each length with Fraction (default 1).
 
-    Raises GraphError for a nonpositive length, an edge at an unknown
-    vertex, a vertex on no edge, and a contact that is not a vertex or is
-    repeated.  Vertex indices and contacts must be ints (bools are not).
+    Raises GraphError for an edge at a vertex outside that range and for a
+    vertex of the range on no edge; the constructor checks the rest.
     """
     ends: list[tuple[int, int]] = []
     lengths: list[Fraction] = []
     for edge in edges:
         u, v = edge[0], edge[1]
-        length = _as_length(edge[2]) if len(edge) > 2 else Fraction(1)
-        if type(u) is not int or type(v) is not int:
-            raise GraphError(f"edge ({u!r}, {v!r}) has a vertex index that is not an integer")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+        if u not in range(n_vertices) or v not in range(n_vertices):
             raise GraphError(f"edge ({u}, {v}) references unknown vertex")
         ends.append((u, v))
-        lengths.append(length)
-    if len({x for e in ends for x in e}) != n_vertices:
+        lengths.append(Fraction(edge[2]) if len(edge) > 2 else Fraction(1))
+    g = MetricGraph(tuple(lengths), tuple(ends), tuple(contacts))
+    if g.n_vertices != n_vertices:
         raise GraphError("every vertex must meet at least one edge endpoint")
-    return MetricGraph(tuple(lengths), tuple(ends), _as_contacts(contacts, n_vertices))
-
-
-def validate(g: MetricGraph) -> list[str]:
-    """All violated invariants of g; an empty list means the graph is valid."""
-    problems: list[str] = []
-    if len(g.ends) != g.n_edges:
-        problems.append(f"{len(g.ends)} edge ends for {g.n_edges} lengths")
-    integer = True
-    for i, (u, v) in enumerate(g.ends):
-        if type(u) is not int or type(v) is not int:
-            problems.append(f"non-integer vertex index on edge {i}")
-            integer = False
-        elif u < 0 or v < 0:
-            problems.append(f"negative vertex index on edge {i}")
-    if not integer:
-        # without integer indices the vertices 0..n_vertices-1 are undefined
-        return problems
-    met = {x for e in g.ends for x in e}
-    for v in range(g.n_vertices):
-        if v not in met:
-            problems.append(f"vertex {v} meets no edge")
-    for i, l in enumerate(g.lengths):
-        if l <= 0:
-            problems.append(f"nonpositive length on edge {i}")
-    for c in g.contacts:
-        if type(c) is not int:
-            problems.append(f"contact index {c!r} not an integer")
-        elif not 0 <= c < g.n_vertices:
-            problems.append(f"contact index {c} out of range")
-    if len(set(g.contacts)) != len(g.contacts):
-        problems.append("duplicate contact index")
-    return problems
+    return g
 
 
 def _count_components(n: int, links: Iterable[tuple[int, int]]) -> int:
@@ -368,10 +354,10 @@ MAX_UNIT_EDGES = 10_000
 def unit_subdivided(g: MetricGraph) -> MetricGraph:
     """Subdivide every integer-length edge into unit pieces.
 
-    The result is unilateral and describes the same metric space; raises
-    GraphError when a length is not a positive integer, or, before
-    building anything, when the result would have more than
-    MAX_UNIT_EDGES edges.
+    The result is unilateral and describes the same metric space, and is
+    g itself when every edge already has length 1; raises GraphError when
+    a length is not an integer, or, before building anything, when the
+    result would have more than MAX_UNIT_EDGES edges.
     """
     for l in g.lengths:
         if l.denominator != 1:
@@ -380,6 +366,8 @@ def unit_subdivided(g: MetricGraph) -> MetricGraph:
     if total > MAX_UNIT_EDGES:
         raise GraphError(f"subdivision would give {total} unit edges, "
                          f"above the budget of {MAX_UNIT_EDGES}")
+    if total == g.n_edges:
+        return g
     return _cut(g, [(e, [Fraction(t) for t in range(1, int(l))])
                     for e, l in enumerate(g.lengths) if l > 1])
 
@@ -608,8 +596,8 @@ def parse_graph(text: str) -> MetricGraph:
         edge <vid> <vid> [length]    # length integer or p/q, default 1
 
     Contact order is the order of contact-flagged vertex lines.  Every
-    check of `from_edge_list` is made here, with a line number, so the
-    graph is built directly.
+    graph invariant a file can break is reported here first, with a line
+    number or the vertex ids, before the constructor sees the graph.
     """
     name_seen = False
     ids: dict[str, int] = {}
@@ -642,8 +630,10 @@ def parse_graph(text: str) -> MetricGraph:
                 if vid not in ids:
                     raise GraphFormatError(f"line {lineno}: undeclared vertex id {vid!r}")
             try:
-                length = _as_length(tokens[3]) if len(tokens) == 4 else Fraction(1)
-            except (ValueError, ZeroDivisionError, GraphError) as exc:
+                length = Fraction(tokens[3]) if len(tokens) == 4 else Fraction(1)
+                if length <= 0:
+                    raise ValueError(f"nonpositive length {tokens[3]}")
+            except (ValueError, ZeroDivisionError) as exc:
                 raise GraphFormatError(f"line {lineno}: bad length ({exc})") from None
             lengths.append(length)
             ends.append((ids[tokens[1]], ids[tokens[2]]))

@@ -696,6 +696,8 @@ def steklov_equivalent(g1: MetricGraph, g2: MetricGraph,
         raise GraphError("contact counts differ")
     if bijection is None:
         bijection = [(i, i) for i in range(b1)]
+    if not all(type(p) is int and type(q) is int for p, q in bijection):
+        raise GraphError("bijection positions must be integers")
     if (sorted(p for p, _ in bijection) != list(range(b1))
             or sorted(q for _, q in bijection) != list(range(b1))):
         raise GraphError("bijection must pair all contacts exactly once")

@@ -69,8 +69,9 @@ class SecularMatrixSpec:
 
 
 def _as_unilateral(g: MetricGraph) -> MetricGraph:
-    """g with unit edges, by unit_subdivided even when g already has them,
-    so that MAX_UNIT_EDGES bounds every input of the exact keys."""
+    """g with unit edges, by unit_subdivided even when g already has them
+    (it returns such a g itself), so that MAX_UNIT_EDGES bounds every
+    input of the exact keys."""
     if any(l.denominator != 1 for l in g.lengths):
         raise SecularError(
             "graph not unilateral and lengths are not integers; "

@@ -1,6 +1,18 @@
 import random
+import warnings
 
 from specgraph import MetricGraph, from_edge_list
+
+# hypothesis imports libcst, if present, to report a failing example;
+# under -W error libcst's own DeprecationWarning (mypy_extensions.TypedDict)
+# would turn that report into an INTERNALERROR, so import it once here
+# with the warning ignored.  The test extra does not install libcst.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_connected_multigraph(rng: random.Random,

@@ -77,6 +77,13 @@ class TestBasicVerbs:
         code, out, _ = invoke(capsys, "validate", str(path))
         assert code == 0 and out.strip() == "ok"
 
+    def test_validate_invalid_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "z.g"
+        path.write_text("graph z\nvertex a\nvertex b\nedge a b 0\n")
+        code, out, err = invoke(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "line 4: bad length" in err
+
     def test_missing_file(self, capsys):
         code, _, err = invoke(capsys, "secular", "no_such_file.g")
         assert code == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from specgraph import (ComposedHost, GraphError, Slot, assemble, betti,
                        join_points, method1_extend, method2_exchange,
                        method2_permute, metric_isospectral, scale_lengths,
                        steklov_equivalent, substitute, suppress_degree2,
-                       to_discrete, validate)
+                       to_discrete)
 from specgraph.constructions import CATALOG_IDS
 
 from conftest import random_connected_multigraph
@@ -18,9 +19,10 @@ from kernel_oracles import metric_isomorphic
 
 class TestCatalog:
     def test_all_ids_build_valid_graphs(self):
+        # the MetricGraph constructor checks every invariant, so building
+        # each graph is the check
         for name in CATALOG_IDS:
-            g = catalog(name)
-            assert validate(g) == [], name
+            assert catalog(name).n_edges > 0, name
 
     def test_unknown_id(self):
         with pytest.raises(GraphError, match="unknown catalog id"):
@@ -44,14 +46,14 @@ class TestCatalog:
         assert catalog("fig6_eight") == join_points(cycle, [(0, 1), (1, 1)])
 
     def test_suppressed_shapes(self):
-        eight = suppress_degree2(catalog("Gamma1p").with_contacts([]))
+        eight = suppress_degree2(replace(catalog("Gamma1p"), contacts=()))
         assert metric_isomorphic(eight, from_edge_list(1, [(0, 0, 4), (0, 0, 4)]))
-        melon = suppress_degree2(catalog("Gamma2p").with_contacts([]))
+        melon = suppress_degree2(replace(catalog("Gamma2p"), contacts=()))
         target = from_edge_list(3, [(0, 1, 2), (0, 1, 2), (0, 1, 2), (0, 2, 2)])
         assert metric_isomorphic(melon, target)
 
     def test_unit_forms_match_suppressed_metrics(self):
-        f8 = suppress_degree2(catalog("figure_eight_unit").with_contacts([]))
+        f8 = suppress_degree2(replace(catalog("figure_eight_unit"), contacts=()))
         assert metric_isomorphic(f8, from_edge_list(1, [(0, 0, 4), (0, 0, 4)]))
 
 
@@ -71,8 +73,8 @@ class TestMethod1:
     def test_inequivalent_subgraphs_rejected(self):
         k = from_edge_list(2, [(0, 1)], contacts=(0,))
         with pytest.raises(GraphError, match="Steklov-equivalent"):
-            method1_extend(k, catalog("S1").with_contacts([0]),
-                           catalog("S2").with_contacts([0]), [(0, 0)])
+            method1_extend(k, replace(catalog("S1"), contacts=(0,)),
+                           replace(catalog("S2"), contacts=(0,)), [(0, 0)])
 
     def test_non_integer_lengths_cannot_be_certified(self):
         # halving both lengths keeps the pair Steklov-equivalent, but the
@@ -96,7 +98,7 @@ class TestMethod1:
         rng = random.Random(83)
         for _ in range(3):
             k = random_connected_multigraph(rng, n_min=3, n_max=3, with_contacts=True)
-            k = k.with_contacts(k.contacts[:1])
+            k = replace(k, contacts=k.contacts[:1])
             g1, g2 = method1_extend(k, r1, r2, [(0, 0)])
             assert metric_isospectral(g1, g2)
             shadows = (sorted(to_discrete(g1).degrees()),
@@ -119,8 +121,8 @@ class TestMethod2:
         original = assemble(host)
         swapped = method2_exchange(host, 0, 1)
         assert metric_isospectral(original, swapped)
-        s1 = suppress_degree2(original.with_contacts([]))
-        s2 = suppress_degree2(swapped.with_contacts([]))
+        s1 = suppress_degree2(replace(original, contacts=()))
+        s2 = suppress_degree2(replace(swapped, contacts=()))
         assert not metric_isomorphic(s1, s2)
 
     def test_exchange_spec_example_frame(self):
@@ -230,8 +232,8 @@ class TestInnerSymmetryQuotient:
 
 def _method1_inequivalent():
     k = from_edge_list(2, [(0, 1)], contacts=(0,))
-    method1_extend(k, catalog("S1").with_contacts([0]),
-                   catalog("S2").with_contacts([0]), [(0, 0)])
+    method1_extend(k, replace(catalog("S1"), contacts=(0,)),
+                   replace(catalog("S2"), contacts=(0,)), [(0, 0)])
 
 
 def _method2_inequivalent():

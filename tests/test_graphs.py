@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,9 +10,9 @@ from specgraph import (GraphError, GraphFormatError, MetricGraph,
                        betti, canonical_form, chop_vertex, components,
                        discrete_from_adj, disjoint_union, format_graph,
                        from_edge_list, glue, join_points, merge_vertices,
-                       metric_from_discrete, parse_graph,
-                       subdivide_edge, suppress_degree2, to_discrete,
-                       unit_subdivided, validate)
+                       m_function, metric_from_discrete, parse_graph,
+                       scale_lengths, secular_poly, subdivide_edge,
+                       suppress_degree2, to_discrete, unit_subdivided)
 from specgraph.constructions import catalog
 from specgraph.graphs import automorphism_generators, discrete_components
 
@@ -24,36 +25,54 @@ def k5():
 
 
 class TestValidate:
+    """The MetricGraph constructor checks every graph invariant."""
+
     def test_single_edge_ok(self):
-        assert validate(from_edge_list(2, [(0, 1)])) == []
+        g = MetricGraph((Fraction(1),), ((0, 1),), ())
+        assert g == from_edge_list(2, [(0, 1)])
+        assert g.n_vertices == 2
 
     def test_ends_and_lengths_disagree(self):
-        g = MetricGraph((Fraction(1), Fraction(2)), ((0, 1),), ())
-        assert "1 edge ends for 2 lengths" in validate(g)
+        with pytest.raises(GraphError, match=r"^need one \(u, v\) end pair per length, "
+                                             r"got 1 ends for 2 lengths$"):
+            MetricGraph((Fraction(1), Fraction(2)), ((0, 1),), ())
+        with pytest.raises(GraphError, match="end pair per length"):
+            MetricGraph((Fraction(1),), ((0, 1, 2),), ())
 
     def test_vertex_meeting_no_edge(self):
-        g = MetricGraph((Fraction(1),), ((0, 2),), ())
-        assert validate(g) == ["vertex 1 meets no edge"]
+        with pytest.raises(GraphError, match="^every vertex must meet at least one edge endpoint$"):
+            MetricGraph((Fraction(1),), ((0, 2),), ())
         with pytest.raises(GraphError, match="every vertex"):
             from_edge_list(3, [(0, 2)])
+        # from_edge_list also checks its explicit vertex count
+        with pytest.raises(GraphError, match="every vertex"):
+            from_edge_list(3, [(0, 1)])
 
     def test_negative_vertex_index(self):
-        g = MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (-1, 1)), ())
-        assert validate(g) == ["negative vertex index on edge 1"]
+        with pytest.raises(GraphError, match=r"^edge \(-1, 1\) has a negative vertex index$"):
+            MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (-1, 1)), ())
         with pytest.raises(GraphError, match="unknown vertex"):
             from_edge_list(2, [(0, 1), (-1, 1)])
 
     def test_nonpositive_length(self):
-        g = MetricGraph((Fraction(0),), ((0, 1),), ())
-        assert any("nonpositive length" in p for p in validate(g))
+        for length in (Fraction(0), Fraction(-3, 2)):
+            with pytest.raises(GraphError, match=f"^nonpositive length {length}$"):
+                MetricGraph((length,), ((0, 1),), ())
         with pytest.raises(GraphError, match="nonpositive"):
             from_edge_list(2, [(0, 1, 0)])
 
+    @pytest.mark.parametrize("length", [1, 1.5, "1", True])
+    def test_length_must_be_a_fraction(self, length):
+        # from_edge_list converts; the constructor takes Fractions only
+        with pytest.raises(GraphError, match=f"^length {length!r} is not a Fraction$"):
+            MetricGraph((Fraction(1), length), ((0, 1), (1, 2)), ())
+        assert from_edge_list(2, [(0, 1, length)]).lengths == (Fraction(length),)
+
     def test_bad_contacts(self):
-        g = MetricGraph((Fraction(1),), ((0, 1),), (5,))
-        assert any("out of range" in p for p in validate(g))
-        g = MetricGraph((Fraction(1),), ((0, 1),), (0, 0))
-        assert any("duplicate contact" in p for p in validate(g))
+        with pytest.raises(GraphError, match="^contact 5 references unknown vertex$"):
+            MetricGraph((Fraction(1),), ((0, 1),), (5,))
+        with pytest.raises(GraphError, match="^repeated contact$"):
+            MetricGraph((Fraction(1),), ((0, 1),), (0, 0))
 
     @pytest.mark.parametrize("contacts, message", [
         ((5,), "contact 5 references unknown vertex"),
@@ -67,7 +86,7 @@ class TestValidate:
         with pytest.raises(GraphError, match=f"^{message}$"):
             from_edge_list(2, [(0, 1)], contacts=contacts)
         with pytest.raises(GraphError, match=f"^{message}$"):
-            from_edge_list(2, [(0, 1)]).with_contacts(contacts)
+            MetricGraph((Fraction(1),), ((0, 1),), contacts)
 
     @pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.0), (True, 0)])
     def test_non_integer_vertex_rejected(self, edge):
@@ -75,6 +94,8 @@ class TestValidate:
         # TypeError
         with pytest.raises(GraphError, match="has a vertex index that is not an integer"):
             from_edge_list(2, [edge], contacts=(0,))
+        with pytest.raises(GraphError, match="has a vertex index that is not an integer"):
+            MetricGraph((Fraction(1),), (edge,), ())
 
     @pytest.mark.parametrize("contacts", [(1.0,), (True,), (0, Fraction(1))])
     def test_non_integer_contact_rejected(self, contacts):
@@ -82,23 +103,86 @@ class TestValidate:
         with pytest.raises(GraphError, match="is not an integer vertex index"):
             from_edge_list(2, [(0, 1)], contacts=contacts)
         with pytest.raises(GraphError, match="is not an integer vertex index"):
-            from_edge_list(2, [(0, 1)]).with_contacts(contacts)
+            MetricGraph((Fraction(1),), ((0, 1),), contacts)
 
     def test_non_integer_indices_reported(self):
-        g = MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (1.0, 2)), (0,))
-        assert validate(g) == ["non-integer vertex index on edge 1"]
-        g = MetricGraph((Fraction(1),), ((False, 1),), ())
-        assert validate(g) == ["non-integer vertex index on edge 0"]
-        g = MetricGraph((Fraction(1),), ((0, 1),), (1.0, True))
-        assert validate(g)[:2] == ["contact index 1.0 not an integer",
-                                   "contact index True not an integer"]
-        assert validate(MetricGraph((Fraction(1),), ((0, 1),), (1, 0))) == []
+        with pytest.raises(GraphError, match=r"^edge \(1\.0, 2\) has a vertex index "
+                                             r"that is not an integer$"):
+            MetricGraph((Fraction(1), Fraction(1)), ((0, 1), (1.0, 2)), (0,))
+        with pytest.raises(GraphError, match=r"^edge \(False, 1\) has a vertex index "
+                                             r"that is not an integer$"):
+            MetricGraph((Fraction(1),), ((False, 1),), ())
+        with pytest.raises(GraphError, match="^contact 1.0 is not an integer vertex index$"):
+            MetricGraph((Fraction(1),), ((0, 1),), (1.0, True))
+        assert MetricGraph((Fraction(1),), ((0, 1),), (1, 0)).contacts == (1, 0)
 
     def test_contacts_kept_in_order(self):
         g = from_edge_list(3, [(0, 1), (1, 2)], contacts=[2, 0])
         assert g.contacts == (2, 0)
-        assert g.with_contacts(range(3)).contacts == (0, 1, 2)
-        assert g.with_contacts(()).contacts == ()
+        assert replace(g, contacts=(0, 1, 2)).contacts == (0, 1, 2)
+        assert replace(g, contacts=()).contacts == ()
+
+
+#: invalid graphs that the exact keys and the M-function would answer
+#: wrongly or crash on if the constructor let them through
+K2_ENDS = ((0, 1),)
+INVALID_GRAPHS = [
+    pytest.param((Fraction(0),), K2_ENDS, (0,), "^nonpositive length 0$", id="zero-length"),
+    pytest.param((Fraction(-3),), K2_ENDS, (0,), "^nonpositive length -3$", id="negative-length"),
+    pytest.param((Fraction(1),), ((0, -1),), (0,), "negative vertex index", id="negative-end"),
+    pytest.param((Fraction(1), Fraction(2)), K2_ENDS, (0,), "end pair per length",
+                 id="two-lengths-one-pair"),
+    pytest.param((1.5,), K2_ENDS, (0,), "is not a Fraction", id="float-length"),
+    pytest.param((Fraction(1),), K2_ENDS, (0, 0), "^repeated contact$", id="repeated-contact"),
+    pytest.param((Fraction(1),), K2_ENDS, (5,), "^contact 5 references unknown vertex$",
+                 id="unknown-contact"),
+]
+
+
+class TestInvalidGraphsRaise:
+    @pytest.mark.parametrize("consumer", [
+        pytest.param(lambda g: g, id="constructor"),
+        pytest.param(secular_poly, id="secular_poly"),
+        pytest.param(lambda g: m_function(g, -1.0), id="m_function"),
+        pytest.param(format_graph, id="format_graph")])
+    @pytest.mark.parametrize("lengths, ends, contacts, message", INVALID_GRAPHS)
+    def test_no_silent_answer(self, consumer, lengths, ends, contacts, message):
+        with pytest.raises(GraphError, match=message):
+            consumer(MetricGraph(lengths, ends, contacts))
+
+
+class TestSurgeryResultsAreValid:
+    def test_seeded_surgery_round_trips(self):
+        # every surgery result is built by the checking constructor, and
+        # the text format carries it with the same secular polynomial
+        rng = random.Random(2112)
+        compared = 0
+        for _ in range(12):
+            g = scale_lengths(random_connected_multigraph(rng, with_contacts=True),
+                              rng.randint(1, 2))
+            h = random_connected_multigraph(rng, with_contacts=True)
+            v = rng.randrange(g.n_vertices)
+            cls = g.vertices[v]
+            e1, e2 = rng.randrange(g.n_edges), rng.randrange(g.n_edges)
+            results = [
+                glue(g, h, [(i, i) for i in range(min(len(g.contacts), len(h.contacts)))]),
+                join_points(g, [(e1, g.lengths[e1] / 2), (e2, g.lengths[e2] / 3)]),
+                subdivide_edge(g, e1, g.lengths[e1] / 2),
+                suppress_degree2(g),
+                scale_lengths(g, Fraction(rng.randint(1, 4), 2)),
+                unit_subdivided(g)]
+            if len(cls) >= 2:
+                cut = rng.randint(1, len(cls) - 1)
+                results.append(chop_vertex(g, v, [cls[:cut], cls[cut:]]))
+            for r in results:
+                assert MetricGraph(r.lengths, r.ends, r.contacts) == r
+                back = parse_graph(format_graph(r))
+                assert sorted(back.lengths) == sorted(r.lengths)
+                assert len(back.contacts) == len(r.contacts)
+                if all(l.denominator == 1 for l in r.lengths) and sum(r.lengths) <= 24:
+                    assert secular_poly(back) == secular_poly(r)
+                    compared += 1
+        assert compared >= 40
 
 
 class TestTopology:
@@ -155,14 +239,14 @@ class TestChop:
             chop_vertex(g, 4, [cls])
 
     def test_vertex_out_of_range(self):
-        g = k5().with_contacts([4])
+        g = replace(k5(), contacts=(4,))
         cls = g.vertices[4]
         for v in (-1, 5):
             with pytest.raises(GraphError, match="out of range"):
                 chop_vertex(g, v, [cls[:2], cls[2:]])
 
     def test_contact_status_dropped(self):
-        g = k5().with_contacts([4])
+        g = replace(k5(), contacts=(4,))
         cls = g.vertices[4]
         assert chop_vertex(g, 4, [cls[:2], cls[2:]]).contacts == ()
 

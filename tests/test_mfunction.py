@@ -3,6 +3,7 @@ import operator
 import random
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -118,13 +119,13 @@ class TestMFunction:
         glued = glue(catalog("K4"), catalog("S4"), [(i, i) for i in range(4)])
         for hidden in range(5):
             contacts = [v for v in range(5) if v != hidden]
-            g = k5.with_contacts(contacts)
+            g = replace(k5, contacts=tuple(contacts))
             for lam in (-4.0, -1.0, 0.9, 2.3):
                 got = np.sort(np.linalg.eigvalsh(m_function(g, lam).matrix))
                 want = np.sort(np.linalg.eigvalsh(m_function(glued, lam).matrix))
                 assert np.max(np.abs(got - want)) < 1e-10
         # aligned contact order: compare matrices entrywise as well
-        g = k5.with_contacts([0, 1, 2, 3])
+        g = replace(k5, contacts=(0, 1, 2, 3))
         for lam in (-4.0, -1.0, 0.9, 2.3):
             diff = m_function(g, lam).matrix - m_function(glued, lam).matrix
             assert np.max(np.abs(diff)) < 1e-10
@@ -564,7 +565,7 @@ class TestInvisible:
         assert invisible_multiplicity(catalog("Gamma1"), 2 * math.pi) == 5
 
     def test_k5_at_full_turn(self):
-        g = catalog("K5").with_contacts([0, 1, 2, 3])
+        g = replace(catalog("K5"), contacts=(0, 1, 2, 3))
         assert invisible_multiplicity(g, 2 * math.pi) == 6
 
     def test_interval_fully_detectable(self):
@@ -608,6 +609,15 @@ class TestEquivalence:
         # swapping the two 2-star pairs is an automorphism of the M-function
         res = steklov_equivalent(g, g, bijection=[(0, 2), (1, 3), (2, 0), (3, 1)])
         assert res.equivalent
+
+    @pytest.mark.parametrize("bijection", [
+        [(0.0, 0), (1, 1)], [(0, 0), (1, True)], [(0, 0), (1, 1.0)], [(False, 0), (1, 1)]])
+    def test_non_integer_positions_rejected(self, bijection):
+        # a float position used to raise TypeError at indexing, and True
+        # passed as position 1
+        g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+        with pytest.raises(GraphError, match="^bijection positions must be integers$"):
+            steklov_equivalent(g, g, bijection=bijection)
 
 
 class TestMethod3:
