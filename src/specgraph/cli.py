@@ -20,7 +20,6 @@ from . import search
 from .constructions import (CATALOG_IDS, ComposedHost, Slot,
                             build_clarifying_example, catalog, method2_exchange)
 from .discrete import ln_charpoly, proposition_check
-from .exact import ExactError
 from .graphs import (GraphError, MetricGraph, chop_vertex, format_graph, glue,
                      parse_graph, to_discrete)
 from .mfunction import detectable_spectrum, m_function, steklov_sweep
@@ -330,7 +329,7 @@ def run(argv: Sequence[str]) -> int:
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (GraphError, ExactError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

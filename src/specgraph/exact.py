@@ -321,8 +321,6 @@ def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
         return []
     dp = _derivative(p)
     g = _gcd(p, dp)
-    if len(g) == 1:
-        return [(list(poly_normalize(p).coeffs), 1)]
     w = _exact_div(p, g)
     y = _exact_div(dp, g)
     z = _sub(y, _derivative(w))

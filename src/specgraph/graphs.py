@@ -44,11 +44,12 @@ class MetricGraph:
     0..n_vertices-1, and n_vertices is derived from ends.  contacts is an
     ordered tuple of vertex indices.
 
-    The constructor raises GraphError unless there is one end pair per
-    length, every vertex index is an int (not a bool) and not negative,
-    every vertex 0..n_vertices-1 meets an edge, every length is a positive
-    Fraction, and the contacts are distinct int vertex indices.  Every
-    graph, surgery results included, is therefore valid.
+    The constructor raises GraphError unless lengths, ends, every end pair
+    and contacts are tuples, there is one end pair per length, every
+    vertex index is an int (not a bool) and not negative, every vertex
+    0..n_vertices-1 meets an edge, every length is a positive Fraction,
+    and the contacts are distinct int vertex indices.  Every graph,
+    surgery results included, is therefore valid and hashable.
     """
 
     lengths: tuple[Fraction, ...]
@@ -60,6 +61,9 @@ class MetricGraph:
         # whole-tuple passes, and messages formatted only on failure: every
         # parsed file and surgery step pays for this check
         lengths, ends, contacts = self.lengths, self.ends, self.contacts
+        # hash and the exact keys need tuples; a list fails only later
+        if not all(type(x) is tuple for x in (lengths, ends, contacts, *ends)):
+            raise GraphError("lengths, ends, every end pair and contacts must be tuples")
         if len(ends) != len(lengths) or any(len(e) != 2 for e in ends):
             raise GraphError(f"need one (u, v) end pair per length, got {len(ends)} "
                              f"ends for {len(lengths)} lengths")
@@ -390,13 +394,15 @@ class DiscreteGraph:
     Off-diagonal entries count parallel edges; a diagonal entry is twice
     the number of loops at that vertex, so degrees are plain row sums.
     Entries must be `int`: the exact keys compute with them in integer
-    arithmetic.
+    arithmetic.  adj and every row must be tuples, which hash.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not all(type(x) is tuple for x in (self.adj, *self.adj)):
+            raise GraphError("adjacency matrix and every row must be tuples")
         if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
             raise GraphError("adjacency matrix has wrong shape")
         for i, row in enumerate(self.adj):

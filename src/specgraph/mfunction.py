@@ -26,16 +26,20 @@ a singular-value conditioning test, as the oracle.
 
 One `detect` is one kernel: `detectable_spectrum` builds a `_Kernel` for
 its k grid and takes every later sample from it.  The grid takes two
-stacked evaluations (`_grid_counts`): a coarse pass over the ends of the
+stacked evaluations (`_grid_brackets`): a coarse pass over the ends of the
 pieces between edge poles and every _GRID_STRIDE-th point, then a fine
 pass over every stretch whose ends differ in a count or are singular.
 Between edge poles M is a matrix Herglotz function, monotone in lambda
 with its interior block, so a stretch whose ends agree has their counts
-throughout.  The Steklov and interior-pole bisections run as one
+throughout, and one scan of the evaluated points, in k order, yields the
+Steklov brackets, the interior-pole brackets and the grid notes, each
+note with its k.  The Steklov and interior-pole bisections run as one
 level-synchronous loop, so the midpoints of every open bracket of a
 level, of both kinds, are evaluated together; and the +-_PROBE_EPS
 crossing probes of all refined points and pole candidates are one more
-stacked evaluation, read in depth-first order afterwards.
+stacked evaluation, read in depth-first order afterwards.  Brackets and
+notes carry no recursion path: the brackets of a group are disjoint, so
+ascending k is the depth-first order.
 
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
@@ -388,9 +392,14 @@ def _counts(kernel: _Kernel, ks: Sequence[float]
 _GRID_STRIDE = 8
 
 
-def _grid_counts(kernel: _Kernel, ks: Sequence[float], lengths: Sequence[float]
-                 ) -> tuple[list[int | None], list[int | None]]:
-    """`_counts` at every k of the ascending grid ks, from two stacked passes.
+#: a bracket (k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1
+_Bracket = tuple[float, int, float, int]
+
+
+def _grid_brackets(kernel: _Kernel, ks: Sequence[float], lengths: Sequence[float]
+                   ) -> tuple[list[_Bracket], list[_Bracket], list[tuple[float, str]]]:
+    """The Steklov brackets, interior-pole brackets and notes of the
+    ascending grid ks, from two stacked passes and one scan in k order.
 
     The grid is cut into pieces at every edge pole (`_edge_poles`, before
     `_edge_pole_candidates` merges those closer than 1e-9), so that the
@@ -405,45 +414,61 @@ def _grid_counts(kernel: _Kernel, ks: Sequence[float], lengths: Sequence[float]
     other stretch.  An edge-singular point lies within about 1e-10/l of a
     pole, so it ends a piece or sits in a run of such points from a piece
     end, and never inside a stretch with regular ends.
+
+    The scan visits the evaluated points only: a settled stretch would
+    add no bracket and no note.  A drop of the Steklov count between
+    regular samples with no singular sample between them is a Steklov
+    bracket; a count change across singular samples is a note.  A drop of
+    the interior count between the same two samples brackets an interior
+    Dirichlet pole; the interior count exists wherever M does.  Each note
+    carries the k of its sample.
     """
-    n = len(ks)
-    if not n:
-        return [], []
+    size = len(ks)
+    if not size:
+        return [], [], []
     poles = _edge_poles(lengths, ks[-1])
-    starts = sorted(set(np.searchsorted(np.array(ks), poles).tolist()) - {0, n})
-    counts: list[int | None] = [None] * n
-    interior: list[int | None] = [None] * n
-
-    def fill(indices: list[int]) -> None:
-        for i, c, m in zip(indices, *_counts(kernel, [ks[i] for i in indices])):
-            counts[i], interior[i] = c, m
-
+    starts = sorted(set(np.searchsorted(np.array(ks), poles).tolist()) - {0, size})
     coarse: list[int] = []
-    for a, b in zip([0] + starts, starts + [n]):
+    for a, b in zip([0] + starts, starts + [size]):
         coarse += range(a, b - 1, _GRID_STRIDE)
         coarse.append(b - 1)
-    fill(coarse)
-    fine: list[int] = []
-    for a, b in zip(coarse, coarse[1:]):
-        if counts[a] is not None and (counts[a], interior[a]) == (counts[b], interior[b]):
-            counts[a + 1:b] = [counts[a]] * (b - a - 1)
-            interior[a + 1:b] = [interior[a]] * (b - a - 1)
-        else:
-            fine += range(a + 1, b)
-    fill(fine)
-    return counts, interior
+    counts = dict(zip(coarse, zip(*_counts(kernel, [ks[i] for i in coarse]))))
+    fine = [i for a, b in zip(coarse, coarse[1:])
+            if counts[a][0] is None or counts[a] != counts[b] for i in range(a + 1, b)]
+    counts.update(zip(fine, zip(*_counts(kernel, [ks[i] for i in fine]))))
 
-
-#: a bracket (path, k1, n1, k2, n2) of counts n1 at k1 and n2 at k2 > k1;
-#: path is the grid index of its root followed by 0/1 for left/right halves
-_Bracket = tuple[tuple[int, ...], float, int, float, int]
+    brackets: list[_Bracket] = []
+    pole_brackets: list[_Bracket] = []
+    notes: list[tuple[float, str]] = []
+    prev: tuple[float, int, int] | None = None
+    pending_flag = False
+    for i, (n, m) in sorted(counts.items()):
+        k = ks[i]
+        if n is None:
+            notes.append((k, f"singular sample at k={k:.6g}"))
+            pending_flag = True
+            continue
+        if prev is not None:
+            k1, n1, m1 = prev
+            if pending_flag:
+                if n1 != n:
+                    notes.append((k, f"count change across singular sample in "
+                                     f"({k1:.6g}, {k:.6g}) not refined"))
+            else:
+                if n1 > n:
+                    brackets.append((k1, n1, k, n))
+                if m1 > m:
+                    pole_brackets.append((k1, m1, k, m))
+        prev = (k, n, m)
+        pending_flag = False
+    return brackets, pole_brackets, notes
 
 
 def _bisect(groups: Sequence[list[_Bracket]],
             counts: Callable[[list[float]], Sequence[list[int | None]]],
             settled: Sequence[Callable[[int, int], bool]],
             refine_tol: float
-            ) -> list[tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]]:
+            ) -> list[tuple[list[_Bracket], list[float]]]:
     """Bisect the brackets of every group level by level.
 
     Group j reads the j-th count list that `counts` returns and drops a
@@ -454,17 +479,18 @@ def _bisect(groups: Sequence[list[_Bracket]],
     call of `counts`.  Where a bracket's count is None the midpoint is
     shifted by 1% of the width and retried, all retries of a level in one
     more call; if that fails too, the bracket is skipped.  Returns
-    (leaves, skipped midpoints) per group, each sorted by path, which is
-    the order a depth-first recursion would meet them in.
+    (leaves, skipped midpoints) per group, each in ascending k.  The
+    brackets of a group are disjoint, and each skipped midpoint lies in
+    its own bracket, so that is the order a depth-first recursion would
+    meet them in.
     """
-    out: list[tuple[list[_Bracket], list[tuple[tuple[int, ...], float]]]] = [
-        ([], []) for _ in groups]
+    out: list[tuple[list[_Bracket], list[float]]] = [([], []) for _ in groups]
     brackets = [(j, bracket) for j, group in enumerate(groups) for bracket in group]
     while brackets:
         split: list[tuple[int, _Bracket]] = []
         mids: list[float] = []
         for j, bracket in brackets:
-            _, k1, n1, k2, n2 = bracket
+            k1, n1, k2, n2 = bracket
             if settled[j](n1, n2):
                 continue
             mid = 0.5 * (k1 + k2)
@@ -480,21 +506,20 @@ def _bisect(groups: Sequence[list[_Bracket]],
         retry = [i for i, n in enumerate(n_mids) if n is None]
         if retry:
             for i in retry:
-                _, (_, k1, _, k2, _) = split[i]
+                _, (k1, _, k2, _) = split[i]
                 mids[i] += 0.01 * (k2 - k1)
             level = counts([mids[i] for i in retry])
             for r, i in enumerate(retry):
                 n_mids[i] = level[split[i][0]][r]
         brackets = []
-        for (j, (path, k1, n1, k2, n2)), mid, n in zip(split, mids, n_mids):
+        for (j, (k1, n1, k2, n2)), mid, n in zip(split, mids, n_mids):
             if n is None:
-                out[j][1].append((path, mid))
+                out[j][1].append(mid)
             else:
-                brackets += [(j, (path + (0,), k1, n1, mid, n)),
-                             (j, (path + (1,), mid, n, k2, n2))]
+                brackets += [(j, (k1, n1, mid, n)), (j, (mid, n, k2, n2))]
     for leaves, skipped in out:
-        leaves.sort(key=lambda b: b[0])
-        skipped.sort(key=lambda s: s[0])
+        leaves.sort()
+        skipped.sort()
     return out
 
 
@@ -532,13 +557,13 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     are when called.
 
     Every sample comes from one kernel: the grid's coarse and fine passes
-    (see `_grid_counts`), which give the counts a full evaluation of the
-    grid gives, then each level of both bisections (see `_bisect`), then
-    the crossing probes of every refined point and every pole candidate,
-    one stacked evaluation each.  Refined
-    points, multiplicities, notes, errors and warnings are those of a
-    depth-first refinement that probes bracket by bracket: the probes are
-    read in that order, and a candidate the skip rule drops is never read.
+    (see `_grid_brackets`), which give the brackets and notes a full
+    evaluation of the grid gives, then each level of both bisections (see
+    `_bisect`), then the crossing probes of every refined point and every
+    pole candidate, one stacked evaluation each.  Refined points,
+    multiplicities, notes, errors and warnings are those of a depth-first
+    refinement that probes bracket by bracket: the probes are read in
+    that order, and a candidate the skip rule drops is never read.
     """
     if grid_step is None:
         grid_step = DETECT_GRID_STEP
@@ -556,7 +581,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     kernel = _Kernel(g)
     lengths = kernel.lengths.tolist()
     _check_samples(sum(k_max * l / math.pi for l in lengths))
-    notes: list[tuple[tuple[int, ...], str]] = []
 
     # The grid is accumulated, k += grid_step, drift included: printed
     # points depend on these exact k values, so i * grid_step would change
@@ -566,54 +590,23 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
     while k <= k_max + 1e-12:
         ks.append(k)
         k += grid_step
-    counts, interior = _grid_counts(kernel, ks, lengths)
-
-    brackets: list[_Bracket] = []
-    prev: tuple[float, int] | None = None
-    pending_flag = False
-    for i, (k, n) in enumerate(zip(ks, counts)):
-        if n is None:
-            notes.append(((i,), f"singular sample at k={k:.6g}"))
-            pending_flag = True
-            continue
-        if prev is not None:
-            k1, n1 = prev
-            if pending_flag:
-                if n1 != n:
-                    notes.append(((i,), f"count change across singular sample in "
-                                        f"({k1:.6g}, {k:.6g}) not refined"))
-            elif n1 > n:
-                brackets.append(((i,), k1, n1, k, n))
-        prev = (k, n)
-        pending_flag = False
-
-    # The interior block C(lambda) has nondecreasing eigenvalue branches
-    # between edge poles, so its zero crossings, the interior Dirichlet
-    # poles, are bracketed by drops of its negative count, read only
-    # where M exists.
-    pole_brackets: list[_Bracket] = []
-    prev = None
-    for i, (k, n, m) in enumerate(zip(ks, counts, interior)):
-        if n is None or m is None:
-            prev = None
-            continue
-        if prev is not None and prev[1] > m:
-            pole_brackets.append(((i,), prev[0], prev[1], k, m))
-        prev = (k, m)
+    brackets, pole_brackets, notes = _grid_brackets(kernel, ks, lengths)
 
     (leaves, skipped), (poles, _) = _bisect(
         [brackets, pole_brackets], lambda mids: _counts(kernel, mids),
         (operator.eq, operator.le), refine_tol)
-    notes += [(path, f"singular midpoints near k={mid:.6g}; bracket skipped")
-              for path, mid in skipped]
+    # ascending k is the order of a depth-first refinement: a skipped
+    # midpoint lies inside its grid bracket, and no grid note does
+    notes += [(mid, f"singular midpoints near k={mid:.6g}; bracket skipped")
+              for mid in skipped]
     notes.sort(key=lambda note: note[0])
 
     # a negative net change this tight is a pole, not a crossing
-    drops = [((k1 + k2) / 2, n1 - n2) for _, k1, n1, k2, n2 in leaves if n1 > n2]
+    drops = [((k1 + k2) / 2, n1 - n2) for k1, n1, k2, n2 in leaves if n1 > n2]
     # crossings exactly at a pole may not change the negative count at all
     # (the pole jump cancels them), so pole locations are probed explicitly
     candidates = _edge_pole_candidates(lengths, k_max)
-    candidates += [(k1 + k2) / 2 for _, k1, _, k2, _ in poles]
+    candidates += [(k1 + k2) / 2 for k1, _, k2, _ in poles]
     candidates = [k0 for k0 in sorted(candidates) if k0 > grid_step + _PROBE_EPS]
     probes = _probes(kernel, [k0 for k0, _ in drops] + candidates)
 

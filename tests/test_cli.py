@@ -172,6 +172,24 @@ class TestNumericVerbs:
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)
         assert rows[0][0] == rows[1][1] == rows[2][2]
 
+    def test_singular_lambda_printed(self, tmp_path, capsys):
+        # (pi/2)^2: S3 has an interior Dirichlet pole at k = pi/2, so M
+        # does not exist there; mfun says so and still exits 0
+        path = tmp_path / "s3.g"
+        path.write_text(invoke(capsys, "catalog", "S3")[1])
+        assert invoke(capsys, "mfun", str(path), "--lambda", "2.4674011002723395") == (
+            0, "singular lambda 2.46740110027\n", "")
+        # the middle sample, lambda = pi^2, sits on the edge pole k = pi of
+        # the unit edges and prints an empty row
+        code, out, _ = invoke(capsys, "sweep", str(path), "--lmin", "0",
+                              "--lmax", "19.739208802178716", "--steps", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "lambda,regular,mu_1,mu_2,mu_3,det",
+            "0,1,-1,-1,-1.38777878078e-16,-1.38777878078e-16",
+            "9.86960440109,0,,,,",
+            "19.7392088022,1,-1.2272416308,-1.2272416308,16.0842073042,24.2247788011"]
+
     def test_sweep_deterministic(self, tmp_path, capsys):
         path = tmp_path / "k4.g"
         _, out, _ = invoke(capsys, "catalog", "K4")

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -267,3 +268,34 @@ def test_certificate_failure_text(call, message):
     with pytest.raises(GraphError) as err:
         call()
     assert str(err.value) == message
+
+
+EDGE = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+LOOP = from_edge_list(1, [(0, 0)], contacts=(0,))
+
+
+def _host(*slots):
+    frame = from_edge_list(3, [(0, 1), (1, 2)], contacts=(0, 1, 2))
+    return ComposedHost(frame, tuple(Slot(g, attach) for g, attach in slots))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _host((EDGE, ((2, 0),))), "slot contact position 2 out of range"),
+    (lambda: _host((EDGE, ((0, 3),))), "frame contact position 3 out of range"),
+    (lambda: _host((EDGE, ((0, 0), (0, 1)))), "slot contact attached twice"),
+    (lambda: _host((EDGE, ((0, 0), (1, 0)))), "one slot needs distinct frame attachment points"),
+    (lambda: method2_exchange(_host((EDGE, ((0, 0), (1, 1)))), 0, 1),
+     "slot index out of range"),
+    (lambda: method2_permute(_host((EDGE, ((0, 0), (1, 1)))), [1]),
+     "not a permutation of the slots"),
+    (lambda: method2_permute(_host((EDGE, ((0, 0), (1, 1))), (LOOP, ((0, 2),))), [1, 0]),
+     "slots 0 and 1 have different contact counts"),
+    (lambda: substitute(2, [], [(0, EDGE)]), "pendant block must have exactly 1 contact"),
+    (lambda: build_clarifying_example(EDGE, EDGE, EDGE, EDGE, EDGE, LOOP),
+     "block E must have exactly 1 contact"),
+    (lambda: build_clarifying_example(EDGE, EDGE, EDGE, EDGE, LOOP, EDGE),
+     "block F must have exactly 1 contact"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()

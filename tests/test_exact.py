@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -338,3 +339,17 @@ class TestUnitCircleRoots:
         monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 0.999)
         with pytest.raises(ExactError, match="root off unit circle"):
             poly_roots_unit_circle(poly_normalize([-2, 1]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ProjectivePoly(()), "zero polynomial not projective"),
+    (lambda: ProjectivePoly((1, -1)), "leading coefficient must be positive"),
+    (lambda: ProjectivePoly((2, 4)), "coefficients must have content 1"),
+    (lambda: ProjectivePoly.from_line("lncp: 1 2"), "not a polynomial line: 'lncp: 1 2'"),
+    (lambda: polymat_det(lambda z: [[z]], 1, -1), "degree bound must be nonnegative"),
+    (lambda: polymat_det(lambda z: [[z, 0], [0, z]], 1, 1),
+     "entry_eval returned wrong size at z=0"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(ExactError, match=f"^{re.escape(message)}$"):
+        call()

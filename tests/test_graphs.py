@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import specgraph.graphs
-from specgraph import (GraphError, GraphFormatError, MetricGraph,
+from specgraph import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                        betti, canonical_form, chop_vertex, components,
                        discrete_from_adj, disjoint_union, format_graph,
                        from_edge_list, glue, join_points, merge_vertices,
@@ -115,6 +116,20 @@ class TestValidate:
         with pytest.raises(GraphError, match="^contact 1.0 is not an integer vertex index$"):
             MetricGraph((Fraction(1),), ((0, 1),), (1.0, True))
         assert MetricGraph((Fraction(1),), ((0, 1),), (1, 0)).contacts == (1, 0)
+
+    @pytest.mark.parametrize("lengths, ends, contacts", [
+        ([Fraction(1)], ((0, 1),), (0,)),
+        ((Fraction(1),), [(0, 1)], (0,)),
+        ((Fraction(1),), ([0, 1],), (0,)),
+        ((Fraction(1),), ((0, 1),), [0])])
+    def test_fields_must_be_tuples(self, lengths, ends, contacts):
+        # a list built a graph that m_function evaluated, while hash and
+        # secular_poly raised TypeError: unhashable type: 'list'
+        message = "^lengths, ends, every end pair and contacts must be tuples$"
+        with pytest.raises(GraphError, match=message):
+            MetricGraph(lengths, ends, contacts)
+        with pytest.raises(GraphError, match=message):
+            replace(from_edge_list(2, [(0, 1)]), contacts=[0])
 
     def test_contacts_kept_in_order(self):
         g = from_edge_list(3, [(0, 1), (1, 2)], contacts=[2, 0])
@@ -404,6 +419,13 @@ class TestDiscrete:
             with pytest.raises(GraphError, match="must be integers"):
                 discrete_from_adj(adj)
 
+    @pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], ((0, 1), [1, 0]), [(0, 1), (1, 0)]])
+    def test_adjacency_must_be_tuples(self, adj):
+        # a list built a graph whose ln_charpoly raised TypeError:
+        # unhashable type: 'list'
+        with pytest.raises(GraphError, match="^adjacency matrix and every row must be tuples$"):
+            DiscreteGraph(2, adj)
+
 
 class TestCanonicalForm:
     def test_relabelled_path_equal(self):
@@ -565,3 +587,25 @@ class TestUnionHelpers:
         merged = merge_vertices(u, (0, 2))
         assert merged.contacts == (0,)
         assert merged.degree(0) == 2
+
+
+K2 = from_edge_list(2, [(0, 1)], contacts=(0, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: merge_vertices(K2, (0, 0)), "need at least two distinct vertices to merge"),
+    (lambda: merge_vertices(K2, (0, 2)), "vertex index out of range"),
+    (lambda: glue(K2, K2, [(2, 0)]), "pairing refers to missing contact of first graph"),
+    (lambda: glue(K2, K2, [(0, 2)]), "pairing refers to missing contact of second graph"),
+    (lambda: join_points(K2, [(0, "1/2")]), "need at least two points to join"),
+    (lambda: join_points(K2, [(0, "1/2"), (0, "1/2")]), "duplicate point"),
+    (lambda: join_points(K2, [(0, "1/2"), (1, "1/2")]), "edge index 1 out of range"),
+    (lambda: join_points(K2, [(0, "1/2"), (0, 1)]), "offset 1 outside edge 0"),
+    (lambda: scale_lengths(K2, 0), "scale factor must be positive"),
+    (lambda: DiscreteGraph(2, ((0, 1),)), "adjacency matrix has wrong shape"),
+    (lambda: discrete_from_adj([[0, -1], [-1, 0]]), "negative multiplicity"),
+    (lambda: metric_from_discrete(discrete_from_adj([[0]])), "discrete graph has no edges"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()

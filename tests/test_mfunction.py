@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +20,7 @@ from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSam
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
 from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _bisect, _counts,
-                                 _edge_pole_candidates, _grid_counts, _Kernel, _probes)
+                                 _edge_pole_candidates, _grid_brackets, _Kernel, _probes)
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (_reference_interior_count, _reference_negative_count,
@@ -221,6 +222,13 @@ def crossing_count(crossings, singular):
     return count
 
 
+def bisection_levels(leaves, width):
+    """Levels of brackets a bisection held, its roots of the given width
+    included, read from the narrowest leaf: a level halves a bracket, or
+    splits it 0.51 : 0.49 after a retried midpoint."""
+    return 1 + max(round(math.log2(width / (k2 - k1))) for k1, _, k2, _ in leaves)
+
+
 class TestBisection:
     """The level-synchronous bisection against the depth-first recursion."""
 
@@ -237,30 +245,27 @@ class TestBisection:
             calls.append(len(ks))
             return [count(k) for k in ks]
 
-        roots = [((i,), k1, count(k1), k2, count(k2))
-                 for i, (k1, k2) in enumerate(zip(grid, grid[1:]))]
+        roots = [(k1, count(k1), k2, count(k2)) for k1, k2 in zip(grid, grid[1:])]
         [(leaves, skipped)] = _bisect([roots], lambda ks: [counts(ks)], [settled], refine_tol)
         ref_leaves, ref_skipped = [], []
-        for _, k1, n1, k2, n2 in roots:
+        for k1, n1, k2, n2 in roots:
             reference_refine(k1, n1, k2, n2, count, settled, refine_tol,
                              lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
-        assert [leaf[1:] for leaf in leaves] == ref_leaves
-        assert [mid for _, mid in skipped] == ref_skipped
+        assert leaves == ref_leaves
+        assert skipped == ref_skipped
         return leaves, skipped, calls
 
     def test_retry_skip_and_depth_first_order(self):
         count = crossing_count(self.CROSSINGS, self.SINGULAR)
         leaves, skipped, calls = self.run_both(operator.eq, count, [0.0, 1.0, 2.0, 3.0], 1e-3)
         # 1.51 skips the whole second bracket; 2.255 the crossing at 2.2
-        assert [mid for _, mid in skipped] == pytest.approx([1.51, 2.255])
-        assert [path for path, _ in skipped] == [(1,), (2, 0)]
-        found = [(k1, k2, n1 - n2) for _, k1, n1, k2, n2 in leaves]
+        assert skipped == pytest.approx([1.51, 2.255])
+        found = [(k1, k2, n1 - n2) for k1, n1, k2, n2 in leaves]
         assert [d for _, _, d in found] == [2, 1, 1, 1]
         for (k1, k2, _), c in zip(found, (0.3, 0.62, 2.71, 2.9)):
             assert k1 < c <= k2 and k2 - k1 <= 1e-3
         # one stacked call per level, plus one for the retries of a level
-        levels = max(len(path) for path, *_ in leaves)
-        assert len(calls) <= levels + 3
+        assert len(calls) <= bisection_levels(leaves, 1.0) + 3
 
     def test_interior_rule_keeps_only_decreasing_brackets(self):
         # a rising count (an interior pole of the other sign) is settled
@@ -269,7 +274,7 @@ class TestBisection:
 
         leaves, skipped, _ = self.run_both(operator.le, count, [0.0, 1.0], 1e-4)
         assert skipped == []
-        assert len(leaves) == 1 and leaves[0][1] < 0.8 <= leaves[0][3]
+        assert len(leaves) == 1 and leaves[0][0] < 0.8 <= leaves[0][2]
 
     def test_two_groups_share_each_level(self):
         # a Steklov-rule and an interior-rule group with their own counts
@@ -279,8 +284,7 @@ class TestBisection:
         interior = crossing_count((0.45, 1.2, 2.6), (0.5, 2.5, 2.51))
         grid = [0.0, 1.0, 2.0, 3.0]
         rules = (operator.eq, operator.le)
-        groups = [[((i,), k1, count(k1), k2, count(k2))
-                   for i, (k1, k2) in enumerate(zip(grid, grid[1:]))]
+        groups = [[(k1, count(k1), k2, count(k2)) for k1, k2 in zip(grid, grid[1:])]
                   for count in (steklov, interior)]
         calls = []
 
@@ -292,15 +296,15 @@ class TestBisection:
         for (leaves, skipped), count, settled, roots in zip(out, (steklov, interior),
                                                              rules, groups):
             ref_leaves, ref_skipped = [], []
-            for _, k1, n1, k2, n2 in roots:
+            for k1, n1, k2, n2 in roots:
                 reference_refine(k1, n1, k2, n2, count, settled, 1e-3,
                                  lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
-            assert [leaf[1:] for leaf in leaves] == ref_leaves
-            assert [mid for _, mid in skipped] == ref_skipped
-        assert [mid for _, mid in out[1][1]] == pytest.approx([2.51])
+            assert leaves == ref_leaves
+            assert skipped == ref_skipped
+        assert out[1][1] == pytest.approx([2.51])
         assert len(out[1][0]) == 2
         # both groups share one call per level, plus one for the retries
-        levels = max(len(path) for leaves, _ in out for path, *_ in leaves)
+        levels = max(bisection_levels(leaves, 1.0) for leaves, _ in out)
         assert len(calls) <= levels + 3
 
     def test_detect_equals_depth_first_reference(self):
@@ -477,19 +481,49 @@ def detect_grid(step, k_max):
     return ks
 
 
+def full_grid_scan(ks, counts, interior):
+    """Steklov brackets, interior-pole brackets and notes of a grid whose
+    counts are known at every k: the Steklov scan, then the pole scan,
+    each over every point."""
+    brackets, pole_brackets, notes = [], [], []
+    prev, pending = None, False
+    for k, n in zip(ks, counts):
+        if n is None:
+            notes.append((k, f"singular sample at k={k:.6g}"))
+            pending = True
+            continue
+        if prev is not None:
+            k1, n1 = prev
+            if pending:
+                if n1 != n:
+                    notes.append((k, f"count change across singular sample in "
+                                     f"({k1:.6g}, {k:.6g}) not refined"))
+            elif n1 > n:
+                brackets.append((k1, n1, k, n))
+        prev, pending = (k, n), False
+    prev = None
+    for k, n, m in zip(ks, counts, interior):
+        if n is None or m is None:
+            prev = None
+            continue
+        if prev is not None and prev[1] > m:
+            pole_brackets.append((prev[0], prev[1], k, m))
+        prev = (k, m)
+    return brackets, pole_brackets, notes
+
+
 class TestGridPass:
-    """The counts of detect's two-pass grid, evaluated or carried, against
-    the one-lambda oracle at every grid k."""
+    """The brackets and notes of detect's two-pass grid against a scan of
+    the one-lambda oracle's counts at every grid k."""
 
     def check(self, g, step, k_max, seen, stacked_calls):
         ks = detect_grid(step, k_max)
         kernel = _Kernel(g)
         stacked_calls.clear()
-        counts, interior = _grid_counts(kernel, ks, kernel.lengths.tolist())
+        out = _grid_brackets(kernel, ks, kernel.lengths.tolist())
         ref_counts = [_reference_negative_count(g, k) for k in ks]
         ref_interior = [_reference_interior_count(g, k) for k in ks]
-        assert counts == ref_counts, (g, step)
-        assert interior == ref_interior, (g, step)
+        assert out == full_grid_scan(ks, ref_counts, ref_interior), (g, step)
         seen["grid"] += len(ks)
         seen["evaluated"] += sum(n for n, _ in stacked_calls)
         seen["edge singular"] += ref_interior.count(None)
@@ -1117,3 +1151,15 @@ class TestBudgets:
         g = from_edge_list(2, [(0, 1)], contacts=(0, 1))
         with pytest.raises(GraphError, match="lambda must be finite"):
             m_function(g, lam)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: detectable_spectrum(from_edge_list(2, [(0, 1)]), 3.0), "empty contact set"),
+    (lambda: steklov_equivalent(catalog("S3"), catalog("S3"), [(0, 0), (1, 1), (1, 2)]),
+     "bijection must pair all contacts exactly once"),
+    (lambda: method3_verify(catalog("K4"), catalog("Q1"), catalog("S3")),
+     "contact counts differ"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations_with_replacement, permutations
 
 import networkx as nx
@@ -303,3 +304,17 @@ class TestClassify:
         assert not any("_canonical" in vars(d) for d in copies)
         assert classify(copies, key) == classify(graphs, key)
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: list(enumerate_connected_simple(0)), "need at least one vertex"),
+    (lambda: classify([discrete_from_adj([[0, 1], [1, 0]])], "tutte"),
+     "unknown spectral key 'tutte'"),
+    # the secular key of a shadow with an isolated vertex, which no metric
+    # graph has
+    (lambda: classify([discrete_from_adj([[0, 1, 0], [1, 0, 0], [0, 0, 0]])], "secular"),
+     "every vertex must meet at least one edge endpoint"),
+])
+def test_bad_input_raises(call, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        call()
