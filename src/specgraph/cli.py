@@ -289,17 +289,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             raise _bad_option("--swap", "two slot indices like '0,1'", args.swap) from None
         _emit(format_graph(method2_exchange(host, i, j), "exchanged"), args.out)
         return 0
-    if args.op == "clarify":
-        blocks = [_load(getattr(args, f"block_{name}")) for name in "abcdef"]
-        try:
-            (a, b), (c, d) = (map(int, chunk.split(",")) for chunk in args.splits.split("|"))
-        except ValueError:
-            raise _bad_option("--splits", "two slot pairs like '2,3|1,4'", args.splits) from None
-        g1, g2 = build_clarifying_example(*blocks, splits=((a, b), (c, d)))
-        _emit(format_graph(g1, "clarify_1"), args.out1)
-        _emit(format_graph(g2, "clarify_2"), args.out2)
-        return 0
-    raise GraphError(f"unknown construct op {args.op!r}")
+    # "clarify", the last op: argparse admits no other
+    blocks = [_load(getattr(args, f"block_{name}")) for name in "abcdef"]
+    try:
+        (a, b), (c, d) = (map(int, chunk.split(",")) for chunk in args.splits.split("|"))
+    except ValueError:
+        raise _bad_option("--splits", "two slot pairs like '2,3|1,4'", args.splits) from None
+    g1, g2 = build_clarifying_example(*blocks, splits=((a, b), (c, d)))
+    _emit(format_graph(g1, "clarify_1"), args.out1)
+    _emit(format_graph(g2, "clarify_2"), args.out2)
+    return 0
 
 
 _COMMANDS = {

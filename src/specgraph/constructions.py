@@ -350,8 +350,6 @@ def inner_symmetry_quotient(g: MetricGraph,
     certified post hoc: the quotient must be Steklov-equivalent to g, and
     the call fails if it is not.
     """
-    if len(orbit) < 2:
-        raise GraphError("need at least two points to join")
     result = join_points(g, orbit)
     _certify_equivalent(g, result, "orbit assertion refuted: M-functions differ")
     return result

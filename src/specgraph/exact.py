@@ -6,9 +6,10 @@ first, and a non-integer input raises ExactError.  Both exact spectral
 keys, the secular polynomial and the normalized-Laplacian charpoly, come
 from the V x V integer pencil det(A - cD), which one call of one kernel
 determines per discrete graph (`secular._pencil`).  That kernel is
-`polymat_det`: Bareiss determinants at consecutive integer sample points,
-Newton forward differences divided exactly by j!, and certification at
-one extra point.  The square-free decomposition runs in Z[x] too.
+`polymat_det`: Bareiss determinants at degree bound + 2 consecutive
+integer sample points, Newton forward differences divided exactly by j!,
+and certification by a vanishing difference of order degree bound + 1.
+The square-free decomposition runs in Z[x] too.
 Rational determinants and Newton interpolation in Fractions live in
 `tests/kernel_oracles.py`, as oracles.  The only floating point lives in
 `poly_roots_unit_circle`, which locates roots numerically after the
@@ -86,18 +87,14 @@ class ProjectivePoly:
 def poly_normalize(coeffs: Sequence[int]) -> ProjectivePoly:
     """Normalize integer coefficients to the projective representative.
 
-    Divides out the content and flips the global sign so the leading
-    coefficient is positive.  Rejects the zero polynomial.
+    Drops trailing zeros, then divides out the content and flips the
+    global sign so the leading coefficient is positive (`_primitive`).
+    Rejects the zero polynomial.
     """
-    ints = list(coeffs)
-    while ints and ints[-1] == 0:
-        ints.pop()
+    ints = _trim(list(coeffs))
     if not ints:
         raise ExactError("zero polynomial not projective")
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    return ProjectivePoly(tuple(c // content for c in ints))
+    return ProjectivePoly(tuple(_primitive(ints)))
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -210,24 +207,23 @@ def polymat_det(entry_eval: Callable[[int], Sequence[Sequence[int]]],
 
     `entry_eval(z0)` must return the size x size integer matrix at the
     integer sample point z0.  The determinant is evaluated exactly at
-    degree_bound+1 consecutive integers, interpolated, and certified at one
-    extra point; a mismatch means the stated degree bound is wrong.
+    degree_bound+2 consecutive integers and interpolated once.  The
+    samples lie on a polynomial of degree at most degree_bound exactly
+    when their difference of order degree_bound+1, the top Newton
+    coefficient times (degree_bound+1)!, vanishes; a nonzero top
+    coefficient means the stated degree bound is wrong.
     """
     if degree_bound < 0:
         raise ExactError("degree bound must be nonnegative")
     start = -(degree_bound // 2)
-    points = range(start, start + degree_bound + 2)
     values = []
-    for z0 in points:
+    for z0 in range(start, start + degree_bound + 2):
         m = entry_eval(z0)
         if len(m) != size:
             raise ExactError(f"entry_eval returned wrong size at z={z0}")
         values.append(det_exact(m))
-    coeffs = _interpolate(start, values[:-1])
-    check = 0
-    for c in reversed(coeffs):
-        check = check * points[-1] + c
-    if check != values[-1]:
+    coeffs = _interpolate(start, values)
+    if coeffs.pop():
         raise ExactError("degree bound violated")
     return poly_normalize(coeffs)
 
@@ -368,14 +364,13 @@ def poly_roots_unit_circle(p: ProjectivePoly) -> list[tuple[float, int]]:
             mult += 1
         if mult:
             found.append((k, mult))
-    if len(coeffs) > 1:
-        for factor, mult in squarefree_factors(coeffs):
-            for z in np.roots([float(c) for c in reversed(factor)]):
-                if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-                    raise ExactError(
-                        f"root off unit circle: |z|={abs(z):.6g} for z={z:.6g}")
-                theta = math.atan2(z.imag, z.real)
-                k = theta if theta > 0 else theta + TWO_PI
-                found.append((k, mult))
+    for factor, mult in squarefree_factors(coeffs):
+        for z in np.roots([float(c) for c in reversed(factor)]):
+            if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
+                raise ExactError(
+                    f"root off unit circle: |z|={abs(z):.6g} for z={z:.6g}")
+            theta = math.atan2(z.imag, z.real)
+            k = theta if theta > 0 else theta + TWO_PI
+            found.append((k, mult))
     found.sort()
     return found

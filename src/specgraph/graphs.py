@@ -287,6 +287,8 @@ def subdivide_edge(g: MetricGraph, e: int, t: RationalLike) -> MetricGraph:
     The new degree-2 vertex is appended, non-contact; edge e keeps its
     index for the first piece and the second piece is appended.
     """
+    if not 0 <= e < g.n_edges:
+        raise GraphError(f"edge index {e} out of range")
     t = Fraction(t)
     if not 0 < t < g.lengths[e]:
         raise GraphError(f"subdivision point {t} outside (0, {g.lengths[e]})")

@@ -569,8 +569,6 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         grid_step = DETECT_GRID_STEP
     if refine_tol is None:
         refine_tol = DETECT_REFINE_TOL
-    if not g.contacts:
-        raise GraphError("empty contact set")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise GraphError(f"grid step must be positive and finite, got {grid_step}")
     if not math.isfinite(k_max):

@@ -39,6 +39,9 @@ library bisects all brackets of a level at once on the stacked kernel
 and takes every probe of one detect from one stacked evaluation.
 `reference_invisible_multiplicity` is `invisible_multiplicity` on the
 same one-lambda probes.
+`reference_printed_spectrum` solves the Fraction Yun factors with
+mpmath at 60 digits; the library takes z = 1 and z = -1 by exact trial
+division and the rest with numpy's companion matrix.
 `metric_isomorphic` decides isomorphism of small metric graphs by brute
 force over all n! vertex bijections.
 """
@@ -53,6 +56,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Callable, Iterator, Sequence
 
+import mpmath
 import numpy as np
 
 from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
@@ -417,6 +421,25 @@ def reference_squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int],
         z = _fpoly_sub(y, _fpoly_derivative(w))
         i += 1
     return out
+
+
+def reference_printed_spectrum(coeffs: Sequence[int]) -> dict[str, int]:
+    """Roots z = e^{ik} of a secular polynomial as `spectrum` prints them.
+
+    Each factor of `reference_squarefree_factors` is solved by
+    mpmath.polyroots at 60 digits; k = arg z is taken in (0, 2pi] and
+    keyed by its float to 12 significant digits, the CLI's format, with
+    the multiplicities of equal keys summed.
+    """
+    out: Counter[str] = Counter()
+    with mpmath.workdps(60):
+        for factor, mult in reference_squarefree_factors(coeffs):
+            for z in mpmath.polyroots(factor[::-1]):
+                k = mpmath.arg(z)
+                if k <= 0:
+                    k += 2 * mpmath.pi
+                out[f"{float(k):.12g}"] += mult
+    return dict(out)
 
 
 def reference_refine(k1: float, n1: int, k2: float, n2: int,

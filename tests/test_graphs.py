@@ -311,6 +311,13 @@ class TestSubdivideSuppress:
         with pytest.raises(GraphError, match="outside"):
             subdivide_edge(from_edge_list(2, [(0, 1)]), 0, 1)
 
+    def test_edge_index_out_of_range(self):
+        # a negative index would silently split the last edge
+        g = from_edge_list(3, [(0, 1, 2), (1, 2, 3)])
+        for e in (-1, 2):
+            with pytest.raises(GraphError, match=f"^edge index {e} out of range$"):
+                subdivide_edge(g, e, 1)
+
     def test_suppress_restores_edge(self):
         g = subdivide_edge(from_edge_list(2, [(0, 1)]), 0, Fraction(1, 2))
         assert metric_isomorphic(suppress_degree2(g), from_edge_list(2, [(0, 1)]))

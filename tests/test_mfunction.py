@@ -611,6 +611,23 @@ class TestInvisible:
         with pytest.raises(GraphError, match="not a fundamental root"):
             invisible_multiplicity(g, 1.0)
 
+    def test_excess_detectable_clamped(self, monkeypatch):
+        # a probe reporting more crossings than the secular multiplicity
+        # is warned about and clamped, never returned as negative
+        real = specgraph.mfunction._crossing_multiplicity
+
+        def one_more(*args):
+            mult, pole = real(*args)
+            return mult + 1, pole
+
+        monkeypatch.setattr(specgraph.mfunction, "_crossing_multiplicity", one_more)
+        g = catalog("Q1")
+        assert spectrum_report(g).multiplicity_at(math.pi / 2) == 2
+        want = ("^detectable multiplicity 3 exceeds secular multiplicity 2 "
+                "at k=1.5708; clamping to 0$")
+        with pytest.warns(UserWarning, match=want):
+            assert invisible_multiplicity(g, math.pi / 2) == 0
+
 
 class TestEquivalence:
     def test_self_equivalence_zero_residual(self):
