@@ -335,3 +335,7 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

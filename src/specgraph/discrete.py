@@ -52,11 +52,10 @@ def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
 
     Computed as det(mu D - (D - A)), the pencil q(c) = det(A - cD) at
     c = 1 - mu, degree n with leading coefficient det D, made monic.  q is
-    the one `secular._pencil` of d, shared with the secular key; it is
-    shifted here exactly, by O(n^2) integer additions.
+    the one `secular._pencil` of d, shared with the secular key, which
+    refuses a d with a vertex on no edge.  It is shifted here exactly, by
+    O(n^2) integer additions.
     """
-    if any(deg == 0 for deg in d.degrees()):
-        raise GraphError("degree zero vertex")
     p = list(_pencil(d))
     n = len(p) - 1
     # Taylor shift: the coefficients of q(1 + x)
@@ -79,7 +78,6 @@ def ln_isospectral(d1: DiscreteGraph, d2: DiscreteGraph) -> bool:
 class PropositionReport:
     """Discrete-side isospectrality verdict with its evidence."""
 
-    ln_equal: bool
     betti1: int
     betti2: int
     charpoly1: LnCharpoly
@@ -87,7 +85,7 @@ class PropositionReport:
 
     @property
     def isospectral(self) -> bool:
-        return self.ln_equal and self.betti1 == self.betti2
+        return self.charpoly1 == self.charpoly2 and self.betti1 == self.betti2
 
     @property
     def verdict(self) -> str:
@@ -107,7 +105,6 @@ def proposition_check(g1: MetricGraph, g2: MetricGraph) -> PropositionReport:
             raise GraphError("graph not unilateral")
     d1, d2 = to_discrete(g1), to_discrete(g2)
     return PropositionReport(
-        ln_equal=ln_isospectral(d1, d2),
         betti1=betti(g1),
         betti2=betti(g2),
         charpoly1=ln_charpoly(d1),

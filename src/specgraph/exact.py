@@ -157,12 +157,12 @@ def det_exact(m: Sequence[Sequence[int]]) -> int:
                 return 0
         pivot = a[k][k]
         row_k = a[k]
+        # column k below the pivot is left as it is: no later step reads it
         for i in range(k + 1, n):
             row_i = a[i]
             factor = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
     return sign * a[-1][-1]
 

@@ -396,36 +396,34 @@ class DiscreteGraph:
     Off-diagonal entries count parallel edges; a diagonal entry is twice
     the number of loops at that vertex, so degrees are plain row sums.
     Entries must be `int`: the exact keys compute with them in integer
-    arithmetic.  adj and every row must be tuples, which hash.
+    arithmetic.  adj and every row must be tuples, which hash.  The
+    vertex count n is derived from adj.
     """
 
-    n: int
     adj: tuple[tuple[int, ...], ...]
+    n: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not all(type(x) is tuple for x in (self.adj, *self.adj)):
+        # whole-tuple passes: every enumerated candidate pays for this check
+        adj = self.adj
+        if not all(type(x) is tuple for x in (adj, *adj)):
             raise GraphError("adjacency matrix and every row must be tuples")
-        if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
+        n = len(adj)
+        if any(len(row) != n for row in adj):
             raise GraphError("adjacency matrix has wrong shape")
-        for i, row in enumerate(self.adj):
-            a = row[i]
-            if type(a) is not int:
-                raise GraphError("adjacency entries must be integers")
-            if a < 0:
-                raise GraphError("negative diagonal entry")
-            if a % 2:
-                raise GraphError("odd diagonal entry (loops count twice)")
-            for j in range(i):
-                a, b = row[j], self.adj[j][i]
-                if type(a) is not int or type(b) is not int:
-                    raise GraphError("adjacency entries must be integers")
-                if a != b:
-                    raise GraphError("adjacency matrix not symmetric")
-                if a < 0:
-                    raise GraphError("negative multiplicity")
-
-    def degree(self, u: int) -> int:
-        return sum(self.adj[u])
+        flat = list(chain.from_iterable(adj))
+        if not all(type(x) is int for x in flat):
+            raise GraphError("adjacency entries must be integers")
+        diagonal = flat[::n + 1]
+        if min(diagonal, default=0) < 0:
+            raise GraphError("negative diagonal entry")
+        if any(a % 2 for a in diagonal):
+            raise GraphError("odd diagonal entry (loops count twice)")
+        if tuple(zip(*adj)) != adj:
+            raise GraphError("adjacency matrix not symmetric")
+        if min(flat, default=0) < 0:
+            raise GraphError("negative multiplicity")
+        object.__setattr__(self, "n", n)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.adj)
@@ -440,7 +438,7 @@ class DiscreteGraph:
 
 
 def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
-    return DiscreteGraph(len(adj), tuple(tuple(row) for row in adj))
+    return DiscreteGraph(tuple(tuple(row) for row in adj))
 
 
 #: most vertices a discrete shadow may have, checked before its matrix is

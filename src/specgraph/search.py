@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Literal
 from . import graphs
 from .discrete import ln_charpoly
 from .graphs import (DiscreteGraph, GraphError, automorphism_generators, canonical_form,
-                     discrete_betti, discrete_components, discrete_from_adj)
+                     discrete_components, discrete_from_adj)
 from .secular import _discrete_secular
 
 SIMPLE_BOUND = 8
@@ -221,8 +221,9 @@ def classify(graphs: Iterable[DiscreteGraph], key: SpectralKey) -> list[Isospect
     """
     groups: dict[str, list[tuple[bytes, int, int]]] = {}
     for d in graphs:
+        c = discrete_components(d)
         groups.setdefault(_spectral_key(d, key), []).append(
-            (canonical_form(d), discrete_betti(d), discrete_components(d)))
+            (canonical_form(d), d.n_edges - d.n + c, c))
     families = []
     for key_text, members in groups.items():
         canon, betti, components = zip(*sorted(members))

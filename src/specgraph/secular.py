@@ -79,16 +79,15 @@ def _as_unilateral(g: MetricGraph) -> MetricGraph:
     return unit_subdivided(g)
 
 
-def _c_to_z(q: Sequence[int], size: int) -> list[int]:
-    """Coefficients of (2z)^size * q((z^2 + 1) / 2z), i.e. of
-    sum_j q_j (z^2 + 1)^j (2z)^(size - j), by homogeneous Horner."""
-    q = list(q) + [0] * (size + 1 - len(q))
-    acc = [q[size]]
-    for i in range(1, size + 1):
+def _c_to_z(q: Sequence[int]) -> list[int]:
+    """Coefficients of (2z)^V * q((z^2 + 1) / 2z) for q of degree V, i.e.
+    of sum_j q_j (z^2 + 1)^j (2z)^(V - j), by homogeneous Horner."""
+    acc = [q[-1]]
+    for i in range(1, len(q)):
         acc = acc + [0, 0]
         for t in range(len(acc) - 3, -1, -1):
             acc[t + 2] += acc[t]
-        acc[i] += q[size - i] << i
+        acc[i] += q[-1 - i] << i
     return acc
 
 
@@ -109,8 +108,19 @@ def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
 @lru_cache(maxsize=4096)
 def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     """Coefficients of q(c) = det(A - cD) of d, projectively normalized:
-    the one determinant behind both exact keys of d."""
-    spec = SecularMatrixSpec(d.adj, d.degrees())
+    the one determinant behind both exact keys of d.
+
+    Refuses a d with no edges or with a vertex on no edge, which no metric
+    graph has as its shadow.  Every degree is then positive, so q has the
+    leading coefficient (-1)^V times the product of the degrees and degree
+    exactly V = d.n, which both keys rely on.
+    """
+    degrees = d.degrees()
+    if not any(degrees):
+        raise GraphError("discrete graph has no edges")
+    if not all(degrees):
+        raise GraphError("every vertex must meet at least one edge endpoint")
+    spec = SecularMatrixSpec(d.adj, degrees)
     return polymat_det(spec.entry_matrix, spec.size, spec.size).coeffs
 
 
@@ -140,14 +150,9 @@ def secular_poly(g: MetricGraph) -> ProjectivePoly:
 
 def _discrete_secular(d: DiscreteGraph) -> ProjectivePoly:
     """Secular polynomial of the unilateral graph whose discrete shadow is
-    d, straight from the pencil of d.adj; rejects a d with an isolated
-    vertex, which no metric graph has as its shadow."""
-    degrees = d.degrees()
-    if not any(degrees):
-        raise GraphError("discrete graph has no edges")
-    if not all(degrees):
-        raise GraphError("every vertex must meet at least one edge endpoint")
-    return _times_z2_minus_1(_c_to_z(_pencil(d), d.n), d.n_edges - d.n)
+    d, straight from the pencil of d, which refuses a d that no metric
+    graph has as its shadow."""
+    return _times_z2_minus_1(_c_to_z(_pencil(d)), d.n_edges - d.n)
 
 
 def metric_isospectral(g1: MetricGraph, g2: MetricGraph) -> bool:

@@ -42,6 +42,8 @@ same one-lambda probes.
 `reference_printed_spectrum` solves the Fraction Yun factors with
 mpmath at 60 digits; the library takes z = 1 and z = -1 by exact trial
 division and the rest with numpy's companion matrix.
+`regular_printed_spectrum` needs no polynomial at all: it takes the
+roots of a regular graph from the closed form of its adjacency spectrum.
 `metric_isomorphic` decides isomorphism of small metric graphs by brute
 force over all n! vertex bijections.
 """
@@ -440,6 +442,31 @@ def reference_printed_spectrum(coeffs: Sequence[int]) -> dict[str, int]:
                     k += 2 * mpmath.pi
                 out[f"{float(k):.12g}"] += mult
     return dict(out)
+
+
+def regular_printed_spectrum(thetas: Sequence[tuple[object, int]], degree: int,
+                             excess: int) -> dict[str, int]:
+    """`spectrum`'s printed roots of a degree-regular graph with E - V =
+    excess, from its adjacency eigenvalues theta and their multiplicities.
+
+    D = degree * I, so the pencil det(A - cD) has the root c = theta/degree
+    m times, and that gives k = arccos(c) and 2pi - k, m times each (two
+    k = 2pi for c = 1, two k = pi for c = -1).  The factor
+    (z^2 - 1)^excess adds excess at pi and at 2pi (von Below, 1985).  The
+    k are taken at 40 digits, so thetas given as mpmath numbers should be
+    computed at 40 digits too, and keyed as `reference_printed_spectrum`
+    keys them.
+    """
+    out: Counter[str] = Counter()
+    with mpmath.workdps(40):
+        two_pi = 2 * mpmath.pi
+        ks = [(mpmath.pi, excess), (two_pi, excess)]
+        for theta, m in thetas:
+            k = mpmath.acos(mpmath.mpf(theta) / degree)
+            ks += [(k or two_pi, m), (two_pi - k, m)]
+        for k, m in ks:
+            out[f"{float(k):.12g}"] += m
+    return {key: m for key, m in out.items() if m}
 
 
 def reference_refine(k1: float, n1: int, k2: float, n2: int,

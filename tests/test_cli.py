@@ -302,9 +302,10 @@ class TestSearchVerb:
         assert out.splitlines()[0] == "graphs 7"
 
     @pytest.mark.parametrize("key, message", [("secular", "discrete graph has no edges"),
-                                              ("ln", "degree zero vertex")])
+                                              ("ln", "discrete graph has no edges")])
     def test_single_vertex_has_no_key(self, key, message, capsys):
-        # the one graph on one vertex has no edges, so neither key exists
+        # the one graph on one vertex has no edges, so neither key exists;
+        # both keys refuse it in the pencil they share, with one message
         code, out, err = invoke(capsys, "search", "--vertices", "1", "--key", key)
         assert code == 2 and out == ""
         assert message in err
@@ -463,16 +464,20 @@ def _exchange_argv(tmp_path, capsys):
             "--swap", "0,1"]
 
 
-def test_main_entry_point_exit_codes(tmp_path):
-    # `main` in a fresh interpreter, as the console script runs it
+def _fresh_interpreter(tmp_path, *args):
+    """Run python with args in tmp_path, with this specgraph importable."""
     env = dict(os.environ)
     src = str(Path(specgraph.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
 
+
+def test_main_entry_point_exit_codes(tmp_path):
+    # `main` in a fresh interpreter, as the console script runs it
     def main(*argv):
-        return subprocess.run(
-            [sys.executable, "-c", "from specgraph.cli import main; main()", *argv],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        return _fresh_interpreter(tmp_path, "-c", "from specgraph.cli import main; main()",
+                                  *argv)
 
     for name in ("K5", "Gamma1"):
         done = main("catalog", name)
@@ -483,6 +488,15 @@ def test_main_entry_point_exit_codes(tmp_path):
     done = main("search", "--vertices", "0")
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr == "error: need at least one vertex\n"
+
+
+@pytest.mark.parametrize("module", ["specgraph", "specgraph.cli"])
+def test_python_m_prints_what_run_prints(module, tmp_path, capsys):
+    # `python -m` runs the package's __main__ or cli's own __main__ guard
+    for argv in (["catalog", "K2"], ["search", "--vertices", "0"]):
+        done = _fresh_interpreter(tmp_path, "-m", module, *argv)
+        assert (done.returncode, done.stdout) == invoke(capsys, *argv)[:2]
+    assert done.returncode == 2
 
 
 def _grid(rows, cols):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from specgraph import (GraphError, discrete_from_adj, from_edge_list,
                        ln_charpoly, ln_isospectral,
                        metric_isospectral, proposition_check, to_discrete)
 from specgraph.constructions import catalog
+from specgraph.secular import _discrete_secular
 
 from conftest import random_connected_multigraph
 from kernel_oracles import ln_eigenvalues, von_below_check
@@ -41,8 +43,15 @@ class TestLnCharpoly:
         assert cp.coeffs == (Fraction(0), Fraction(1))
 
     def test_isolated_vertex_rejected(self):
-        with pytest.raises(GraphError, match="degree zero"):
-            ln_charpoly(discrete_from_adj([[0]]))
+        # the pencil that both exact keys share refuses the shadows that no
+        # metric graph has, with the same message for either key
+        for adj, message in [([[0]], "discrete graph has no edges"),
+                             ([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                              "every vertex must meet at least one edge endpoint")]:
+            d = discrete_from_adj(adj)
+            for key in (ln_charpoly, _discrete_secular):
+                with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+                    key(d)
 
     def test_roots_real_in_0_2_and_zero_mult_is_components(self):
         rng = random.Random(61)

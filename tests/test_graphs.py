@@ -426,12 +426,18 @@ class TestDiscrete:
             with pytest.raises(GraphError, match="must be integers"):
                 discrete_from_adj(adj)
 
+    def test_vertex_count_derived_from_adj(self):
+        d = DiscreteGraph(((0, 1), (1, 0)))
+        assert d.n == 2 and d == discrete_from_adj([[0, 1], [1, 0]])
+        with pytest.raises(TypeError):
+            DiscreteGraph(2, ((0, 1), (1, 0)))
+
     @pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], ((0, 1), [1, 0]), [(0, 1), (1, 0)]])
     def test_adjacency_must_be_tuples(self, adj):
         # a list built a graph whose ln_charpoly raised TypeError:
         # unhashable type: 'list'
         with pytest.raises(GraphError, match="^adjacency matrix and every row must be tuples$"):
-            DiscreteGraph(2, adj)
+            DiscreteGraph(adj)
 
 
 class TestCanonicalForm:
@@ -609,7 +615,7 @@ K2 = from_edge_list(2, [(0, 1)], contacts=(0, 1))
     (lambda: join_points(K2, [(0, "1/2"), (1, "1/2")]), "edge index 1 out of range"),
     (lambda: join_points(K2, [(0, "1/2"), (0, 1)]), "offset 1 outside edge 0"),
     (lambda: scale_lengths(K2, 0), "scale factor must be positive"),
-    (lambda: DiscreteGraph(2, ((0, 1),)), "adjacency matrix has wrong shape"),
+    (lambda: DiscreteGraph(((0, 1),)), "adjacency matrix has wrong shape"),
     (lambda: discrete_from_adj([[0, -1], [-1, 0]]), "negative multiplicity"),
     (lambda: metric_from_discrete(discrete_from_adj([[0]])), "discrete graph has no edges"),
 ])

@@ -559,6 +559,16 @@ class TestGridPass:
             assert seen[kind] >= 5, seen
         assert seen["steklov changes"] >= 100, seen
 
+    def test_edge_pole_between_last_two_grid_points(self, stacked_calls):
+        # 3 pi / 2, a pole of the loop of length 2, lies between the last
+        # two grid points 4.7 and 4.8.  The grid is cut there too; a last
+        # coarse stretch from 4.2 to 4.8 would cross that pole with equal
+        # counts at its ends and hide the Steklov root near 4.2446.
+        g = from_edge_list(2, [(0, 1, 1), (0, 0, 2), (1, 1, 1), (0, 1, 3)], (0, 1))
+        self.check(g, 0.1, 4.8, Counter(), stacked_calls)
+        points = detectable_spectrum(g, 4.8, 0.1, 1e-8).points
+        assert [round(k, 4) for k, _ in points] == [0.9831, 1.2847, 2.659, 3.6242, 4.2446]
+
     def test_detect_requests_few_grid_lambdas(self, stacked_calls):
         # the first two evaluations of a detect are the coarse and the
         # fine pass over its grid of 1,260 points

@@ -67,6 +67,14 @@ class TestEnumerateSimple:
         with pytest.raises(GraphError, match="enumeration bound"):
             list(enumerate_connected_simple(9))
 
+    def test_bound_is_inclusive(self, monkeypatch):
+        # n = SIMPLE_BOUND runs; CI's n = 8 search is the only run at the
+        # real bound, so a lowered bound checks the edge here
+        monkeypatch.setattr(specgraph.search, "SIMPLE_BOUND", 4)
+        assert sum(1 for _ in enumerate_connected_simple(4)) == 6
+        with pytest.raises(GraphError, match="^enumeration bound: n <= 4$"):
+            list(enumerate_connected_simple(5))
+
     def test_counts_and_n7_classes_match_graph_atlas(self):
         nx = pytest.importorskip("networkx")
         atlas: dict[int, list[bytes]] = {}

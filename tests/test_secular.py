@@ -98,7 +98,7 @@ class TestVertexMatrix:
         path = from_edge_list(3, [(0, 1), (1, 2)])
         layout = self.pencil(path)
         q = polymat_det(layout.entry_matrix, 3, 3)
-        assert (poly_normalize(_c_to_z(q.coeffs, 3))
+        assert (poly_normalize(_c_to_z(q.coeffs))
                 == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1])))
         assert secular_poly(path).coeffs == (-1, 0, 0, 0, 1)
 
