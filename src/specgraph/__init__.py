@@ -1,7 +1,7 @@
 """specgraph: exact and numeric spectral computation for metric graphs.
 
 Secular polynomials and normalized-Laplacian characteristic polynomials
-are computed in exact rational arithmetic; M-functions, Steklov
+are computed in exact integer arithmetic; M-functions, Steklov
 eigenvalue branches and detectable spectra numerically.  Construction
 methods assemble isospectral graph pairs and certify them exactly.
 """
@@ -12,9 +12,9 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
                             method2_exchange, method2_permute, substitute)
 from .discrete import (LnCharpoly, PropositionReport, ln_charpoly,
                        ln_isospectral, proposition_check)
-from .exact import (ExactError, ProjectivePoly, det_exact, poly_mul,
-                    poly_normalize, poly_pow, poly_roots_unit_circle,
-                    polymat_det, squarefree_factors)
+from .exact import (ExactError, ProjectivePoly, det_exact, pencil_det,
+                    poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
+                    squarefree_factors)
 from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      betti, canonical_form, chop_vertex, components,
                      discrete_betti, discrete_components, discrete_from_adj,

@@ -6,7 +6,8 @@ symmetric normalized Laplacian I - D^{-1/2}AD^{-1/2} and therefore has
 the same spectrum, is det(mu D - (D - A)) / det D.  That matrix is the
 pencil A - cD of `secular.SecularMatrixSpec` at c = 1 - mu, so both
 exact keys come from one degree-V integer pencil q(c) = det(A - cD),
-computed once per discrete graph (`secular._pencil`) and shifted here to
+computed once per discrete graph (`secular._pencil`, from charpolys of
+D^-1 A modulo word primes by `exact.pencil_det`) and shifted here to
 c = 1 - mu by exact integer additions, not evaluated a second time.
 Clearing either key's cache (`ln_charpoly.cache_clear()`,
 `secular_poly.cache_clear()`) drops the shared pencils too.  Generic

@@ -4,13 +4,15 @@ The layer computes in Z only: matrices are plain row-major lists of
 ints, polynomials are int coefficient lists with the constant term
 first, and a non-integer input raises ExactError.  Both exact spectral
 keys, the secular polynomial and the normalized-Laplacian charpoly, come
-from the V x V integer pencil det(A - cD), which one call of one kernel
-determines per discrete graph (`secular._pencil`).  That kernel is
-`polymat_det`: Bareiss determinants at degree bound + 2 consecutive
-integer sample points, Newton forward differences divided exactly by j!,
-and certification by a vanishing difference of order degree bound + 1.
+from the V x V integer pencil q(c) = det(A - cD), which one call of one
+kernel determines per discrete graph (`secular._pencil`).  That kernel is
+`pencil_det`: the charpoly of D^-1 A modulo word primes, by Hessenberg
+reduction, lifted by the Chinese remainder theorem past a proved bound on
+the coefficients of q.  `det_exact`, fraction-free Bareiss elimination,
+gives the one exact determinant that `secular._pencil` checks q against.
 The square-free decomposition runs in Z[x] too.
-Rational determinants and Newton interpolation in Fractions live in
+Rational determinants, evaluation-interpolation of polynomial matrices
+(`polymat_det`) and Newton interpolation in Fractions live in
 `tests/kernel_oracles.py`, as oracles.  The only floating point lives in
 `poly_roots_unit_circle`, which locates roots numerically after the
 multiplicity structure has been extracted exactly.
@@ -22,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -167,65 +169,158 @@ def det_exact(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _interpolate(start: int, values: Sequence[int]) -> list[int]:
-    """Integer monomial coefficients of the polynomial through
-    (start + i, values[i]).
+def _is_word_prime(n: int) -> bool:
+    """Primality of an odd n, 7 < n < 3,215,031,751, by the strong
+    probable-prime test to the bases 2, 3, 5 and 7, which no composite
+    below that bound passes (Pomerance, Selfridge and Wagstaff, Math.
+    Comp. 35, 1980)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Newton's forward-difference form at the consecutive points: the j-th
-    coefficient is the j-th difference divided by j!.  The division is
-    exact for a polynomial with integer coefficients; a remainder means
-    the values are not those of one of degree len(values) - 1 or less,
-    and raises ExactError.
+
+#: the primes below 2^30 in decreasing order, as far as `_word_primes` has
+#: needed them: a memo of one fixed sequence, so no caller can change what
+#: another sees.  Below 2^30 every residue is a one-digit CPython int.
+_WORD_PRIMES: list[int] = []
+
+
+def _word_primes() -> Iterator[int]:
+    """The primes below 2^30, largest first, each searched for once."""
+    i = 0
+    while True:
+        if i == len(_WORD_PRIMES):
+            n = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else (1 << 30) - 1
+            while not _is_word_prime(n):
+                n -= 2
+            _WORD_PRIMES.append(n)
+        yield _WORD_PRIMES[i]
+        i += 1
+
+
+def _hessenberg_charpoly(m: list[list[int]], p: int) -> list[int]:
+    """det(xI - m) modulo the prime p, constant term first and monic.
+
+    m is a square matrix of residues mod p, overwritten.  Gaussian
+    similarity transforms bring it to upper Hessenberg form H, and the
+    charpolys of its leading blocks then follow from chi_0 = 1 and
+
+        chi_{s+1} = x chi_s - sum_{i <= s} h_is h_{i+1,i} ... h_{s,s-1} chi_i
+
+    (Cohen, A Course in Computational Algebraic Number Theory, 1993,
+    Algorithm 2.2.9).  O(n^3) operations mod p.
     """
-    diffs = list(values)
-    newton = [diffs[0]]
-    fact = 1
-    for j in range(1, len(diffs)):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        fact *= j
-        q, r = divmod(diffs[0], fact)
-        if r:
-            raise ExactError(f"degree bound violated: difference {j} not divisible by {j}!")
-        newton.append(q)
-    # Horner in the Newton basis: p = n0 + (x - s)(n1 + (x - s - 1)(n2 + ...))
-    coeffs = [newton[-1]]
-    for j in range(len(newton) - 2, -1, -1):
-        node = start + j
-        nxt = [0] * (len(coeffs) + 1)
-        for t, c in enumerate(coeffs):
-            nxt[t] -= node * c
-            nxt[t + 1] += c
-        nxt[0] += newton[j]
-        coeffs = nxt
-    return coeffs
+    n = len(m)
+    for k in range(1, n - 1):
+        col = k - 1
+        for piv in range(k, n):
+            if m[piv][col]:
+                break
+        else:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(m[k][col], -1, p)
+        tail_k = m[k][k:]
+        # rows j > k lose u_j times row k, then column k gains u_j times
+        # column j: one similarity, and column col is zero below row k
+        us = [0] * (n - k - 1)
+        for j in range(k + 1, n):
+            row_j = m[j]
+            if row_j[col]:
+                u = row_j[col] * inv % p
+                us[j - k - 1] = u
+                v = p - u
+                row_j[col] = 0
+                row_j[k:] = [(a + v * b) % p for a, b in zip(row_j[k:], tail_k)]
+        if any(us):
+            for row in m:
+                row[k] = (row[k] + sum(map(operator.mul, us, row[k + 1:]))) % p
+    chis = [[1]]
+    for s in range(n):
+        acc = [0] + chis[s]
+        prod = 1
+        for i in range(s, -1, -1):
+            w = m[i][s] * prod % p
+            if w:
+                acc[:i + 1] = [a - w * c for a, c in zip(acc, chis[i])]
+            if i:
+                prod = prod * m[i][i - 1] % p
+                if not prod:
+                    break
+        chis.append([c % p for c in acc])
+    return chis[n]
 
 
-def polymat_det(entry_eval: Callable[[int], Sequence[Sequence[int]]],
-                size: int,
-                degree_bound: int) -> ProjectivePoly:
-    """Exact determinant of a polynomial matrix by evaluation-interpolation.
+def pencil_det(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Integer coefficients of q(c) = det(A - cD), constant term first.
 
-    `entry_eval(z0)` must return the size x size integer matrix at the
-    integer sample point z0.  The determinant is evaluated exactly at
-    degree_bound+2 consecutive integers and interpolated once.  The
-    samples lie on a polynomial of degree at most degree_bound exactly
-    when their difference of order degree_bound+1, the top Newton
-    coefficient times (degree_bound+1)!, vanishes; a nonzero top
-    coefficient means the stated degree bound is wrong.
+    A = adj is a square matrix of nonnegative integers with positive row
+    sums d_i, and D = diag(d_i).  q = (-1)^V d_1 ... d_V chi, where chi is
+    the charpoly of D^-1 A and V the size.  chi is computed modulo each
+    prime below 2^30 that divides no d_i (`_hessenberg_charpoly`), and the
+    residues of q are lifted by the Chinese remainder theorem to symmetric
+    residues modulo the product M of the primes (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  Primes are added until
+    M > 2^(V + 1) d_1 ... d_V.
+
+    The lift is q itself because every |q_j| < M / 2.  Expanding the
+    determinant in the diagonal terms -c d_i gives
+
+        q_j = (-1)^j sum_{|S| = j} (prod_{i in S} d_i) det A[S', S'],
+
+    S' the complement of S.  A row of A[S', S'] has nonnegative entries
+    that sum to at most d_i, so its Euclidean norm is at most d_i, and
+    Hadamard's inequality gives |det A[S', S']| <= prod_{i in S'} d_i.
+    Hence |q_j| <= C(V, j) d_1 ... d_V <= 2^V d_1 ... d_V < M / 2.
+
+    Raises ExactError for an entry that is not an integer, a matrix that
+    is not square and nonempty, a negative entry or a zero row sum.
     """
-    if degree_bound < 0:
-        raise ExactError("degree bound must be nonnegative")
-    start = -(degree_bound // 2)
-    values = []
-    for z0 in range(start, start + degree_bound + 2):
-        m = entry_eval(z0)
-        if len(m) != size:
-            raise ExactError(f"entry_eval returned wrong size at z={z0}")
-        values.append(det_exact(m))
-    coeffs = _interpolate(start, values)
-    if coeffs.pop():
-        raise ExactError("degree bound violated")
-    return poly_normalize(coeffs)
+    try:
+        a = [list(map(operator.index, row)) for row in adj]
+    except TypeError as exc:
+        raise ExactError(f"matrix entries must be integers: {exc}") from None
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ExactError("matrix must be square and nonempty")
+    if min(map(min, a)) < 0:
+        raise ExactError("pencil entries must be nonnegative")
+    degrees = [sum(row) for row in a]
+    if not all(degrees):
+        raise ExactError("pencil row sums must be positive")
+    lead = (-1) ** n * math.prod(degrees)
+    bound = abs(lead) << (n + 1)
+    coeffs = [0] * (n + 1)
+    modulus = 1
+    primes = _word_primes()
+    while modulus <= bound:
+        p = next(primes)
+        if lead % p == 0:
+            continue
+        m = [[x * inv % p for x in row]
+             for row, inv in zip(a, (pow(d, -1, p) for d in degrees))]
+        scale = lead % p
+        inv_modulus = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((r * scale - x) * inv_modulus % p)
+                  for x, r in zip(coeffs, _hessenberg_charpoly(m, p))]
+        modulus *= p
+    half = modulus >> 1
+    return [x - modulus if x > half else x for x in coeffs]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ the degree-V pencil q(c) = det(A - cD), followed by the z-transform
 
 q is the same pencil that gives the normalized-Laplacian charpoly at
 c = 1 - mu (`discrete.ln_charpoly`).  It is computed once per discrete
-graph and cached (`_pencil`); both exact keys derive from it, and
+graph and cached (`_pencil`): by `exact.pencil_det`, multimodular and
+exact by a proved coefficient bound, then checked against one Bareiss
+determinant at c = 2.  Both exact keys derive from it, and
 `secular_poly.cache_clear()` or `ln_charpoly.cache_clear()` drops it.
 
 When N < V (forest components) the power of (z^2 - 1) is negative and is
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import (ProjectivePoly, _deflate_linear, poly_mul, poly_normalize,
-                    poly_pow, polymat_det)
+from .exact import (ExactError, ProjectivePoly, _deflate_linear, det_exact, pencil_det,
+                    poly_mul, poly_normalize)
 from .graphs import (DiscreteGraph, GraphError, MetricGraph, components, to_discrete,
                      unit_subdivided)
 
@@ -52,15 +54,12 @@ class SecularMatrixSpec:
     """Structure of the V x V pencil A - cD of a unilateral graph.
 
     `adj` is the discrete adjacency matrix (loops count 2 on the diagonal)
-    and `degrees` its row sums.
+    and `degrees` its row sums.  `_pencil` checks q(2) against the exact
+    determinant of `entry_matrix(2)`.
     """
 
     adj: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.adj)
 
     def entry_matrix(self, c: int) -> list[list[int]]:
         """The integer matrix A - cD at the integer sample point c."""
@@ -92,9 +91,19 @@ def _c_to_z(q: Sequence[int]) -> list[int]:
 
 
 def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
-    """coeffs * (z^2 - 1)^power; a negative power must divide exactly."""
+    """coeffs * (z^2 - 1)^power; a negative power must divide exactly.
+
+    (z^2 - 1)^power is written down from its binomial coefficients and
+    taken as the outer factor of `poly_mul`, which skips its zero odd
+    coefficients.
+    """
     if power >= 0:
-        return poly_normalize(poly_mul(coeffs, poly_pow([-1, 0, 1], power)))
+        factor = [0] * (2 * power + 1)
+        binom = 1
+        for i in range(power + 1):
+            factor[2 * i] = -binom if (power - i) % 2 else binom
+            binom = binom * (power - i) // (i + 1)
+        return poly_normalize(poly_mul(factor, coeffs))
     quot: list[int] | None = coeffs
     for _ in range(-power):
         for root in (1, -1):
@@ -114,14 +123,23 @@ def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     graph has as its shadow.  Every degree is then positive, so q has the
     leading coefficient (-1)^V times the product of the degrees and degree
     exactly V = d.n, which both keys rely on.
+
+    q comes from `pencil_det`, exact by its coefficient bound, and is
+    checked against one determinant computed independently of it: Bareiss
+    elimination on A - 2D.  Every root of q lies in [-1, 1], so q(2) != 0,
+    and a wrong coefficient q_j alone moves q(2) by a nonzero multiple of
+    2^j.  A mismatch raises ExactError.
     """
     degrees = d.degrees()
     if not any(degrees):
         raise GraphError("discrete graph has no edges")
     if not all(degrees):
         raise GraphError("every vertex must meet at least one edge endpoint")
-    spec = SecularMatrixSpec(d.adj, degrees)
-    return polymat_det(spec.entry_matrix, spec.size, spec.size).coeffs
+    q = pencil_det(d.adj)
+    q_at_2 = sum(c << j for j, c in enumerate(q))
+    if det_exact(SecularMatrixSpec(d.adj, degrees).entry_matrix(2)) != q_at_2:
+        raise ExactError("pencil check failed: det(A - 2D) differs from q(2)")
+    return poly_normalize(q).coeffs
 
 
 def _clears_pencil(cached):

@@ -21,9 +21,13 @@ of every class, in `itertools.product` order.
 a Python assembly of T(lambda) from `edge_m_block`, the 2x2 block of one
 edge in math-module arithmetic, then the Schur complement over the
 interior vertices; the library stacks both steps.
+`polymat_det` is the determinant of a polynomial matrix by exact Bareiss
+determinants at consecutive integer points and one integer
+forward-difference interpolation, `integer_interpolate`, certified by a
+vanishing difference of order degree bound + 1; the library computes its
+one pencil from charpolys modulo word primes instead.
 `reference_interpolate` is Newton divided-difference interpolation in
-Fractions at arbitrary points; the library uses integer forward
-differences at consecutive points.  `von_below_check` maps numeric
+Fractions at arbitrary points, an oracle for `integer_interpolate`.  `von_below_check` maps numeric
 secular roots k onto the numeric normalized-Laplacian spectrum
 (`ln_eigenvalues`, eigvalsh of the symmetric form) by 1 - cos(k) = mu,
 a root-finding check of the identity the library's pencil A - cD is
@@ -61,9 +65,9 @@ from typing import Callable, Iterator, Sequence
 import mpmath
 import numpy as np
 
-from specgraph import (DiscreteGraph, GraphError, LnCharpoly, MFunEval, MetricGraph,
-                       ProjectivePoly, canonical_form, components, discrete_from_adj,
-                       polymat_det, poly_normalize, spectrum_report, to_discrete,
+from specgraph import (DiscreteGraph, ExactError, GraphError, LnCharpoly, MFunEval,
+                       MetricGraph, ProjectivePoly, canonical_form, components, det_exact,
+                       discrete_from_adj, poly_normalize, spectrum_report, to_discrete,
                        unit_subdivided)
 from specgraph.mfunction import (_POLE_MAGNITUDE, _PROBE_EPS, _PROBE_WINDOW, DETECT_GRID_STEP,
                                  DETECT_REFINE_TOL, EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT,
@@ -168,6 +172,67 @@ def reference_interpolate(points: Sequence[int],
             nxt[t + 1] += b
         basis = nxt
     return coeffs
+
+
+def integer_interpolate(start: int, values: Sequence[int]) -> list[int]:
+    """Integer monomial coefficients of the polynomial through
+    (start + i, values[i]).
+
+    Newton's forward-difference form at the consecutive points: the j-th
+    coefficient is the j-th difference divided by j!.  The division is
+    exact for a polynomial with integer coefficients; a remainder means
+    the values are not those of one of degree len(values) - 1 or less,
+    and raises ExactError.
+    """
+    diffs = list(values)
+    newton = [diffs[0]]
+    fact = 1
+    for j in range(1, len(diffs)):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        fact *= j
+        q, r = divmod(diffs[0], fact)
+        if r:
+            raise ExactError(f"degree bound violated: difference {j} not divisible by {j}!")
+        newton.append(q)
+    # Horner in the Newton basis: p = n0 + (x - s)(n1 + (x - s - 1)(n2 + ...))
+    coeffs = [newton[-1]]
+    for j in range(len(newton) - 2, -1, -1):
+        node = start + j
+        nxt = [0] * (len(coeffs) + 1)
+        for t, c in enumerate(coeffs):
+            nxt[t] -= node * c
+            nxt[t + 1] += c
+        nxt[0] += newton[j]
+        coeffs = nxt
+    return coeffs
+
+
+def polymat_det(entry_eval: Callable[[int], Sequence[Sequence[int]]],
+                size: int,
+                degree_bound: int) -> ProjectivePoly:
+    """Exact determinant of a polynomial matrix by evaluation-interpolation.
+
+    `entry_eval(z0)` must return the size x size integer matrix at the
+    integer sample point z0.  The determinant is evaluated exactly at
+    degree_bound+2 consecutive integers and interpolated once.  The
+    samples lie on a polynomial of degree at most degree_bound exactly
+    when their difference of order degree_bound+1, the top Newton
+    coefficient times (degree_bound+1)!, vanishes; a nonzero top
+    coefficient means the stated degree bound is wrong.
+    """
+    if degree_bound < 0:
+        raise ExactError("degree bound must be nonnegative")
+    start = -(degree_bound // 2)
+    values = []
+    for z0 in range(start, start + degree_bound + 2):
+        m = entry_eval(z0)
+        if len(m) != size:
+            raise ExactError(f"entry_eval returned wrong size at z={z0}")
+        values.append(det_exact(m))
+    coeffs = integer_interpolate(start, values)
+    if coeffs.pop():
+        raise ExactError("degree bound violated")
+    return poly_normalize(coeffs)
 
 
 GENERIC_TOL = 1e-9

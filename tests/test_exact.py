@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,15 +7,15 @@ from fractions import Fraction
 import pytest
 
 import specgraph.exact
-from specgraph.exact import (ExactError, ProjectivePoly, _interpolate, det_exact,
-                             poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
-                             polymat_det, squarefree_factors)
+from specgraph.exact import (ExactError, ProjectivePoly, det_exact, pencil_det, poly_mul,
+                             poly_normalize, poly_pow, poly_roots_unit_circle,
+                             squarefree_factors)
 
 from specgraph import GraphError, secular_poly
 from specgraph.constructions import CATALOG_IDS, catalog
 
-from kernel_oracles import (charpoly_exact, cofactor_det, reference_interpolate,
-                            reference_squarefree_factors)
+from kernel_oracles import (charpoly_exact, cofactor_det, integer_interpolate, polymat_det,
+                            reference_interpolate, reference_squarefree_factors)
 
 
 def frac_poly_mul(a, b):
@@ -163,6 +164,44 @@ class TestPolymatDet:
             assert det_exact(entries(x)) == scale * evaluate(p.coeffs, x)
 
 
+class TestPencilDet:
+    def test_word_primes_against_trial_division(self):
+        def is_prime(n):
+            return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        # 2047, 3277, 4033, 4681 and 8321 are strong pseudoprimes to base 2
+        assert [n for n in range(9, 20000, 2) if specgraph.exact._is_word_prime(n)] == [
+            n for n in range(9, 20000, 2) if is_prime(n)]
+        primes = list(itertools.islice(specgraph.exact._word_primes(), 40))
+        assert primes == sorted(primes, reverse=True) and primes[0] < 2 ** 30
+        assert [n for n in range(primes[-1], 2 ** 30, 2) if is_prime(n)] == primes[::-1]
+
+    def test_non_integer_entry_rejected(self):
+        with pytest.raises(ExactError, match="matrix entries must be integers"):
+            pencil_det([[Fraction(1, 2)]])
+
+    def test_random_nonnegative_matrices_against_bareiss(self):
+        # not symmetric, and with zero rows and columns in A itself: the
+        # coefficient bound needs only nonnegative rows summing to d_i
+        rng = random.Random(27)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            a = [[rng.choice((0, 0, 1, 2, 5, 40)) for _ in range(n)] for _ in range(n)]
+            for i, row in enumerate(a):
+                row[i] += not sum(row)
+            degrees = [sum(row) for row in a]
+
+            def entries(c):
+                return [[x - c * d if i == j else x for j, x in enumerate(row)]
+                        for i, (row, d) in enumerate(zip(a, degrees))]
+
+            q = pencil_det(a)
+            assert len(q) == n + 1 and all(type(c) is int for c in q)
+            assert q[-1] == (-1) ** n * math.prod(degrees)
+            for c in range(-3, 4):
+                assert evaluate(q, c) == det_exact(entries(c))
+
+
 class TestInterpolationOracle:
     """Integer forward differences against Fraction Newton interpolation."""
 
@@ -176,7 +215,7 @@ class TestInterpolationOracle:
                 start = -(degree // 2)
                 points = list(range(start, start + degree + 1))
                 values = [evaluate(coeffs, x) for x in points]
-                got = _interpolate(start, values)
+                got = integer_interpolate(start, values)
                 assert got == coeffs
                 assert all(type(c) is int for c in got)
                 assert got == reference_interpolate(points, values)
@@ -198,7 +237,7 @@ class TestInterpolationOracle:
                 start = rng.randint(-5, 5)
                 points = list(range(start, start + degree + 1))
                 values = [evaluate(cleared, x) for x in points]
-                assert _interpolate(start, values) == cleared
+                assert integer_interpolate(start, values) == cleared
                 assert reference_interpolate(points, values) == cleared
                 assert reference_interpolate(
                     points, [evaluate(coeffs, Fraction(x)) for x in points]) == coeffs
@@ -218,8 +257,8 @@ class TestInterpolationOracle:
             assert reference_interpolate(points, values) == [
                 Fraction(c, math.factorial(j)) for c in falling]
             with pytest.raises(ExactError, match="degree bound violated"):
-                _interpolate(-3, values)
-            assert _interpolate(-3, [evaluate(falling, x) for x in points]) == falling
+                integer_interpolate(-3, values)
+            assert integer_interpolate(-3, [evaluate(falling, x) for x in points]) == falling
 
     def test_matrices_against_reference(self):
         rng = random.Random(2021)
@@ -349,6 +388,10 @@ class TestUnitCircleRoots:
     (lambda: polymat_det(lambda z: [[z]], 1, -1), "degree bound must be nonnegative"),
     (lambda: polymat_det(lambda z: [[z, 0], [0, z]], 1, 1),
      "entry_eval returned wrong size at z=0"),
+    (lambda: pencil_det([]), "matrix must be square and nonempty"),
+    (lambda: pencil_det([[1, 1]]), "matrix must be square and nonempty"),
+    (lambda: pencil_det([[1, -1], [-1, 1]]), "pencil entries must be nonnegative"),
+    (lambda: pencil_det([[0, 1], [0, 0]]), "pencil row sums must be positive"),
 ])
 def test_bad_input_raises(call, message):
     with pytest.raises(ExactError, match=f"^{re.escape(message)}$"):

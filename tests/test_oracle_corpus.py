@@ -5,7 +5,9 @@ root k and its multiplicity, at the 12 significant digits the CLI
 prints, against the mpmath roots of the Fraction Yun factors of the
 same secular polynomial.  Regular graphs of large degree and high
 multiplicity are checked against the closed forms of their adjacency
-spectra instead, which need no polynomial.
+spectra instead, which need no polynomial, and their pencils
+q(c) = det(A - cD) against closed-form products, coefficient for
+coefficient.
 """
 
 from collections import Counter
@@ -15,8 +17,10 @@ from math import comb
 import mpmath
 import pytest
 
-from specgraph import from_edge_list, secular_poly, spectrum_report
+from specgraph import (from_edge_list, pencil_det, poly_normalize, secular_poly,
+                       spectrum_report, to_discrete)
 from specgraph.constructions import CATALOG_IDS, catalog
+from specgraph.secular import _pencil
 
 from kernel_oracles import reference_printed_spectrum, regular_printed_spectrum
 
@@ -67,3 +71,70 @@ def test_regular_spectrum_closed_form(family, size):
     for k, m in spectrum_report(g).fundamental_roots:
         got[f"{k:.12g}"] += m
     assert got == want
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _linear_power(alpha, beta, m):
+    """(alpha + beta c)^m by the binomial theorem."""
+    return [comb(m, j) * alpha ** (m - j) * beta ** j for j in range(m + 1)]
+
+
+def complete_pencil(n):
+    """det(A - cD) of K_n: D = (n - 1) I, and D^-1 A has the eigenvalue 1
+    once and -1/(n - 1) n - 1 times, so
+    q = (-1)^(n - 1) (n - 1) (1 - c) (1 + (n - 1) c)^(n - 1)."""
+    q = _mul([1, -1], _linear_power(1, n - 1, n - 1))
+    return [(-1) ** (n - 1) * (n - 1) * x for x in q]
+
+
+def cube_pencil(d):
+    """det(A - c d I) of the d-cube: the product of (d - 2i - dc)^C(d, i)."""
+    q = [1]
+    for i in range(d + 1):
+        q = _mul(q, _linear_power(d - 2 * i, -d, comb(d, i)))
+    return q
+
+
+def loops(n):
+    """n vertices, each with one loop: A = D = 2I."""
+    return (from_edge_list(n, [(i, i) for i in range(n)]),)
+
+
+def loops_pencil(n):
+    """det(2I - 2cI) = 2^n (1 - c)^n: every |q_j| equals C(n, j) 2^n, the
+    bound that `pencil_det` lifts to, so no coefficient has room to spare."""
+    return [(-1) ** j * comb(n, j) * 2 ** n for j in range(n + 1)]
+
+
+def cycle_pencil(n):
+    """det(A - 2cI) of C_n: the product of 2 cos(2 pi j / n) - 2c over j,
+    which is (-1)^n 2 (T_n(c) - 1), T_n the Chebyshev polynomial."""
+    t_prev, t = [1], [0, 1]
+    for _ in range(n - 1):
+        t_prev, t = t, [a - b for a, b in zip([0] + [2 * x for x in t], t_prev + [0, 0])]
+    t[0] -= 1
+    return [(-1) ** n * 2 * x for x in t]
+
+
+# the largest, K120 and C97, run only in the slow set
+@pytest.mark.parametrize("family, size", [
+    *((complete, n) for n in (10, 20, 30, 40, 50, 60)),
+    pytest.param(complete, 120, marks=pytest.mark.slow),
+    (cube, 4), (cube, 5), (cube, 6),
+    (cycle, 31), (cycle, 61), pytest.param(cycle, 97, marks=pytest.mark.slow),
+    (loops, 30), (loops, 60),
+], ids=lambda v: v.__name__ if callable(v) else str(v))
+def test_regular_pencil_closed_form(family, size):
+    g = family(size)[0]
+    want = {complete: complete_pencil, cube: cube_pencil, cycle: cycle_pencil,
+            loops: loops_pencil}[family](size)
+    d = to_discrete(g)
+    assert pencil_det(d.adj) == want
+    assert _pencil(d) == poly_normalize(want).coeffs

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -7,16 +9,16 @@ import pytest
 
 import specgraph
 from specgraph import (ExactError, SecularError, SecularMatrixSpec, betti, classify,
-                       components, enumerate_connected_simple, from_edge_list,
+                       components, discrete_from_adj, enumerate_connected_simple, from_edge_list,
                        invisible_multiplicity, ln_charpoly, metric_isospectral,
-                       poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
-                       polymat_det, scale_lengths, secular_poly, spectrum_report,
+                       pencil_det, poly_mul, poly_normalize, poly_pow,
+                       poly_roots_unit_circle, scale_lengths, secular_poly, spectrum_report,
                        subdivide_edge, to_discrete, unit_subdivided)
 from specgraph.constructions import catalog
-from specgraph.secular import _c_to_z, _times_z2_minus_1
+from specgraph.secular import _c_to_z, _pencil, _times_z2_minus_1
 
 from conftest import random_connected_multigraph
-from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly,
+from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly, polymat_det,
                             scattering_secular_poly)
 
 K5_FACTORS = poly_mul(poly_mul(poly_pow([-1, 1], 7), poly_pow([1, 1], 5)),
@@ -74,7 +76,7 @@ class TestVertexMatrix:
 
     def test_single_edge(self):
         layout = self.pencil(from_edge_list(2, [(0, 1)]))
-        assert layout.size == 2
+        assert len(layout.adj) == 2
         assert layout.degrees == (1, 1)
         assert layout.entry_matrix(2) == [[-2, 1], [1, -2]]
         assert self.vertex_matrix(layout, Fraction(2)) == [[-5, 4], [4, -5]]
@@ -102,6 +104,14 @@ class TestVertexMatrix:
                 == poly_normalize(poly_mul(poly_pow([-1, 0, 1], 2), [1, 0, 1])))
         assert secular_poly(path).coeffs == (-1, 0, 0, 0, 1)
 
+    def test_binomial_factor_equals_repeated_products(self):
+        rng = random.Random(26)
+        for power in range(25):
+            coeffs = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(rng.randint(1, 12))]
+            coeffs[-1] = coeffs[-1] or 1
+            assert (_times_z2_minus_1(coeffs, power)
+                    == poly_normalize(poly_mul(coeffs, poly_pow([-1, 0, 1], power))))
+
     def test_failed_division_raises(self):
         with pytest.raises(SecularError, match="not divisible"):
             _times_z2_minus_1([1, 0, 1], -1)
@@ -109,18 +119,18 @@ class TestVertexMatrix:
     def test_one_degree_v_determinant_per_key(self, monkeypatch):
         calls = []
 
-        def counting(entry_eval, size, degree_bound):
-            calls.append((size, degree_bound))
-            return polymat_det(entry_eval, size, degree_bound)
+        def counting(adj):
+            calls.append(len(adj))
+            return pencil_det(adj)
 
-        monkeypatch.setattr(specgraph.secular, "polymat_det", counting)
+        monkeypatch.setattr(specgraph.secular, "pencil_det", counting)
         g = from_edge_list(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2, 2)])
         secular_poly.cache_clear()
         ln_charpoly.cache_clear()
         secular_poly(g)
         ln_charpoly(to_discrete(g))
         # the length-2 edge subdivides into V = 4; the shadow has 3 vertices
-        assert calls == [(4, 4), (3, 3)]
+        assert calls == [4, 3]
         # on a unit graph both keys share one pencil, in either order
         unit = from_edge_list(3, [(0, 1), (1, 2), (2, 0), (0, 0), (1, 2)])
         d = to_discrete(unit)
@@ -131,7 +141,7 @@ class TestVertexMatrix:
             calls.clear()
             for key in order:
                 key()
-            assert calls == [(3, 3)]
+            assert calls == [3]
         # either cache_clear() drops the pencil, so the key recomputes it
         ln_charpoly.cache_clear()
         ln_charpoly(d)
@@ -208,6 +218,10 @@ class TestVertexKernelOracle:
                 seen["disconnected"] += components(g) > 1
                 seen["long"] += any(l > 1 for l in g.lengths)
                 d = to_discrete(g)
+                for shadow in {d, to_discrete(unit_subdivided(g))}:
+                    spec = SecularMatrixSpec(shadow.adj, shadow.degrees())
+                    assert (_pencil(shadow)
+                            == polymat_det(spec.entry_matrix, shadow.n, shadow.n).coeffs), g
                 expected = (scattering_secular_poly(g), faddeev_ln_charpoly(d))
                 # a unit graph's two keys share one pencil: cold, ln key
                 # first, then cold again, secular key first
@@ -222,6 +236,45 @@ class TestVertexKernelOracle:
                 cases += 1
         assert cases == 200
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("skipped", [1, 2])
+    def test_degrees_divisible_by_the_first_primes(self, monkeypatch, skipped):
+        # a degree that the first primes divide makes pencil_det skip them
+        first = list(itertools.islice(specgraph.exact._word_primes(), skipped))
+        used = []
+        charpoly = specgraph.exact._hessenberg_charpoly
+
+        def recording(m, p):
+            used.append(p)
+            return charpoly(m, p)
+
+        monkeypatch.setattr(specgraph.exact, "_hessenberg_charpoly", recording)
+        w = math.prod(first)
+        d = discrete_from_adj([[0, w], [w, 0]])
+        assert pencil_det(d.adj) == [-w * w, 0, w * w]
+        assert used and not set(first) & set(used)
+        secular_poly.cache_clear()
+        assert _pencil(d) == (-1, 0, 1)
+
+    def test_corrupted_residue_trips_the_check(self, monkeypatch):
+        charpoly = specgraph.exact._hessenberg_charpoly
+        calls = []
+
+        def corrupted(m, p):
+            chi = charpoly(m, p)
+            if not calls:
+                chi[1] = (chi[1] + 1) % p
+            calls.append(p)
+            return chi
+
+        monkeypatch.setattr(specgraph.exact, "_hessenberg_charpoly", corrupted)
+        secular_poly.cache_clear()
+        ln_charpoly.cache_clear()
+        message = "pencil check failed: det(A - 2D) differs from q(2)"
+        with pytest.raises(ExactError, match=f"^{re.escape(message)}$"):
+            secular_poly(catalog("K5"))
+        monkeypatch.undo()
+        assert secular_poly(catalog("K5")) == poly_normalize(K5_FACTORS)
 
 
 class TestSecularPoly:
