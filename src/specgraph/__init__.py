@@ -13,8 +13,7 @@ from .constructions import (CATALOG_IDS, ComposedHost, Slot, assemble,
 from .discrete import (LnCharpoly, PropositionReport, ln_charpoly,
                        ln_isospectral, proposition_check)
 from .exact import (ExactError, ProjectivePoly, det_exact, pencil_det,
-                    poly_mul, poly_normalize, poly_pow, poly_roots_unit_circle,
-                    squarefree_factors)
+                    poly_mul, poly_normalize, poly_pow, squarefree_factors)
 from .graphs import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                      betti, canonical_form, chop_vertex, components,
                      discrete_betti, discrete_components, discrete_from_adj,

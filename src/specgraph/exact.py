@@ -12,10 +12,11 @@ the coefficients of q.  `det_exact`, fraction-free Bareiss elimination,
 gives the one exact determinant that `secular._pencil` checks q against.
 The square-free decomposition runs in Z[x] too.
 Rational determinants, evaluation-interpolation of polynomial matrices
-(`polymat_det`) and Newton interpolation in Fractions live in
-`tests/kernel_oracles.py`, as oracles.  The only floating point lives in
-`poly_roots_unit_circle`, which locates roots numerically after the
-multiplicity structure has been extracted exactly.
+(`polymat_det`), Newton interpolation in Fractions and the z-side root
+finder `poly_roots_unit_circle` live in `tests/kernel_oracles.py`, as
+oracles.  No floating point is used here: the roots of the secular
+polynomial are located numerically in `secular`, after the multiplicity
+structure has been extracted exactly.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
-
-import numpy as np
 
 
 class ExactError(ValueError):
@@ -60,16 +58,6 @@ class ProjectivePoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @cached_property
-    def unit_circle_roots(self) -> tuple[tuple[float, int], ...]:
-        """poly_roots_unit_circle(self), computed once per object.
-
-        The polynomials that `secular_poly`'s cache returns keep their
-        roots until that cache is cleared; UNIT_CIRCLE_TOL is read when
-        they are first computed.
-        """
-        return tuple(poly_roots_unit_circle(self))
 
     def line(self) -> str:
         """Single-line serialization: `poly: c0 c1 ... cD`."""
@@ -324,7 +312,7 @@ def pencil_det(adj: Sequence[Sequence[int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# square-free structure and unit-circle roots
+# square-free structure
 # ---------------------------------------------------------------------------
 
 def _trim(p: list[int]) -> list[int]:
@@ -392,10 +380,8 @@ def _exact_div(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
+    """a - b for coefficient lists of equal length (see squarefree_factors)."""
+    return _trim([x - y for x, y in zip(a, b, strict=True)])
 
 
 def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
@@ -406,6 +392,16 @@ def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
     the gcds are primitive, and each division is by a primitive divisor
     over Q, hence exact in Z[x] (Gauss's lemma).  w and y are always
     divided by the same polynomial, so the scale of a gcd never matters.
+
+    Every step subtracts w' from y, two lists of equal length.  With
+    p = prod_j q_j^j, step i holds, for one rational s,
+
+        w = s prod_{j >= i} q_j,
+        y = s sum_{j >= i} (j - i + 1) q_j' prod_{k >= i, k != j} q_k,
+
+    so y has the leading coefficient s l sum_{j >= i} (j - i + 1) deg q_j,
+    l that of prod_{j >= i} q_j.  It is nonzero while w is not constant,
+    and then deg y = deg w - 1 = deg w'; once w is constant, y = w' = 0.
     """
     p = _trim(list(coeffs))
     if len(p) <= 1:
@@ -427,45 +423,3 @@ def squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[int], int]]:
         i += 1
     return out
 
-
-TWO_PI = 2.0 * math.pi
-
-#: secular roots of 36 catalog and 300 random multigraphs stray <= 8.3e-15 from |z| = 1
-UNIT_CIRCLE_TOL = 1e-8
-
-
-def poly_roots_unit_circle(p: ProjectivePoly) -> list[tuple[float, int]]:
-    """All roots of p, certified to lie on |z| = 1, as (k, multiplicity).
-
-    k = arg(z) mapped to (0, 2pi].  Roots z = 1 and z = -1 are deflated by
-    exact trial division, so their multiplicities are exact.  Remaining
-    multiplicities are extracted exactly by square-free decomposition;
-    companion-matrix root finding is then only ever applied to simple
-    roots, which keeps every root within UNIT_CIRCLE_TOL of the unit
-    circle.  The square-free factors are pairwise coprime and prime to
-    z - 1 and z + 1, so no root is listed twice.
-    Raises ExactError if any root strays off the circle beyond
-    UNIT_CIRCLE_TOL.
-    """
-    coeffs = list(p.coeffs)
-    found: list[tuple[float, int]] = []
-    for root, k in ((1, TWO_PI), (-1, math.pi)):
-        mult = 0
-        while len(coeffs) > 1:
-            quot = _deflate_linear(coeffs, root)
-            if quot is None:
-                break
-            coeffs = quot
-            mult += 1
-        if mult:
-            found.append((k, mult))
-    for factor, mult in squarefree_factors(coeffs):
-        for z in np.roots([float(c) for c in reversed(factor)]):
-            if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-                raise ExactError(
-                    f"root off unit circle: |z|={abs(z):.6g} for z={z:.6g}")
-            theta = math.atan2(z.imag, z.real)
-            k = theta if theta > 0 else theta + TWO_PI
-            found.append((k, mult))
-    found.sort()
-    return found

@@ -447,7 +447,9 @@ def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
 #: a path, 0.8 s on a 10x12 grid and 9 s on K120, the slowest input
 #: admitted, of which 0.5 s is the pencil and the rest the (z^2 - 1)^7020
 #: factor; K4 with edges of length 20 (118 vertices) takes 0.3 s, and the
-#: secular polynomial of a path of 301 vertices 0.9 s.
+#: secular polynomial of a path of 301 vertices 0.9 s.  spectrum_report,
+#: which reads the roots off the pencil without that factor, takes 0.8 s
+#: on K120.
 MAX_EXACT_VERTICES = 120
 
 

@@ -15,13 +15,12 @@ from specgraph import (betti, canonical_form, catalog, classify, components,
                        detectable_spectrum, enumerate_connected_simple,
                        from_edge_list, glue, ln_charpoly, m_function,
                        metric_from_discrete, metric_isospectral, poly_mul,
-                       poly_normalize, poly_pow, poly_roots_unit_circle,
-                       secular_poly, spectrum_report, steklov_sweep,
-                       to_discrete)
+                       poly_normalize, poly_pow, secular_poly,
+                       spectrum_report, steklov_sweep, to_discrete)
 from specgraph.constructions import ComposedHost, Slot, assemble, \
     build_clarifying_example, method2_exchange
 from conftest import random_connected_multigraph
-from kernel_oracles import scattering_secular_poly, von_below_check
+from kernel_oracles import poly_roots_unit_circle, scattering_secular_poly, von_below_check
 import random
 
 

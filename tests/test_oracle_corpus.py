@@ -52,9 +52,12 @@ def cycle(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]), 2, thetas
 
 
-# the largest members, 0.3 to 3.5 s each, run only in the slow set
+# the largest members, 0.3 to 3.5 s each, run only in the slow set; K60
+# and K80, whose roots come off a pencil of degree 60 and 80, take under
+# 0.2 s each
 @pytest.mark.parametrize("family, size", [
     (complete, 10), (complete, 20), pytest.param(complete, 30, marks=pytest.mark.slow),
+    (complete, 60), (complete, 80),
     (cube, 4), (cube, 5), pytest.param(cube, 6, marks=pytest.mark.slow),
     (cycle, 31), pytest.param(cycle, 61, marks=pytest.mark.slow),
     # 12 pi / 97 = 0.38865063755750019... rounds to 0.388650637558, but

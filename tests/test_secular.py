@@ -12,14 +12,14 @@ from specgraph import (ExactError, SecularError, SecularMatrixSpec, betti, class
                        components, discrete_from_adj, enumerate_connected_simple, from_edge_list,
                        invisible_multiplicity, ln_charpoly, metric_isospectral,
                        pencil_det, poly_mul, poly_normalize, poly_pow,
-                       poly_roots_unit_circle, scale_lengths, secular_poly, spectrum_report,
+                       scale_lengths, secular_poly, spectrum_report,
                        subdivide_edge, to_discrete, unit_subdivided)
-from specgraph.constructions import catalog
-from specgraph.secular import _c_to_z, _pencil, _times_z2_minus_1
+from specgraph.constructions import CATALOG_IDS, catalog
+from specgraph.secular import _c_to_z, _fundamental_roots, _pencil, _times_z2_minus_1
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly, polymat_det,
-                            scattering_secular_poly)
+                            poly_roots_unit_circle, scattering_secular_poly)
 
 K5_FACTORS = poly_mul(poly_mul(poly_pow([-1, 1], 7), poly_pow([1, 1], 5)),
                       poly_pow([2, 1, 2], 4))
@@ -166,6 +166,7 @@ class TestVertexMatrix:
                  if name == "specgraph" or name.startswith("specgraph.")
                  for attr, value in vars(module).items() if hasattr(value, "cache_info")}
         assert "specgraph.secular._pencil" in sizes
+        assert "specgraph.secular._spectrum_roots" in sizes
         assert set(sizes.values()) == {0}, sizes
 
 
@@ -327,6 +328,32 @@ class TestIsospectral:
         assert not metric_isospectral(one, two)
 
 
+class TestFundamentalRootsOracle:
+    """spectrum_report reads the roots off the pencil; the oracle
+    `poly_roots_unit_circle` takes them from the finished secular
+    polynomial.  Both hand numpy the same integer factors, so the floats
+    agree exactly."""
+
+    @staticmethod
+    def same_roots(g):
+        assert spectrum_report(g).fundamental_roots == tuple(
+            poly_roots_unit_circle(secular_poly(g))), g
+
+    def test_catalog(self):
+        for name in CATALOG_IDS:
+            self.same_roots(catalog(name))
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(1985)
+        for _ in range(80):
+            for shape in ORACLE_SHAPES:
+                self.same_roots(random_kernel_case(rng, shape))
+
+    def test_complete_graphs(self):
+        for n in range(2, 41):
+            self.same_roots(from_edge_list(n, list(itertools.combinations(range(n), 2))))
+
+
 class TestSpectrumReport:
     def test_k5_report(self):
         rep = spectrum_report(catalog("K5"))
@@ -348,17 +375,28 @@ class TestSpectrumReport:
         assert rep.multiplicity_at(2 * math.pi) == 6
         assert rep.multiplicity_at(math.pi) == 4
 
-    def test_roots_extracted_once_per_polynomial(self, monkeypatch):
+    def test_negative_multiplicity_raises(self):
+        # q = c^2 + 1 has no root at c = +-1, so z = 1 and z = -1 would
+        # have the multiplicity -1
+        with pytest.raises(SecularError, match=re.escape("by (z^2 - 1)^1")):
+            _fundamental_roots([1, 0, 1], -1)
+        # one root c = 1 covers (z^2 - 1)^-2 at z = 1, but not at z = -1
+        with pytest.raises(SecularError, match="not divisible"):
+            _fundamental_roots([-1, 1], -2)
+        # a single edge: q = c^2 - 1 and E - V = -1 leave one root at each
+        assert _fundamental_roots([-1, 0, 1], -1) == [(math.pi, 1), (2 * math.pi, 1)]
+
+    def test_roots_extracted_once_per_graph(self, monkeypatch):
         # invisible_multiplicity reports the spectrum again at every root;
-        # the roots live on the cached polynomial, so they are found once
+        # the roots are kept per graph, so they are found once
         calls = []
-        real = specgraph.exact.poly_roots_unit_circle
+        real = specgraph.secular._fundamental_roots
 
-        def counting(p):
-            calls.append(p)
-            return real(p)
+        def counting(q, power):
+            calls.append((q, power))
+            return real(q, power)
 
-        monkeypatch.setattr(specgraph.exact, "poly_roots_unit_circle", counting)
+        monkeypatch.setattr(specgraph.secular, "_fundamental_roots", counting)
         g = catalog("Gamma1")
         secular_poly.cache_clear()
         rep = spectrum_report(g)
@@ -366,18 +404,24 @@ class TestSpectrumReport:
         for k, _ in rep.fundamental_roots:
             invisible_multiplicity(g, k)
         assert spectrum_report(g) == rep
-        assert calls == [secular_poly(g)]
-        # clearing the polynomial cache drops the roots with it
+        d = to_discrete(unit_subdivided(g))
+        assert calls == [(_pencil(d), d.n_edges - d.n)]
+        # the roots come from the pencil: the secular polynomial is never built
+        assert secular_poly.cache_info().misses == 0
+        # clearing either key cache drops the roots with the pencils
         secular_poly.cache_clear()
         assert spectrum_report(g) == rep
         assert len(calls) == 2
+        ln_charpoly.cache_clear()
+        assert spectrum_report(g) == rep
+        assert len(calls) == 3
 
     def test_unit_circle_tol_read_when_roots_first_found(self, monkeypatch):
         g = catalog("Gamma1")
         secular_poly.cache_clear()
         rep = spectrum_report(g)
         # some float root of Gamma1's square-free factors is off |z| = 1
-        monkeypatch.setattr(specgraph.exact, "UNIT_CIRCLE_TOL", 1e-300)
+        monkeypatch.setattr(specgraph.secular, "UNIT_CIRCLE_TOL", 1e-300)
         assert spectrum_report(g) == rep
         secular_poly.cache_clear()
         with pytest.raises(ExactError, match="root off unit circle"):
