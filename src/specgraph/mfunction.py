@@ -34,12 +34,18 @@ with its interior block, so a stretch whose ends agree has their counts
 throughout, and one scan of the evaluated points, in k order, yields the
 Steklov brackets, the interior-pole brackets and the grid notes, each
 note with its k.  The Steklov and interior-pole bisections run as one
-level-synchronous loop, so the midpoints of every open bracket of a
-level, of both kinds, are evaluated together; and the +-_PROBE_EPS
-crossing probes of all refined points and pole candidates are one more
-stacked evaluation, read in depth-first order afterwards.  Brackets and
-notes carry no recursion path: the brackets of a group are disjoint, so
-ascending k is the depth-first order.
+level-synchronous loop that reads its counts from a memo of the detect:
+one stacked evaluation fills it in advance with the midpoints on the
+bisection paths toward the crossings and poles the spectrum of the unit
+subdivision predicts (`_predicted_targets`), and each level evaluates the
+midpoints it still lacks, of both kinds, together.  Every count is the
+one the level's own evaluation would give, so a prediction changes the
+number of stacked calls only.  The +-_PROBE_EPS crossing probes of all
+refined points and pole candidates are one more stacked evaluation, read
+in depth-first order afterwards.  Brackets and notes carry no recursion
+path: the brackets of a group are disjoint, so ascending k is the
+depth-first order.  `invisible_multiplicity` probes every fundamental
+root of a graph in one stacked evaluation and keeps the table per graph.
 
 Singularities (an edge at a Dirichlet resonance, or an interior Dirichlet
 eigenvalue) are flagged values, never exceptions, so sweeps are total.
@@ -52,12 +58,13 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import GraphError, MetricGraph
-from .secular import spectrum_report
+from .secular import ROOT_MATCH_TOL, _derived_cache, spectrum_report
 
 #: |sin kl| is <= 9.8e-16 at float edge poles, >= 1.6e-9 at regular samples (README)
 EDGE_SINGULAR_TOL = 1e-10
@@ -558,9 +565,11 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
 
     Every sample comes from one kernel: the grid's coarse and fine passes
     (see `_grid_brackets`), which give the brackets and notes a full
-    evaluation of the grid gives, then each level of both bisections (see
-    `_bisect`), then the crossing probes of every refined point and every
-    pole candidate, one stacked evaluation each.  Refined points,
+    evaluation of the grid gives, then the prefetch of the bisection
+    paths toward the predicted points (see `_predicted_targets`), then
+    the midpoints of each level of both bisections (see `_bisect`) that
+    the prefetch missed, then the crossing probes of every refined point
+    and every pole candidate, one stacked evaluation each.  Refined points,
     multiplicities, notes, errors and warnings are those of a depth-first
     refinement that probes bracket by bracket: the probes are read in
     that order, and a candidate the skip rule drops is never read.
@@ -590,9 +599,22 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         k += grid_step
     brackets, pole_brackets, notes = _grid_brackets(kernel, ks, lengths)
 
+    # the counts of this detect by k: one stacked evaluation fills them
+    # along the bisection paths toward the predicted crossings and poles,
+    # and each level of the bisection evaluates only the midpoints missing
+    memo: dict[float, tuple[int | None, int | None]] = {}
+
+    def counts(mids: list[float]) -> list[list[int | None]]:
+        missing = list(dict.fromkeys(k for k in mids if k not in memo))
+        if missing:
+            memo.update(zip(missing, zip(*_counts(kernel, missing))))
+        return [[memo[k][j] for k in mids] for j in (0, 1)]
+
+    crossings, interior_poles = _predicted_targets(g, lengths, k_max)
+    counts(_bisection_paths(brackets, crossings, refine_tol)
+           + _bisection_paths(pole_brackets, interior_poles, refine_tol))
     (leaves, skipped), (poles, _) = _bisect(
-        [brackets, pole_brackets], lambda mids: _counts(kernel, mids),
-        (operator.eq, operator.le), refine_tol)
+        [brackets, pole_brackets], counts, (operator.eq, operator.le), refine_tol)
     # ascending k is the order of a depth-first refinement: a skipped
     # midpoint lies inside its grid bracket, and no grid note does
     notes += [(mid, f"singular midpoints near k={mid:.6g}; bracket skipped")
@@ -644,6 +666,82 @@ def _edge_poles(lengths: Sequence[float], k_max: float) -> list[float]:
             out.append(m * step)
             m += 1
     return out
+
+
+#: most vertices of the unit subdivision that `_predicted_targets` takes,
+#: checked before any array is built.  At 64 its two eigvalsh calls take
+#: 0.2-0.3 ms each, below the 0.9 ms the prefetch saves a catalog detect
+#: at k <= 12.6 (3.0 -> 2.1 ms); from 72 to 88 vertices numpy's two
+#: OpenBLAS threads made each take 8-16 ms (shared 2-core x86, Python
+#: 3.11, numpy 2.4)
+_PREDICT_MAX_VERTICES = 64
+
+
+def _predicted_targets(g: MetricGraph, lengths: Sequence[float], k_max: float
+                       ) -> tuple[list[float], list[float]]:
+    """The k in (0, k_max] where detect's Steklov and interior-pole
+    brackets are expected to change count, ascending, or two empty lists.
+
+    For integer lengths, with A and D the adjacency and degree matrices of
+    the unit subdivision, an eigenvalue k^2 with sin k != 0 has cos k an
+    eigenvalue of D^-1/2 A D^-1/2 (von Below, LAA 71, 1985), and an
+    interior Dirichlet pole has cos k an eigenvalue of its block on the
+    non-contact vertices, which keep their full degrees.  Each such
+    arccos gives k and 2pi - k, shifted by multiples of 2pi; both lists
+    also hold the edge poles.  They only steer the prefetch of bisection
+    midpoints, so a wrong or missing target costs stacked calls, never a
+    different count.  Other lengths, and subdivisions above
+    _PREDICT_MAX_VERTICES vertices, get no targets.
+    """
+    if any(l.denominator != 1 for l in g.lengths):
+        return [], []
+    n = g.n_vertices + sum(int(l) - 1 for l in g.lengths)
+    if n > _PREDICT_MAX_VERTICES:
+        return [], []
+    adj = np.zeros((n, n))
+    fresh = g.n_vertices
+    for (u, v), l in zip(g.ends, g.lengths):
+        chain = [u, *range(fresh, fresh + int(l) - 1), v]
+        fresh += int(l) - 1
+        for x, y in zip(chain, chain[1:]):
+            adj[x, y] += 1.0
+            adj[y, x] += 1.0
+    scale = 1.0 / np.sqrt(adj.sum(1))
+    sym = adj * scale.reshape(-1, 1) * scale
+    contacts = set(g.contacts)
+    inner = [v for v in range(n) if v not in contacts]
+    poles = _edge_poles(lengths, k_max)
+    return tuple(sorted(poles + _arccos_shifts(np.linalg.eigvalsh(block), k_max))
+                 for block in (sym, sym[np.ix_(inner, inner)]))
+
+
+def _arccos_shifts(cosines: np.ndarray, k_max: float) -> list[float]:
+    """Every k in (0, k_max] with cos k one of the cosines."""
+    k = np.arccos(np.clip(cosines, -1.0, 1.0))
+    turns = math.tau * np.arange(max(0, math.floor(k_max / math.tau) + 1))
+    out = (np.concatenate([k, math.tau - k]).reshape(-1, 1) + turns).ravel()
+    return out[(out > 0.0) & (out <= k_max)].tolist()
+
+
+def _bisection_paths(brackets: Sequence[_Bracket], targets: Sequence[float],
+                     refine_tol: float) -> list[float]:
+    """The midpoints `_bisect` visits in the brackets on its way to every
+    target strictly inside one, the targets ascending; a target on a
+    midpoint takes the upper half.  Paths to targets in one bracket share
+    their first midpoints, which are listed once per target."""
+    mids: list[float] = []
+    for k1, _, k2, _ in brackets:
+        for t in targets[bisect.bisect_right(targets, k1):bisect.bisect_left(targets, k2)]:
+            a, b = k1, k2
+            mid = 0.5 * (a + b)
+            while b - a > refine_tol and a < mid < b:
+                mids.append(mid)
+                if t < mid:
+                    b = mid
+                else:
+                    a = mid
+                mid = 0.5 * (a + b)
+    return mids
 
 
 def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]:
@@ -756,18 +854,30 @@ def _crossing_multiplicity(k: float, before: np.ndarray | None,
     return min(nb, na), True
 
 
+@_derived_cache
+@lru_cache(maxsize=256)
+def _root_probes(g: MetricGraph) -> dict[float, tuple[np.ndarray | None, np.ndarray | None]]:
+    """The crossing probes (see `_probes`) of every fundamental root of g,
+    by root, from one kernel and one stacked evaluation.  Kept per graph,
+    and emptied with the key caches that the roots derive from."""
+    roots = [k for k, _ in spectrum_report(g).fundamental_roots]
+    return dict(zip(roots, _probes(_Kernel(g), roots)))
+
+
 def invisible_multiplicity(g: MetricGraph, k: float) -> int:
     """Secular multiplicity at the fundamental root k minus detectable part.
 
     The detectable part is the number of Steklov branches crossing zero at
-    k, counted pole-robustly from both probes around k, which are one
-    2-lambda evaluation.
+    the root r that k matches (`SpectrumReport.multiplicity_at`), counted
+    pole-robustly from both probes around r.  The probes of every root of
+    g come from one stacked evaluation, made at the first call on g.
     """
     report = spectrum_report(g)
     sec = report.multiplicity_at(k)
     if sec == 0:
         raise GraphError(f"k={k:.6g} is not a fundamental root")
-    [(before, after)] = _probes(_Kernel(g), [k])
+    root = next(r for r, _ in report.fundamental_roots if abs(r - k) < ROOT_MATCH_TOL)
+    before, after = _root_probes(g)[root]
     det, _ = _crossing_multiplicity(k, before, after, None)
     invisible = sec - det
     if invisible < 0:

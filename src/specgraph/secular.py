@@ -129,6 +129,19 @@ def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
     return poly_normalize(quot)
 
 
+#: caches of values derived from the pencils, which the key caches'
+#: cache_clear() empties too (`_clears_pencil`)
+_DERIVED_CACHES: list = []
+
+
+def _derived_cache(cached):
+    """Register the lru_cache cached, whose values derive from the pencils
+    or the roots read off them, to be emptied with the key caches."""
+    _DERIVED_CACHES.append(cached)
+    return cached
+
+
+@_derived_cache
 @lru_cache(maxsize=4096)
 def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     """Coefficients of q(c) = det(A - cD) of d, projectively normalized:
@@ -158,15 +171,16 @@ def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
 
 
 def _clears_pencil(cached):
-    """Make cached.cache_clear() empty the `_pencil` cache and the roots
-    read off it (`_spectrum_roots`) too, so that a cleared key cache
-    recomputes its determinants."""
+    """Make cached.cache_clear() empty every derived cache too: the
+    `_pencil` cache, the roots read off it (`_spectrum_roots`) and what
+    other modules register with `_derived_cache`, so that a cleared key
+    cache recomputes its determinants."""
     clear = cached.cache_clear
 
     def cache_clear() -> None:
         clear()
-        _pencil.cache_clear()
-        _spectrum_roots.cache_clear()
+        for derived in _DERIVED_CACHES:
+            derived.cache_clear()
 
     cached.cache_clear = cache_clear
     return cached
@@ -263,14 +277,15 @@ def _fundamental_roots(q: Sequence[int], power: int) -> list[tuple[float, int]]:
     for factor, mult in squarefree_factors(rest):
         for z in np.roots([float(c) for c in reversed(_primitive(_c_to_z(factor)))]):
             if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-                raise ExactError(
-                    f"root off unit circle: |z|={abs(z):.6g} for z={z:.6g}")
+                raise ExactError(f"root off unit circle: |z|={abs(z):.6g} "
+                                 f"(|z| - 1 = {abs(z) - 1.0:.3g}) for z={z:.6g}")
             theta = math.atan2(z.imag, z.real)
             found.append((theta if theta > 0 else theta + TWO_PI, mult))
     found.sort()
     return found
 
 
+@_derived_cache
 @lru_cache(maxsize=4096)
 def _spectrum_roots(g: MetricGraph) -> tuple[tuple[float, int], ...]:
     """The fundamental roots of g, read off its cached pencil once per

@@ -16,7 +16,7 @@ import specgraph.mfunction
 from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSampleError,
                        detectable_spectrum, from_edge_list, glue,
                        invisible_multiplicity, m_function, method3_verify,
-                       metric_isospectral, spectrum_report, steklov_eigs,
+                       metric_isospectral, secular_poly, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
 from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _bisect, _counts,
@@ -351,18 +351,21 @@ def pole_length(k):
     return repr(math.pi / k)
 
 
+def detect_outcome(detect, g, k_max, *args):
+    """The result of detect, or its SingularSampleError, with its warning texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = detect(g, k_max, *args)
+        except SingularSampleError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
 def detect_both(g, k_max, *args):
     """detectable_spectrum and its depth-first oracle, each with its warning texts."""
-    out = []
-    for detect in (detectable_spectrum, reference_detectable_spectrum):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result = detect(g, k_max, *args)
-            except SingularSampleError as exc:
-                result = exc
-        out.append((result, [str(w.message) for w in caught]))
-    return out
+    return [detect_outcome(detect, g, k_max, *args)
+            for detect in (detectable_spectrum, reference_detectable_spectrum)]
 
 
 def chunk_lambdas(kernel):
@@ -578,6 +581,141 @@ class TestGridPass:
         assert coarse + fine <= 300, stacked_calls
 
 
+def no_targets(g, lengths, k_max):
+    return [], []
+
+
+def float_lengths(g):
+    return sorted({float(l) for l in g.lengths})
+
+
+class TestPrediction:
+    """detect's prefetch along the bisection paths toward the points the
+    spectrum predicts changes how many stacked calls it makes, never what
+    it returns."""
+
+    @staticmethod
+    def shifted(step):
+        """The predictor with its targets moved by -2 and +3 grid steps in turn."""
+        real = specgraph.mfunction._predicted_targets
+
+        def predict(g, lengths, k_max):
+            return tuple(sorted(t + (3 if i % 2 else -2) * step for i, t in enumerate(ts))
+                         for ts in real(g, lengths, k_max))
+        return predict
+
+    def outcomes(self, monkeypatch, g, k_max, step=DETECT_GRID_STEP, tol=1e-8):
+        """detect's outcome with the default predictor, with none and with
+        shifted targets, an error as its type and message."""
+        out = []
+        for predict in (specgraph.mfunction._predicted_targets, no_targets,
+                        self.shifted(step)):
+            with monkeypatch.context() as patch:
+                patch.setattr(specgraph.mfunction, "_predicted_targets", predict)
+                result, texts = detect_outcome(detectable_spectrum, g, k_max, step, tol)
+            if isinstance(result, Exception):
+                result = (type(result), str(result))
+            out.append((result, texts))
+        return out
+
+    def test_prediction_never_changes_detect(self, monkeypatch):
+        rng = random.Random(2929)
+        cases = [(catalog(name), 12.6, DETECT_GRID_STEP, 1e-8) for name in CONTACT_CATALOG]
+        for i in range(90):
+            # a third of the graphs may have rational lengths
+            lengths = (1, 2, 3) if i % 3 else (1, 2, 3, Fraction(1, 2), Fraction(3, 2))
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(v), v, rng.choice(lengths)) for v in range(1, n)]
+            for _ in range(rng.randint(1 if n == 1 else 0, 4)):
+                edges.append((rng.randrange(n), rng.randrange(n), rng.choice(lengths)))
+            g = from_edge_list(n, edges, rng.sample(range(n), rng.randint(1, n)))
+            cases.append((g, rng.uniform(3.0, 9.0), rng.choice((0.01, 0.05, math.pi / 8)),
+                          rng.choice((1e-6, 1e-8, 1e-10))))
+        # 71 vertices after subdivision, above the size bound
+        big = from_edge_list(3, [(0, 1, 1), (1, 2, 68), (0, 2, 2)], (0, 2))
+        assert big.n_vertices + sum(l - 1 for l in big.lengths) == 71
+        cases.append((big, 4.0, DETECT_GRID_STEP, 1e-8))
+        seen = Counter()
+        for g, k_max, step, tol in cases:
+            predicted, no, shifted = self.outcomes(monkeypatch, g, k_max, step, tol)
+            assert predicted == no == shifted, (g, k_max, step, tol)
+            targets = specgraph.mfunction._predicted_targets(g, float_lengths(g), k_max)
+            seen["predicted"] += any(targets)
+            seen["rational"] += any(l.denominator != 1 for l in g.lengths)
+            seen["points"] += bool(not isinstance(no[0], tuple) and no[0].points)
+            seen["notes"] += bool(not isinstance(no[0], tuple) and no[0].warnings)
+        assert seen["predicted"] >= 80 and seen["rational"] >= 15, seen
+        assert seen["points"] >= 100 and seen["notes"] >= 10, seen
+
+    def test_size_bound_checked_before_any_array(self, monkeypatch):
+        # an edge of length 10^12 would subdivide into a matrix no memory holds
+        huge = from_edge_list(2, [(0, 1, 10 ** 12), (0, 1, 1)], (0,))
+        assert specgraph.mfunction._predicted_targets(huge, [1.0, 1e12], 3.0) == ([], [])
+        g = from_edge_list(3, [(0, 1, 1), (1, 2, 61), (0, 2, 2)], (0, 2))
+        # 64 vertices after subdivision
+        assert specgraph.mfunction._predicted_targets(g, float_lengths(g), 3.0) != ([], [])
+        monkeypatch.setattr(specgraph.mfunction, "_PREDICT_MAX_VERTICES", 63)
+        assert specgraph.mfunction._predicted_targets(g, float_lengths(g), 3.0) == ([], [])
+
+    def test_crossings_are_the_secular_roots(self):
+        # away from k = pi and 2 pi, the predicted crossings in each of the
+        # three turns below k_max, shifted down by their turn, are the
+        # fundamental roots, each as often as its multiplicity; the float
+        # eigenvalue 1 - 2^-52 of D^-1/2 A D^-1/2 gives k = 2.1e-8
+        def inside(k):
+            return min(k, abs(k - math.pi), abs(k - 2 * math.pi)) > 1e-6
+
+        seen = 0
+        for name in CATALOG_IDS:
+            g = catalog(name)
+            if any(l.denominator != 1 for l in g.lengths):
+                continue
+            roots = [(k, mult) for k, mult in spectrum_report(g).fundamental_roots if inside(k)]
+            # no lengths, so no edge poles among the targets
+            crossings, _ = specgraph.mfunction._predicted_targets(g, [], 6 * math.pi - 1e-6)
+            for turn in (0, 2 * math.pi, 4 * math.pi):
+                inner = [t - turn for t in crossings
+                         if turn < t <= turn + 2 * math.pi and inside(t - turn)]
+                for k, mult in roots:
+                    assert sum(abs(t - k) < 1e-9 for t in inner) == mult, (name, turn, k)
+                assert sum(mult for _, mult in roots) == len(inner), (name, turn)
+                seen += len(inner)
+        assert seen >= 600, seen
+
+    def test_targets_fall_in_every_bracket(self):
+        # each grid bracket of a unit-length catalog detect holds a
+        # predicted point of its kind, so its whole path is prefetched
+        seen = Counter()
+        for name in CONTACT_CATALOG:
+            g = catalog(name)
+            kernel = _Kernel(g)
+            lengths = kernel.lengths.tolist()
+            brackets, pole_brackets, _ = _grid_brackets(kernel, detect_grid(DETECT_GRID_STEP, 12.6),
+                                                        lengths)
+            targets = specgraph.mfunction._predicted_targets(g, lengths, 12.6)
+            for group, kind_targets, kind in zip((brackets, pole_brackets), targets,
+                                                 ("steklov", "pole")):
+                for k1, _, k2, _ in group:
+                    assert any(k1 < t < k2 for t in kind_targets), (name, kind, k1, k2)
+                    seen[kind] += 1
+        assert seen["steklov"] >= 80 and seen["pole"] >= 80, seen
+
+    def test_catalog_detects_take_few_stacked_calls(self, monkeypatch, stacked_calls):
+        # 2 grid passes, the prefetch, the probes and the few bisection
+        # levels it missed; level by level the same detects take up to 23
+        calls = {}
+        for predict in (specgraph.mfunction._predicted_targets, no_targets):
+            monkeypatch.setattr(specgraph.mfunction, "_predicted_targets", predict)
+            for name in CONTACT_CATALOG:
+                stacked_calls.clear()
+                detectable_spectrum(catalog(name), 12.6)
+                calls[predict, name] = len(stacked_calls)
+        with_prediction = [calls[p, name] for (p, name) in calls if p is not no_targets]
+        level_by_level = [calls[no_targets, name] for name in CONTACT_CATALOG]
+        assert max(with_prediction) <= 9, calls
+        assert sum(level_by_level) >= 4 * sum(with_prediction), calls
+
+
 class TestInvisible:
     def test_catalog_cross_validation(self):
         # every catalog graph with contacts: detect + invisible = secular at
@@ -604,6 +742,25 @@ class TestInvisible:
         assert spectrum_report(g).multiplicity_at(k) == 1
         assert all(abs(p - k) > 1e-3 for p, _ in detectable_spectrum(g, 3.2).points)
         assert invisible_multiplicity(g, k) == reference_invisible_multiplicity(g, k) == 1
+
+    def test_one_stacked_call_per_graph(self, stacked_calls):
+        # the first call on a graph probes every fundamental root at once;
+        # every later call, at a root or within ROOT_MATCH_TOL of one, reads
+        # that table and gives the count at the root
+        seen = 0
+        for name in CONTACT_CATALOG:
+            g = catalog(name)
+            secular_poly.cache_clear()
+            roots = spectrum_report(g).fundamental_roots
+            stacked_calls.clear()
+            at_roots = [invisible_multiplicity(g, k) for k, _ in roots]
+            assert stacked_calls == [(2 * len(roots), [2 * len(roots)])], name
+            for (k, _), inv in zip(roots, at_roots):
+                for near in (k - 1e-7, k + 1e-7):
+                    assert invisible_multiplicity(g, near) == inv, (name, near)
+            assert len(stacked_calls) == 1
+            seen += len(roots)
+        assert seen >= 150, seen
 
     def test_first_partner_at_full_turn(self):
         assert invisible_multiplicity(catalog("Gamma1"), 2 * math.pi) == 5
