@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -317,6 +318,27 @@ _COMMANDS = {
 
 _PARSER: argparse.ArgumentParser | None = None
 
+#: the float options of each verb, and a negative float in decimal or
+#: exponent form: argparse reads a token that starts with '-' as an option
+#: name unless it has the form -N or -N.N, so '--lambda -1e-3' would fail
+_FLOAT_OPTIONS = {"mfun": ("--lambda",), "sweep": ("--lmin", "--lmax"),
+                  "detect": ("--kmax", "--step", "--tol")}
+_NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argv with each float option of its verb joined to a negative value
+    after it, as in --lambda=-1e-3, which argparse reads as it reads
+    '--lambda -0.001'."""
+    out = list(argv)
+    options = _FLOAT_OPTIONS.get(out[0], ()) if out else ()
+    i = 1
+    while i + 1 < len(out):
+        if out[i] in options and _NEGATIVE_FLOAT.fullmatch(out[i + 1]):
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+        i += 1
+    return out
+
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv and dispatch; returns the process exit code."""
@@ -324,7 +346,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         if _PARSER is None:
             _PARSER = _build_parser()
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_join_negative_values(argv))
         return _COMMANDS[args.verb](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -120,20 +120,30 @@ def _deflate_linear(coeffs: list[int], root: int) -> list[int] | None:
 # exact determinants
 # ---------------------------------------------------------------------------
 
-def det_exact(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by fraction-free Bareiss
-    elimination.
+def _integer_square(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A working copy of m with each entry taken through `operator.index`.
 
-    The working copy takes each entry through `operator.index`, so an entry
-    that is not an integer (a Fraction, a float) raises ExactError.
+    Raises ExactError for an entry that is not an integer (a Fraction, a
+    float) and for a matrix that is not square and nonempty.
     """
-    n = len(m)
     try:
         a = [list(map(operator.index, row)) for row in m]
     except TypeError as exc:
         raise ExactError(f"matrix entries must be integers: {exc}") from None
-    if n == 0 or any(len(row) != n for row in a):
+    if not a or any(len(row) != len(a) for row in a):
         raise ExactError("matrix must be square and nonempty")
+    return a
+
+
+def det_exact(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by fraction-free Bareiss
+    elimination.
+
+    Raises ExactError for an entry that is not an integer and for a matrix
+    that is not square and nonempty (`_integer_square`).
+    """
+    a = _integer_square(m)
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -279,13 +289,8 @@ def pencil_det(adj: Sequence[Sequence[int]]) -> list[int]:
     Raises ExactError for an entry that is not an integer, a matrix that
     is not square and nonempty, a negative entry or a zero row sum.
     """
-    try:
-        a = [list(map(operator.index, row)) for row in adj]
-    except TypeError as exc:
-        raise ExactError(f"matrix entries must be integers: {exc}") from None
+    a = _integer_square(adj)
     n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ExactError("matrix must be square and nonempty")
     if min(map(min, a)) < 0:
         raise ExactError("pencil entries must be nonnegative")
     degrees = [sum(row) for row in a]

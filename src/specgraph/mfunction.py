@@ -33,14 +33,14 @@ Between edge poles M is a matrix Herglotz function, monotone in lambda
 with its interior block, so a stretch whose ends agree has their counts
 throughout, and one scan of the evaluated points, in k order, yields the
 Steklov brackets, the interior-pole brackets and the grid notes, each
-note with its k.  The Steklov and interior-pole bisections run as one
-level-synchronous loop that reads its counts from a memo of the detect:
-one stacked evaluation fills it in advance with the midpoints on the
-bisection paths toward the crossings and poles the spectrum of the unit
-subdivision predicts (`_predicted_targets`), and each level evaluates the
-midpoints it still lacks, of both kinds, together.  Every count is the
-one the level's own evaluation would give, so a prediction changes the
-number of stacked calls only.  The +-_PROBE_EPS crossing probes of all
+note with its k.  `_refine` bisects the Steklov and interior-pole
+brackets together in rounds of one stacked evaluation.  Each round walks
+every open bracket down as far as the counts known so far reach; a
+bracket that needs an unknown count asks for it and for the midpoints on
+its bisection paths toward the crossings and poles inside it that the
+spectrum of the unit subdivision predicts (`_predicted_targets`).  A
+count depends on its k only, so a prediction changes the number of
+stacked calls, never a count.  The +-_PROBE_EPS crossing probes of all
 refined points and pole candidates are one more stacked evaluation, read
 in depth-first order afterwards.  Brackets and notes carry no recursion
 path: the brackets of a group are disjoint, so ascending k is the
@@ -471,59 +471,67 @@ def _grid_brackets(kernel: _Kernel, ks: Sequence[float], lengths: Sequence[float
     return brackets, pole_brackets, notes
 
 
-def _bisect(groups: Sequence[list[_Bracket]],
-            counts: Callable[[list[float]], Sequence[list[int | None]]],
-            settled: Sequence[Callable[[int, int], bool]],
-            refine_tol: float
-            ) -> list[tuple[list[_Bracket], list[float]]]:
-    """Bisect the brackets of every group level by level.
+def _refine(groups: Sequence[tuple[Sequence[_Bracket], Sequence[float],
+                                   Callable[[int, int], bool]]],
+            counts: Callable[[list[float]], Sequence[Sequence[int | None]]],
+            refine_tol: float) -> list[tuple[list[_Bracket], list[float]]]:
+    """Bisect the brackets of every group in rounds of one `counts` call.
 
-    Group j reads the j-th count list that `counts` returns and drops a
-    bracket with settled[j](n1, n2), which holds nothing.  A bracket at
-    most refine_tol wide, or with no float strictly between its ends, is
-    a leaf.  Every other bracket is split at 0.5 * (k1 + k2), and the
-    counts at all midpoints of a level, of every group, come from one
-    call of `counts`.  Where a bracket's count is None the midpoint is
-    shifted by 1% of the width and retried, all retries of a level in one
-    more call; if that fails too, the bracket is skipped.  Returns
+    Group j is (brackets, ascending targets, settled): it reads the j-th
+    count list that `counts` returns and drops a bracket with
+    settled(n1, n2), which holds nothing.  A bracket at most refine_tol
+    wide, or with no float strictly between its ends, is a leaf.  Every
+    other bracket is split at 0.5 * (k1 + k2); where its count there is
+    None the split moves by 1% of the width, and where that count is None
+    too the bracket is skipped at the moved midpoint.  Each round walks
+    every open bracket down as far as the counts known so far reach.  A
+    bracket that needs an unknown count asks for it, and for the midpoints
+    on its bisection path toward every target strictly inside it (a
+    target on a midpoint takes the upper half); one call of `counts`
+    answers every new ask of the round.  Without targets a round asks one
+    level; a target changes the number of rounds, never a count.  Returns
     (leaves, skipped midpoints) per group, each in ascending k.  The
     brackets of a group are disjoint, and each skipped midpoint lies in
     its own bracket, so that is the order a depth-first recursion would
     meet them in.
     """
+    known: dict[float, tuple[int | None, ...]] = {}
     out: list[tuple[list[_Bracket], list[float]]] = [([], []) for _ in groups]
-    brackets = [(j, bracket) for j, group in enumerate(groups) for bracket in group]
-    while brackets:
-        split: list[tuple[int, _Bracket]] = []
-        mids: list[float] = []
-        for j, bracket in brackets:
+    waiting = [(j, bracket) for j, (brackets, _, _) in enumerate(groups) for bracket in brackets]
+    while waiting:
+        stack, waiting, asks = waiting, [], []
+        while stack:
+            j, bracket = stack.pop()
             k1, n1, k2, n2 = bracket
-            if settled[j](n1, n2):
+            _, targets, settled = groups[j]
+            if settled(n1, n2):
                 continue
             mid = 0.5 * (k1 + k2)
             if k2 - k1 <= refine_tol or not k1 < mid < k2:
                 out[j][0].append(bracket)
-            else:
-                split.append((j, bracket))
-                mids.append(mid)
-        if not split:
-            break
-        level = counts(mids)
-        n_mids = [level[j][i] for i, (j, _) in enumerate(split)]
-        retry = [i for i, n in enumerate(n_mids) if n is None]
-        if retry:
-            for i in retry:
-                _, (k1, _, k2, _) = split[i]
-                mids[i] += 0.01 * (k2 - k1)
-            level = counts([mids[i] for i in retry])
-            for r, i in enumerate(retry):
-                n_mids[i] = level[split[i][0]][r]
-        brackets = []
-        for (j, (k1, n1, k2, n2)), mid, n in zip(split, mids, n_mids):
+                continue
+            if mid in known and known[mid][j] is None:
+                mid += 0.01 * (k2 - k1)
+            if mid not in known:
+                waiting.append((j, bracket))
+                asks.append(mid)
+                for t in targets[bisect.bisect_right(targets, k1):bisect.bisect_left(targets, k2)]:
+                    a, b, m = k1, k2, mid
+                    while True:
+                        a, b = (a, m) if t < m else (m, b)
+                        m = 0.5 * (a + b)
+                        if b - a <= refine_tol or not a < m < b:
+                            break
+                        asks.append(m)
+                continue
+            n = known[mid][j]
             if n is None:
                 out[j][1].append(mid)
             else:
-                brackets += [(j, (k1, n1, mid, n)), (j, (mid, n, k2, n2))]
+                stack += [(j, (k1, n1, mid, n)), (j, (mid, n, k2, n2))]
+        new = [k for k in dict.fromkeys(asks) if k not in known]
+        if new:
+            known.update(zip(new, zip(*counts(new))))
     for leaves, skipped in out:
         leaves.sort()
         skipped.sort()
@@ -565,10 +573,9 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
 
     Every sample comes from one kernel: the grid's coarse and fine passes
     (see `_grid_brackets`), which give the brackets and notes a full
-    evaluation of the grid gives, then the prefetch of the bisection
-    paths toward the predicted points (see `_predicted_targets`), then
-    the midpoints of each level of both bisections (see `_bisect`) that
-    the prefetch missed, then the crossing probes of every refined point
+    evaluation of the grid gives, then the rounds of both bisections,
+    steered toward the predicted points (see `_refine` and
+    `_predicted_targets`), then the crossing probes of every refined point
     and every pole candidate, one stacked evaluation each.  Refined points,
     multiplicities, notes, errors and warnings are those of a depth-first
     refinement that probes bracket by bracket: the probes are read in
@@ -599,22 +606,10 @@ def detectable_spectrum(g: MetricGraph, k_max: float,
         k += grid_step
     brackets, pole_brackets, notes = _grid_brackets(kernel, ks, lengths)
 
-    # the counts of this detect by k: one stacked evaluation fills them
-    # along the bisection paths toward the predicted crossings and poles,
-    # and each level of the bisection evaluates only the midpoints missing
-    memo: dict[float, tuple[int | None, int | None]] = {}
-
-    def counts(mids: list[float]) -> list[list[int | None]]:
-        missing = list(dict.fromkeys(k for k in mids if k not in memo))
-        if missing:
-            memo.update(zip(missing, zip(*_counts(kernel, missing))))
-        return [[memo[k][j] for k in mids] for j in (0, 1)]
-
     crossings, interior_poles = _predicted_targets(g, lengths, k_max)
-    counts(_bisection_paths(brackets, crossings, refine_tol)
-           + _bisection_paths(pole_brackets, interior_poles, refine_tol))
-    (leaves, skipped), (poles, _) = _bisect(
-        [brackets, pole_brackets], counts, (operator.eq, operator.le), refine_tol)
+    (leaves, skipped), (poles, _) = _refine(
+        [(brackets, crossings, operator.eq), (pole_brackets, interior_poles, operator.le)],
+        lambda ks: _counts(kernel, ks), refine_tol)
     # ascending k is the order of a depth-first refinement: a skipped
     # midpoint lies inside its grid bracket, and no grid note does
     notes += [(mid, f"singular midpoints near k={mid:.6g}; bracket skipped")
@@ -670,7 +665,7 @@ def _edge_poles(lengths: Sequence[float], k_max: float) -> list[float]:
 
 #: most vertices of the unit subdivision that `_predicted_targets` takes,
 #: checked before any array is built.  At 64 its two eigvalsh calls take
-#: 0.2-0.3 ms each, below the 0.9 ms the prefetch saves a catalog detect
+#: 0.2-0.3 ms each, below the 0.9 ms the targets save a catalog detect
 #: at k <= 12.6 (3.0 -> 2.1 ms); from 72 to 88 vertices numpy's two
 #: OpenBLAS threads made each take 8-16 ms (shared 2-core x86, Python
 #: 3.11, numpy 2.4)
@@ -688,9 +683,9 @@ def _predicted_targets(g: MetricGraph, lengths: Sequence[float], k_max: float
     interior Dirichlet pole has cos k an eigenvalue of its block on the
     non-contact vertices, which keep their full degrees.  Each such
     arccos gives k and 2pi - k, shifted by multiples of 2pi; both lists
-    also hold the edge poles.  They only steer the prefetch of bisection
-    midpoints, so a wrong or missing target costs stacked calls, never a
-    different count.  Other lengths, and subdivisions above
+    also hold the edge poles.  They only steer which bisection midpoints
+    `_refine` asks for, so a wrong or missing target costs stacked calls,
+    never a different count.  Other lengths, and subdivisions above
     _PREDICT_MAX_VERTICES vertices, get no targets.
     """
     if any(l.denominator != 1 for l in g.lengths):
@@ -721,27 +716,6 @@ def _arccos_shifts(cosines: np.ndarray, k_max: float) -> list[float]:
     turns = math.tau * np.arange(max(0, math.floor(k_max / math.tau) + 1))
     out = (np.concatenate([k, math.tau - k]).reshape(-1, 1) + turns).ravel()
     return out[(out > 0.0) & (out <= k_max)].tolist()
-
-
-def _bisection_paths(brackets: Sequence[_Bracket], targets: Sequence[float],
-                     refine_tol: float) -> list[float]:
-    """The midpoints `_bisect` visits in the brackets on its way to every
-    target strictly inside one, the targets ascending; a target on a
-    midpoint takes the upper half.  Paths to targets in one bracket share
-    their first midpoints, which are listed once per target."""
-    mids: list[float] = []
-    for k1, _, k2, _ in brackets:
-        for t in targets[bisect.bisect_right(targets, k1):bisect.bisect_left(targets, k2)]:
-            a, b = k1, k2
-            mid = 0.5 * (a + b)
-            while b - a > refine_tol and a < mid < b:
-                mids.append(mid)
-                if t < mid:
-                    b = mid
-                else:
-                    a = mid
-                mid = 0.5 * (a + b)
-    return mids
 
 
 def _edge_pole_candidates(lengths: Sequence[float], k_max: float) -> list[float]:

@@ -205,6 +205,36 @@ class TestNumericVerbs:
         header = out1.read_text().splitlines()[0]
         assert header == "lambda,regular,mu_1,mu_2,mu_3,mu_4,det"
 
+    def test_negative_values_in_exponent_form(self, tmp_path, capsys):
+        # argparse takes a token like -1e-3 for an option name unless it is
+        # joined to its float option; -N, -N.N and --opt=-N read as before
+        path = tmp_path / "k4.g"
+        path.write_text(invoke(capsys, "catalog", "K4")[1])
+        code, out, err = invoke(capsys, "mfun", str(path), "--lambda", "-1e-3")
+        assert code == 0 and len(out.splitlines()) == 4 and err == ""
+        assert invoke(capsys, "mfun", str(path), "--lambda", "-0.001") == (code, out, err)
+        assert invoke(capsys, "mfun", str(path), "--lambda=-1e-3") == (code, out, err)
+        sweep = invoke(capsys, "sweep", str(path), "--lmin", "-1e1", "--lmax", "-2E-1",
+                       "--steps", "5")
+        assert sweep[0] == 0
+        assert invoke(capsys, "sweep", str(path), "--lmin", "-10", "--lmax", "-0.2",
+                      "--steps", "5") == sweep
+        # detect reads --kmax, --step and --tol alike: a negative tolerance
+        # is refused with the same message in either form
+        refused = invoke(capsys, "detect", str(path), "--kmax", "1", "--step", "1e-1",
+                         "--tol", "-1e-8")
+        assert refused[0] == 2 and "refinement tolerance must be non-negative" in refused[2]
+        assert invoke(capsys, "detect", str(path), "--kmax", "1", "--step", "0.1",
+                      "--tol", "-0.00000001") == refused
+        assert invoke(capsys, "detect", str(path), "--kmax", "-1e0")[0] == 0
+        # a value that is no float is still an unknown option name
+        code, out, err = invoke(capsys, "mfun", str(path), "--lambda", "-x")
+        assert code == 2 and out == ""
+        assert "expected one argument" in err
+        # only a verb's own float options are joined to their values
+        code, out, err = invoke(capsys, "spectrum", str(path), "--tol", "-1e-8")
+        assert code == 2 and "unrecognized arguments: --tol -1e-8" in err
+
     def test_detect(self, tmp_path, capsys):
         path = tmp_path / "p2.g"
         _, out, _ = invoke(capsys, "catalog", "path_2")

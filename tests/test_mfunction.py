@@ -19,8 +19,8 @@ from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSam
                        metric_isospectral, secular_poly, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
-from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _bisect, _counts,
-                                 _edge_pole_candidates, _grid_brackets, _Kernel, _probes)
+from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _counts, _edge_pole_candidates,
+                                 _grid_brackets, _Kernel, _probes, _refine)
 
 from conftest import random_connected_multigraph
 from kernel_oracles import (_reference_interior_count, _reference_negative_count,
@@ -230,29 +230,45 @@ def bisection_levels(leaves, width):
 
 
 class TestBisection:
-    """The level-synchronous bisection against the depth-first recursion."""
+    """`_refine`, in rounds of one stacked call, against the depth-first
+    recursion, with and without targets."""
 
     # midpoints of the first and second grid brackets are singular; the
     # first recovers at its shifted midpoint 0.51, the second does not
     # (1.5 and 1.51); one level below, 2.25 and 2.255 skip a left half
     SINGULAR = (0.5, 1.5, 1.51, 2.25, 2.255)
     CROSSINGS = (0.3, 0.3, 0.62, 1.37, 1.81, 2.2, 2.71, 2.9)
+    # with SINGULAR, the paths toward 0.3, 1.37, 1.81 and 2.2 run through
+    # singular midpoints; 0.5, 1.5 and 2.5 are first-level midpoints and
+    # 0.25, 0.625 and 2.75 deeper ones; 0.0, 1.0 and 3.0 are grid points
+    TARGETS = {
+        "exact": CROSSINGS,
+        "shifted": tuple(c + 0.05 for c in CROSSINGS),
+        "on a midpoint": (0.25, 0.5, 0.625, 1.5, 2.5, 2.75),
+        "outside": (-1.0, 0.0, 1.0, 3.0, 4.5),
+        "duplicated": (0.62, 0.62, 0.62, 2.2, 2.2, 2.9, 2.9),
+    }
 
-    def run_both(self, settled, count, grid, refine_tol):
+    def run_both(self, settled, count, grid, refine_tol, targets=()):
+        """_refine's leaves, skipped midpoints and calls, its output
+        checked against the recursion and its asks for repeats."""
         calls = []
 
         def counts(ks):
-            calls.append(len(ks))
-            return [count(k) for k in ks]
+            calls.append(ks)
+            return [[count(k) for k in ks]]
 
         roots = [(k1, count(k1), k2, count(k2)) for k1, k2 in zip(grid, grid[1:])]
-        [(leaves, skipped)] = _bisect([roots], lambda ks: [counts(ks)], [settled], refine_tol)
+        [(leaves, skipped)] = _refine([(roots, sorted(targets), settled)], counts, refine_tol)
         ref_leaves, ref_skipped = [], []
         for k1, n1, k2, n2 in roots:
             reference_refine(k1, n1, k2, n2, count, settled, refine_tol,
                              lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
         assert leaves == ref_leaves
         assert skipped == ref_skipped
+        # no k is asked twice, in one round or in two
+        asked = [k for ks in calls for k in ks]
+        assert len(asked) == len(set(asked))
         return leaves, skipped, calls
 
     def test_retry_skip_and_depth_first_order(self):
@@ -264,7 +280,8 @@ class TestBisection:
         assert [d for _, _, d in found] == [2, 1, 1, 1]
         for (k1, k2, _), c in zip(found, (0.3, 0.62, 2.71, 2.9)):
             assert k1 < c <= k2 and k2 - k1 <= 1e-3
-        # one stacked call per level, plus one for the retries of a level
+        # one call per round; without targets a round asks one level, and
+        # a singular midpoint puts its retry one round later
         assert len(calls) <= bisection_levels(leaves, 1.0) + 3
 
     def test_interior_rule_keeps_only_decreasing_brackets(self):
@@ -276,6 +293,41 @@ class TestBisection:
         assert skipped == []
         assert len(leaves) == 1 and leaves[0][0] < 0.8 <= leaves[0][2]
 
+    @pytest.mark.parametrize("singular", [SINGULAR, ()], ids=["singular", "regular"])
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_targets_change_calls_only(self, kind, singular):
+        # the same leaves and skipped midpoints with the targets as
+        # without, and no more calls: a round with targets asks every
+        # midpoint the same round without them asks
+        count = crossing_count(self.CROSSINGS, singular)
+        grid = [0.0, 1.0, 2.0, 3.0]
+        leaves, skipped, level_calls = self.run_both(operator.eq, count, grid, 1e-3)
+        out = self.run_both(operator.eq, count, grid, 1e-3, self.TARGETS[kind])
+        assert out[:2] == (leaves, skipped)
+        assert len(out[2]) <= len(level_calls), (len(out[2]), len(level_calls))
+
+    def test_exact_targets_take_one_call(self):
+        # each crossing is a target and no midpoint is singular, so the
+        # first round asks every midpoint the refinement reads
+        grid = [0.0, 1.0, 2.0, 3.0]
+        count = crossing_count(self.CROSSINGS, ())
+        leaves, _, calls = self.run_both(operator.eq, count, grid, 1e-3, self.CROSSINGS)
+        assert len(calls) == 1
+        assert [n1 - n2 for _, n1, _, n2 in leaves] == [2, 1, 1, 1, 1, 1, 1]
+        # a singular midpoint on the paths toward 0.3 and 0.62: the second
+        # round asks its moved midpoint 0.51 and the paths that go on from it
+        count = crossing_count(self.CROSSINGS, (0.5,))
+        _, _, calls = self.run_both(operator.eq, count, grid, 1e-3, self.CROSSINGS)
+        assert len(calls) == 2 and calls[1][0] == 0.51
+
+    def test_target_on_a_midpoint_takes_the_upper_half(self):
+        # the path toward the target 0.5 goes on in (0.5, 1), down the
+        # brackets (0.5, 0.5 + 2^-n) that hold the crossing 0.5001, so one
+        # round asks every midpoint read
+        count = crossing_count((0.5001,), ())
+        _, _, calls = self.run_both(operator.eq, count, [0.0, 1.0], 1e-3, (0.5,))
+        assert len(calls) == 1
+
     def test_two_groups_share_each_level(self):
         # a Steklov-rule and an interior-rule group with their own counts
         # and singular midpoints: 0.5 is singular for both, the retry at
@@ -284,28 +336,37 @@ class TestBisection:
         interior = crossing_count((0.45, 1.2, 2.6), (0.5, 2.5, 2.51))
         grid = [0.0, 1.0, 2.0, 3.0]
         rules = (operator.eq, operator.le)
-        groups = [[(k1, count(k1), k2, count(k2)) for k1, k2 in zip(grid, grid[1:])]
-                  for count in (steklov, interior)]
+        roots = [[(k1, count(k1), k2, count(k2)) for k1, k2 in zip(grid, grid[1:])]
+                 for count in (steklov, interior)]
         calls = []
 
         def counts(ks):
             calls.append(len(ks))
             return [steklov(k) for k in ks], [interior(k) for k in ks]
 
-        out = _bisect(groups, counts, rules, 1e-3)
-        for (leaves, skipped), count, settled, roots in zip(out, (steklov, interior),
-                                                             rules, groups):
+        out = _refine([(group, (), rule) for group, rule in zip(roots, rules)], counts, 1e-3)
+        for (leaves, skipped), count, settled, group in zip(out, (steklov, interior),
+                                                             rules, roots):
             ref_leaves, ref_skipped = [], []
-            for k1, n1, k2, n2 in roots:
+            for k1, n1, k2, n2 in group:
                 reference_refine(k1, n1, k2, n2, count, settled, 1e-3,
                                  lambda *leaf: ref_leaves.append(leaf), ref_skipped.append)
             assert leaves == ref_leaves
             assert skipped == ref_skipped
         assert out[1][1] == pytest.approx([2.51])
         assert len(out[1][0]) == 2
-        # both groups share one call per level, plus one for the retries
+        # both groups share each round: one call per level, plus one for
+        # the retries
         levels = max(bisection_levels(leaves, 1.0) for leaves, _ in out)
         assert len(calls) <= levels + 3
+        # each group with its own crossings as targets: the same output in
+        # fewer rounds
+        level_calls = len(calls)
+        calls.clear()
+        targeted = [(group, targets, rule) for group, targets, rule
+                    in zip(roots, (self.CROSSINGS, (0.45, 1.2, 2.6)), rules)]
+        assert _refine(targeted, counts, 1e-3) == out
+        assert len(calls) < level_calls, (len(calls), level_calls)
 
     def test_detect_equals_depth_first_reference(self):
         # grid steps of pi/8 and pi/12 put grid samples on edge poles, so
@@ -590,9 +651,8 @@ def float_lengths(g):
 
 
 class TestPrediction:
-    """detect's prefetch along the bisection paths toward the points the
-    spectrum predicts changes how many stacked calls it makes, never what
-    it returns."""
+    """The bisection paths toward the points the spectrum predicts change
+    how many stacked calls detect makes, never what it returns."""
 
     @staticmethod
     def shifted(step):
@@ -604,21 +664,24 @@ class TestPrediction:
                          for ts in real(g, lengths, k_max))
         return predict
 
-    def outcomes(self, monkeypatch, g, k_max, step=DETECT_GRID_STEP, tol=1e-8):
+    def outcomes(self, monkeypatch, stacked_calls, g, k_max, step=DETECT_GRID_STEP, tol=1e-8):
         """detect's outcome with the default predictor, with none and with
-        shifted targets, an error as its type and message."""
-        out = []
+        shifted targets, an error as its type and message, and the number
+        of `_Kernel.evaluate` calls of each."""
+        out, calls = [], []
         for predict in (specgraph.mfunction._predicted_targets, no_targets,
                         self.shifted(step)):
+            stacked_calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(specgraph.mfunction, "_predicted_targets", predict)
                 result, texts = detect_outcome(detectable_spectrum, g, k_max, step, tol)
             if isinstance(result, Exception):
                 result = (type(result), str(result))
             out.append((result, texts))
-        return out
+            calls.append(len(stacked_calls))
+        return out, calls
 
-    def test_prediction_never_changes_detect(self, monkeypatch):
+    def test_prediction_never_changes_detect(self, monkeypatch, stacked_calls):
         rng = random.Random(2929)
         cases = [(catalog(name), 12.6, DETECT_GRID_STEP, 1e-8) for name in CONTACT_CATALOG]
         for i in range(90):
@@ -637,8 +700,12 @@ class TestPrediction:
         cases.append((big, 4.0, DETECT_GRID_STEP, 1e-8))
         seen = Counter()
         for g, k_max, step, tol in cases:
-            predicted, no, shifted = self.outcomes(monkeypatch, g, k_max, step, tol)
+            (predicted, no, shifted), calls = self.outcomes(monkeypatch, stacked_calls,
+                                                            g, k_max, step, tol)
             assert predicted == no == shifted, (g, k_max, step, tol)
+            # targets only add asks to a round, so they never cost a call
+            assert calls[0] <= calls[1], (g, k_max, step, tol, calls)
+            seen["fewer calls"] += calls[0] < calls[1]
             targets = specgraph.mfunction._predicted_targets(g, float_lengths(g), k_max)
             seen["predicted"] += any(targets)
             seen["rational"] += any(l.denominator != 1 for l in g.lengths)
@@ -646,6 +713,7 @@ class TestPrediction:
             seen["notes"] += bool(not isinstance(no[0], tuple) and no[0].warnings)
         assert seen["predicted"] >= 80 and seen["rational"] >= 15, seen
         assert seen["points"] >= 100 and seen["notes"] >= 10, seen
+        assert seen["fewer calls"] >= 80, seen
 
     def test_size_bound_checked_before_any_array(self, monkeypatch):
         # an edge of length 10^12 would subdivide into a matrix no memory holds
@@ -684,7 +752,7 @@ class TestPrediction:
 
     def test_targets_fall_in_every_bracket(self):
         # each grid bracket of a unit-length catalog detect holds a
-        # predicted point of its kind, so its whole path is prefetched
+        # predicted point of its kind, so the first round asks its whole path
         seen = Counter()
         for name in CONTACT_CATALOG:
             g = catalog(name)
@@ -701,8 +769,9 @@ class TestPrediction:
         assert seen["steklov"] >= 80 and seen["pole"] >= 80, seen
 
     def test_catalog_detects_take_few_stacked_calls(self, monkeypatch, stacked_calls):
-        # 2 grid passes, the prefetch, the probes and the few bisection
-        # levels it missed; level by level the same detects take up to 23
+        # 2 grid passes, the few rounds of the bisection and the probes;
+        # without targets a round asks one level, and the same detects
+        # take up to 23
         calls = {}
         for predict in (specgraph.mfunction._predicted_targets, no_targets):
             monkeypatch.setattr(specgraph.mfunction, "_predicted_targets", predict)
