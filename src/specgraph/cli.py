@@ -329,12 +329,16 @@ _NEGATIVE_FLOAT = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 def _join_negative_values(argv: Sequence[str]) -> list[str]:
     """argv with each float option of its verb joined to a negative value
     after it, as in --lambda=-1e-3, which argparse reads as it reads
-    '--lambda -0.001'."""
+    '--lambda -0.001'.  An option may be abbreviated to a prefix that
+    names one float option of the verb (--lam), as argparse allows; an
+    ambiguous prefix (--l for --lmin and --lmax) is left for argparse to
+    refuse, and so is '--', which ends the options."""
     out = list(argv)
     options = _FLOAT_OPTIONS.get(out[0], ()) if out else ()
     i = 1
     while i + 1 < len(out):
-        if out[i] in options and _NEGATIVE_FLOAT.fullmatch(out[i + 1]):
+        if (len(out[i]) > 2 and sum(o.startswith(out[i]) for o in options) == 1
+                and _NEGATIVE_FLOAT.fullmatch(out[i + 1])):
             out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
         i += 1
     return out

@@ -7,10 +7,12 @@ the same spectrum, is det(mu D - (D - A)) / det D.  That matrix is the
 pencil A - cD of `secular.SecularMatrixSpec` at c = 1 - mu, so both
 exact keys come from one degree-V integer pencil q(c) = det(A - cD),
 computed once per discrete graph (`secular._pencil`, from charpolys of
-D^-1 A modulo word primes by `exact.pencil_det`) and shifted here to
-c = 1 - mu by exact integer additions, not evaluated a second time.
-Clearing either key's cache (`ln_charpoly.cache_clear()`,
-`secular_poly.cache_clear()`) drops the shared pencils too.  Generic
+D^-1 A modulo word primes by `exact.pencil_det`).  The secular key
+(`secular.SecularKey`) is q split at c = 1 and c = -1; the ln key is q
+shifted here to c = 1 - mu by exact integer additions, not evaluated a
+second time.  Clearing either key's cache (`ln_charpoly.cache_clear()`,
+`secular_poly.cache_clear()`) drops the shared pencils and the secular
+keys too.  Generic
 metric eigenvalues k^2 (k not a multiple of pi) satisfy 1 - cos(k) = mu
 for some normalized-Laplacian eigenvalue mu; together with the first
 Betti number this decides metric isospectrality (`proposition_check`).

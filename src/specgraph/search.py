@@ -13,8 +13,10 @@ whose new vertex cannot be the one its class deletes: a vertex of the
 largest invariant f among those whose deletion keeps the graph connected
 (canonical augmentation, McKay, J. Algorithms 26, 1998; see `_grow`).
 Only the children left are canonicalized.
-Classification groups graphs by exact spectral keys and reuses the
-canonical form each enumerated graph already carries.
+Classification groups graphs by exact key values, never by expanded
+polynomials: the `secular.SecularKey` or the `LnCharpoly` of each graph.
+It formats each family's line once and reuses the canonical form each
+enumerated graph already carries.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import graphs
 from .discrete import ln_charpoly
 from .graphs import (DiscreteGraph, GraphError, automorphism_generators, canonical_form,
                      discrete_components, discrete_from_adj)
-from .secular import _discrete_secular
+from .secular import _discrete_key
 
 SIMPLE_BOUND = 8
 MULTI_VERTEX_BOUND = 4
@@ -191,8 +193,9 @@ SpectralKey = Literal["secular", "ln"]
 class IsospectralFamily:
     """Graphs sharing one exact spectral key.
 
-    `key` is the serialized polynomial; members are canonical adjacency
-    encodings with per-member Betti numbers and component counts.
+    `key` is the serialized polynomial of the family, formatted once from
+    the exact key its members were grouped by; members are canonical
+    adjacency encodings with per-member Betti numbers and component counts.
     """
 
     key: str
@@ -205,28 +208,29 @@ class IsospectralFamily:
         return len(self.members)
 
 
-def _spectral_key(d: DiscreteGraph, key: SpectralKey) -> str:
-    if key == "secular":
-        return _discrete_secular(d).line()
-    if key == "ln":
-        return ln_charpoly(d).line("lncp")
-    raise GraphError(f"unknown spectral key {key!r}")
+#: each key's exact value per discrete graph, and its printed line
+_SPECTRAL_KEYS = {"secular": (_discrete_key, lambda key: key.poly().line()),
+                  "ln": (ln_charpoly, lambda key: key.line("lncp"))}
 
 
 def classify(graphs: Iterable[DiscreteGraph], key: SpectralKey) -> list[IsospectralFamily]:
     """Group graphs into exact isospectral families under the chosen key.
 
-    Members are sorted by canonical form; families by size descending,
-    then by key.
+    Graphs are grouped by the exact key values, `secular.SecularKey` or
+    `LnCharpoly`, and each family's line is formatted once.  Members are
+    sorted by canonical form; families by size descending, then by line.
     """
-    groups: dict[str, list[tuple[bytes, int, int]]] = {}
+    if key not in _SPECTRAL_KEYS:
+        raise GraphError(f"unknown spectral key {key!r}")
+    exact_key, line = _SPECTRAL_KEYS[key]
+    groups: dict[object, list[tuple[bytes, int, int]]] = {}
     for d in graphs:
         c = discrete_components(d)
-        groups.setdefault(_spectral_key(d, key), []).append(
+        groups.setdefault(exact_key(d), []).append(
             (canonical_form(d), d.n_edges - d.n + c, c))
     families = []
-    for key_text, members in groups.items():
+    for value, members in groups.items():
         canon, betti, components = zip(*sorted(members))
-        families.append(IsospectralFamily(key_text, canon, betti, components))
+        families.append(IsospectralFamily(line(value), canon, betti, components))
     families.sort(key=lambda fam: (-fam.size, fam.key))
     return families

@@ -21,30 +21,31 @@ exact by a proved coefficient bound, then checked against one Bareiss
 determinant at c = 2.  Both exact keys derive from it, and
 `secular_poly.cache_clear()` or `ln_charpoly.cache_clear()` drops it.
 
-When N < V (forest components) the power of (z^2 - 1) is negative and is
-divided out exactly.  Nonzero eigenvalues are (k + 2*pi*m)^2 for each
-unit-circle root z = e^{ik}; the eigenvalue 0 has multiplicity equal to
-the number of components.
-
-`spectrum_report` reads these roots off q and the integer N - V without
-building the degree-2N polynomial: the roots c = 1 and c = -1 of q are
-divided out exactly and combined with the power of (z^2 - 1), and only
-the square-free factors of the rest are z-transformed and handed to
-numpy's companion-matrix root finder, the one floating-point step of
-the exact keys.
+Every question is answered from one canonical form, the `SecularKey`:
+q is split once at c = 1 and c = -1 (`_discrete_key`), and with the
+integer N - V the two root counts and the rest r give the multiplicities
+of z = 1 and z = -1 and the remaining factor.  Nonzero eigenvalues are
+(k + 2*pi*m)^2 for each unit-circle root z = e^{ik}; the eigenvalue 0 has
+multiplicity equal to the number of components.  `metric_isospectral`
+compares component counts and keys.  `spectrum_report` reads the roots
+off the key: only the square-free factors of r are z-transformed and
+handed to numpy's companion-matrix root finder, the one floating-point
+step of the exact keys.  `secular_poly` expands the key to degree 2N,
+for printing only.  The key of a metric graph is cached per graph and
+emptied with the key caches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .exact import (ExactError, ProjectivePoly, _deflate_linear, _primitive, det_exact,
-                    pencil_det, poly_mul, poly_normalize, squarefree_factors)
+                    pencil_det, poly_mul, poly_normalize, poly_pow, squarefree_factors)
 from .graphs import (DiscreteGraph, GraphError, MetricGraph, components, to_discrete,
                      unit_subdivided)
 
@@ -106,27 +107,18 @@ def _c_to_z(q: Sequence[int]) -> list[int]:
 
 
 def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
-    """coeffs * (z^2 - 1)^power; a negative power must divide exactly.
+    """coeffs * (z^2 - 1)^power for power >= 0, normalized.
 
     (z^2 - 1)^power is written down from its binomial coefficients and
     taken as the outer factor of `poly_mul`, which skips its zero odd
     coefficients.
     """
-    if power >= 0:
-        factor = [0] * (2 * power + 1)
-        binom = 1
-        for i in range(power + 1):
-            factor[2 * i] = -binom if (power - i) % 2 else binom
-            binom = binom * (power - i) // (i + 1)
-        return poly_normalize(poly_mul(factor, coeffs))
-    quot: list[int] | None = coeffs
-    for _ in range(-power):
-        for root in (1, -1):
-            quot = _deflate_linear(quot, root)
-            if quot is None:
-                raise SecularError(
-                    f"vertex determinant not divisible by (z^2 - 1)^{-power}")
-    return poly_normalize(quot)
+    factor = [0] * (2 * power + 1)
+    binom = 1
+    for i in range(power + 1):
+        factor[2 * i] = -binom if (power - i) % 2 else binom
+        binom = binom * (power - i) // (i + 1)
+    return poly_normalize(poly_mul(factor, coeffs))
 
 
 #: caches of values derived from the pencils, which the key caches'
@@ -136,7 +128,7 @@ _DERIVED_CACHES: list = []
 
 def _derived_cache(cached):
     """Register the lru_cache cached, whose values derive from the pencils
-    or the roots read off them, to be emptied with the key caches."""
+    or the keys and roots read off them, to be emptied with the key caches."""
     _DERIVED_CACHES.append(cached)
     return cached
 
@@ -172,7 +164,7 @@ def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
 
 def _clears_pencil(cached):
     """Make cached.cache_clear() empty every derived cache too: the
-    `_pencil` cache, the roots read off it (`_spectrum_roots`) and what
+    `_pencil` cache, the keys factored from it (`_metric_key`) and what
     other modules register with `_derived_cache`, so that a cleared key
     cache recomputes its determinants."""
     clear = cached.cache_clear
@@ -186,6 +178,98 @@ def _clears_pencil(cached):
     return cached
 
 
+@dataclass(frozen=True)
+class SecularKey:
+    """The secular polynomial of a unit-edge graph, factored at z = +-1.
+
+    Write the pencil q = u (c - 1)^a (c + 1)^b r, with u a constant and
+    r(+-1) != 0.  Since 2z (c - 1) = (z - 1)^2 and 2z (c + 1) = (z + 1)^2,
+    the secular polynomial is, up to a constant,
+
+        (z - 1)^m_2pi (z + 1)^m_pi (2z)^deg r r((z^2 + 1) / 2z)
+
+    with m_2pi = E - V + 2a and m_pi = E - V + 2b, the multiplicities of
+    the roots k = 2pi and k = pi.  The last factor is prime to z - 1 and
+    z + 1, of degree 2 deg r, and determines r, which is kept primitive
+    with a positive leading coefficient.  So two keys are equal exactly
+    when the secular polynomials agree projectively, across vertex counts,
+    and comparing them expands nothing.
+
+    Both multiplicities are nonnegative for every pencil `_pencil` admits.
+    D^-1 A is similar to the symmetric D^-1/2 A D^-1/2, and on a connected
+    component its eigenvalue 1 is simple and -1 is simple if the component
+    is bipartite and absent otherwise.  So a is the number of components,
+    and m_2pi is betti + components >= 1.  A component with E_i edges and
+    V_i vertices adds E_i - V_i + 2 b_i to m_pi: 1 for a tree, which is
+    bipartite, and betti_i - 1 + 2 b_i >= 0 otherwise.
+    """
+
+    m_2pi: int
+    m_pi: int
+    rest: tuple[int, ...]
+
+    def poly(self) -> ProjectivePoly:
+        """The secular polynomial, expanded for printing, as
+        (z^2 - 1)^min(m_2pi, m_pi) times the z-transform of
+        (c -+ 1)^(|m_2pi - m_pi| / 2) r: both powers are nonnegative."""
+        root = 1 if self.m_2pi > self.m_pi else -1
+        c_side = poly_mul(poly_pow([-root, 1], abs(self.m_2pi - self.m_pi) // 2), self.rest)
+        return _times_z2_minus_1(_c_to_z(c_side), min(self.m_2pi, self.m_pi))
+
+    @cached_property
+    def roots(self) -> tuple[tuple[float, int], ...]:
+        """Unit-circle roots of the secular polynomial as sorted
+        (k, multiplicity), k = arg(z) in (0, 2pi], found once per key.
+
+        k = 2pi and k = pi have the exact multiplicities m_2pi and m_pi.
+        A root c0 != +-1 of r gives the two distinct roots of
+        z^2 - 2 c0 z + 1, so the square-free factors f of r give pairwise
+        coprime square-free z-factors, prime to z - 1 and z + 1, and made
+        primitive they are the square-free factors of the secular
+        polynomial with z = +-1 divided out.  Companion-matrix root finding
+        is only ever applied to their simple roots, which keeps every root
+        within UNIT_CIRCLE_TOL of the unit circle; ExactError if one strays
+        further.
+        """
+        found = [(k, mult) for k, mult in ((TWO_PI, self.m_2pi), (math.pi, self.m_pi)) if mult]
+        for factor, mult in squarefree_factors(self.rest):
+            for z in np.roots([float(c) for c in reversed(_primitive(_c_to_z(factor)))]):
+                if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
+                    raise ExactError(f"root off unit circle: |z|={abs(z):.6g} "
+                                     f"(|z| - 1 = {abs(z) - 1.0:.3g}) for z={z:.6g}")
+                theta = math.atan2(z.imag, z.real)
+                found.append((theta if theta > 0 else theta + TWO_PI, mult))
+        found.sort()
+        return tuple(found)
+
+
+def _discrete_key(d: DiscreteGraph) -> SecularKey:
+    """The secular key of the unit graph whose shadow is d, from the cached
+    pencil of d, which refuses a d that no metric graph has as its shadow.
+
+    The one place where c = 1 and c = -1 are divided out of q, by exact
+    trial division.  q is primitive with a positive leading coefficient,
+    and so is each quotient by the monic c -+ 1 (Gauss's lemma).
+    """
+    rest, power = list(_pencil(d)), d.n_edges - d.n
+    mults = []
+    for root in (1, -1):
+        mult = power
+        while (quot := _deflate_linear(rest, root)) is not None:
+            rest, mult = quot, mult + 2
+        mults.append(mult)
+    return SecularKey(mults[0], mults[1], tuple(rest))
+
+
+@_derived_cache
+@lru_cache(maxsize=4096)
+def _metric_key(g: MetricGraph) -> SecularKey:
+    """The secular key of g, built once per graph, with its roots cached on
+    it; integer edge lengths are subdivided into unit edges first, other
+    lengths are rejected."""
+    return _discrete_key(to_discrete(_as_unilateral(g)))
+
+
 @_clears_pencil
 @lru_cache(maxsize=4096)
 def secular_poly(g: MetricGraph) -> ProjectivePoly:
@@ -193,26 +277,21 @@ def secular_poly(g: MetricGraph) -> ProjectivePoly:
 
     Integer edge lengths are subdivided into unit edges first (the metric
     space, hence the spectrum, is unchanged); other lengths are rejected.
+    The polynomial is the expansion of g's `SecularKey`, for printing.
     """
-    return _discrete_secular(to_discrete(_as_unilateral(g)))
-
-
-def _discrete_secular(d: DiscreteGraph) -> ProjectivePoly:
-    """Secular polynomial of the unilateral graph whose discrete shadow is
-    d, straight from the pencil of d, which refuses a d that no metric
-    graph has as its shadow."""
-    return _times_z2_minus_1(_c_to_z(_pencil(d)), d.n_edges - d.n)
+    return _metric_key(g).poly()
 
 
 def metric_isospectral(g1: MetricGraph, g2: MetricGraph) -> bool:
     """Exact equality of Laplacian spectra of two (integer-length) graphs.
 
-    True iff the secular polynomials agree projectively and the component
-    counts (the multiplicity of the eigenvalue 0) agree.
+    True iff the component counts (the multiplicity of the eigenvalue 0)
+    agree and so do the secular keys, which holds iff the secular
+    polynomials agree projectively; neither polynomial is expanded.
     """
     if components(g1) != components(g2):
         return False
-    return secular_poly(g1) == secular_poly(g2)
+    return _metric_key(g1) == _metric_key(g2)
 
 
 @dataclass(frozen=True)
@@ -236,70 +315,13 @@ class SpectrumReport:
         return 0
 
 
-def _fundamental_roots(q: Sequence[int], power: int) -> list[tuple[float, int]]:
-    """Unit-circle roots of (z^2 - 1)^power (2z)^V q((z^2 + 1) / 2z), the
-    secular polynomial of pencil q of degree V, as sorted (k, multiplicity)
-    with k = arg(z) in (0, 2pi].
-
-    The roots c = 1 and c = -1 of q are divided out by exact trial
-    division, a and b times.  Each is a double z-root, since
-    2z (c - 1) = (z - 1)^2 and 2z (c + 1) = (z + 1)^2, so k = 2pi has the
-    multiplicity power + 2a and k = pi has power + 2b, both exact.  A root
-    c0 != +-1 of the rest gives the two distinct roots of
-    z^2 - 2 c0 z + 1, so the square-free factors f of the rest (degree at
-    most V) give pairwise coprime square-free z-factors, prime to z - 1
-    and z + 1, and made primitive they are the square-free factors of the
-    secular polynomial with z = +-1 divided out.  Companion-matrix root
-    finding is only ever applied to their simple roots, which keeps every
-    root within UNIT_CIRCLE_TOL of the unit circle; ExactError if one
-    strays further.
-
-    A negative multiplicity raises SecularError, and cannot arise for the
-    shadow of a metric graph with power = N - V.  D^-1 A is similar to the
-    symmetric D^-1/2 A D^-1/2, and on a connected component its eigenvalue
-    1 is simple and -1 is simple if the component is bipartite and absent
-    otherwise.  So a is the number of components, and power + 2a is
-    betti + components >= 1.  A component with N_i edges and V_i vertices
-    adds N_i - V_i + 2 b_i to power + 2b: 1 for a tree, which is bipartite,
-    and betti_i - 1 + 2 b_i >= 0 otherwise.
-    """
-    rest = list(q)
-    found: list[tuple[float, int]] = []
-    for root, k in ((1, TWO_PI), (-1, math.pi)):
-        mult = power
-        while (quot := _deflate_linear(rest, root)) is not None:
-            rest, mult = quot, mult + 2
-        if mult < 0:
-            raise SecularError(
-                f"vertex determinant not divisible by (z^2 - 1)^{-power}")
-        if mult:
-            found.append((k, mult))
-    for factor, mult in squarefree_factors(rest):
-        for z in np.roots([float(c) for c in reversed(_primitive(_c_to_z(factor)))]):
-            if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-                raise ExactError(f"root off unit circle: |z|={abs(z):.6g} "
-                                 f"(|z| - 1 = {abs(z) - 1.0:.3g}) for z={z:.6g}")
-            theta = math.atan2(z.imag, z.real)
-            found.append((theta if theta > 0 else theta + TWO_PI, mult))
-    found.sort()
-    return found
-
-
-@_derived_cache
-@lru_cache(maxsize=4096)
-def _spectrum_roots(g: MetricGraph) -> tuple[tuple[float, int], ...]:
-    """The fundamental roots of g, read off its cached pencil once per
-    graph; UNIT_CIRCLE_TOL is read when they are first found."""
-    d = to_discrete(_as_unilateral(g))
-    return tuple(_fundamental_roots(_pencil(d), d.n_edges - d.n))
-
-
 def spectrum_report(g: MetricGraph) -> SpectrumReport:
     """Fundamental roots of the secular polynomial, with multiplicities.
 
-    The roots come from the pencil of g (`_fundamental_roots`), not from
-    `secular_poly`, and are kept per graph, so repeated reports on one
-    graph cost a cache lookup until `secular_poly.cache_clear()` or
-    `ln_charpoly.cache_clear()`.
+    The roots are read off g's `SecularKey`, not off `secular_poly`, and
+    kept with the key per graph, so repeated reports on one graph cost a
+    cache lookup until `secular_poly.cache_clear()` or
+    `ln_charpoly.cache_clear()`; UNIT_CIRCLE_TOL is read when they are
+    first found.
     """
-    return SpectrumReport(_spectrum_roots(g), components(g))
+    return SpectrumReport(_metric_key(g).roots, components(g))

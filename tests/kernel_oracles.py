@@ -11,6 +11,11 @@ cofactor expansion along the first row.  `faddeev_ln_charpoly` is the
 normalized-Laplacian charpoly by the Faddeev-LeVerrier recurrence on
 I - D^{-1}A.  The library computes both keys from V x V determinants
 instead; these formulations share no matrix with it.
+`expanded_secular_poly` is the secular polynomial expanded from the
+pencil as (z^2 - 1)^(E - V) times its z-transform, with the negative
+power of a forest divided out of the expansion by exact trial division;
+the library factors the pencil at c = +-1 into a `SecularKey` instead,
+compares keys, and expands only for printing.
 `brute_force_canonical_form` is the canonical form by definition: the
 least row-major adjacency encoding over all n! vertex orderings, and
 `brute_force_automorphism_orbits` the vertex orbits of the full
@@ -71,13 +76,14 @@ import numpy as np
 
 from specgraph import (DiscreteGraph, ExactError, GraphError, LnCharpoly, MFunEval,
                        MetricGraph, ProjectivePoly, canonical_form, components, det_exact,
-                       discrete_from_adj, poly_normalize, spectrum_report, squarefree_factors,
-                       to_discrete, unit_subdivided)
+                       discrete_from_adj, poly_mul, poly_normalize, poly_pow, spectrum_report,
+                       squarefree_factors, to_discrete, unit_subdivided)
 from specgraph.exact import _deflate_linear
 from specgraph.mfunction import (_POLE_MAGNITUDE, _PROBE_EPS, _PROBE_WINDOW, DETECT_GRID_STEP,
                                  DETECT_REFINE_TOL, EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT,
                                  DetectionResult, SingularSampleError, _check_samples,
                                  _edge_pole_candidates)
+from specgraph.secular import _c_to_z, _pencil
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,22 @@ def scattering_secular_poly(g: MetricGraph) -> ProjectivePoly:
     """Secular polynomial of an integer-length graph from the 2N x 2N matrix."""
     layout = build_scattering_matrix(g if g.is_unilateral else unit_subdivided(g))
     return polymat_det(layout.entry_matrix, layout.size, layout.size)
+
+
+def expanded_secular_poly(d: DiscreteGraph) -> ProjectivePoly:
+    """Secular polynomial (z^2 - 1)^(E - V) (2z)^V q((z^2 + 1) / 2z) of the
+    unit graph whose shadow is d, expanded from its pencil q; for E < V the
+    factor (z^2 - 1)^(V - E) is divided out of the z-transform exactly."""
+    coeffs = _c_to_z(_pencil(d))
+    power = d.n_edges - d.n
+    if power >= 0:
+        return poly_normalize(poly_mul(coeffs, poly_pow([-1, 0, 1], power)))
+    for _ in range(-power):
+        for root in (1, -1):
+            coeffs = _deflate_linear(coeffs, root)
+            if coeffs is None:
+                raise ExactError(f"vertex determinant not divisible by (z^2 - 1)^{-power}")
+    return poly_normalize(coeffs)
 
 
 def cofactor_det(m: Sequence[Sequence[Fraction | int]]) -> Fraction | int:

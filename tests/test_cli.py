@@ -227,6 +227,16 @@ class TestNumericVerbs:
         assert invoke(capsys, "detect", str(path), "--kmax", "1", "--step", "0.1",
                       "--tol", "-0.00000001") == refused
         assert invoke(capsys, "detect", str(path), "--kmax", "-1e0")[0] == 0
+        # a prefix that names one float option of the verb is joined too,
+        # as argparse reads it; an ambiguous one is still refused
+        assert invoke(capsys, "mfun", str(path), "--lam", "-1e-3") == (code, out, err)
+        assert invoke(capsys, "sweep", str(path), "--lmi", "-1e1", "--lma", "-2E-1",
+                      "--steps", "5") == sweep
+        code_l, out_l, err_l = invoke(capsys, "sweep", str(path), "--l", "-1", "--lmax", "1",
+                                      "--steps", "3")
+        assert code_l == 2 and out_l == "" and "ambiguous option: --l" in err_l
+        assert invoke(capsys, "detect", str(path), "--k", "1", "--st", "1e-1",
+                      "--t", "-1e-8") == refused
         # a value that is no float is still an unknown option name
         code, out, err = invoke(capsys, "mfun", str(path), "--lambda", "-x")
         assert code == 2 and out == ""

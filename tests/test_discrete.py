@@ -10,7 +10,7 @@ from specgraph import (GraphError, discrete_from_adj, from_edge_list,
                        ln_charpoly, ln_isospectral,
                        metric_isospectral, proposition_check, to_discrete)
 from specgraph.constructions import catalog
-from specgraph.secular import _discrete_secular
+from specgraph.secular import _discrete_key
 
 from conftest import random_connected_multigraph
 from kernel_oracles import ln_eigenvalues, von_below_check
@@ -49,7 +49,7 @@ class TestLnCharpoly:
                              ([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
                               "every vertex must meet at least one edge endpoint")]:
             d = discrete_from_adj(adj)
-            for key in (ln_charpoly, _discrete_secular):
+            for key in (ln_charpoly, _discrete_key):
                 with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
                     key(d)
 

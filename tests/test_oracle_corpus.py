@@ -8,6 +8,10 @@ multiplicity are checked against the closed forms of their adjacency
 spectra instead, which need no polynomial, and their pencils
 q(c) = det(A - cD) against closed-form products, coefficient for
 coefficient.
+
+A slice of seeded G(n, p) graphs at the sizes the exact keys admit pins
+which verbs answer there: `secular` and `compare` do, and `spectrum`
+still refuses every one, its float roots off the unit circle.
 """
 
 from collections import Counter
@@ -15,10 +19,12 @@ from itertools import combinations
 from math import comb
 
 import mpmath
+import networkx as nx
 import pytest
 
-from specgraph import (from_edge_list, pencil_det, poly_normalize, secular_poly,
-                       spectrum_report, to_discrete)
+from specgraph import (ExactError, format_graph, from_edge_list, pencil_det, poly_normalize,
+                       secular_poly, spectrum_report, to_discrete)
+from specgraph.cli import run
 from specgraph.constructions import CATALOG_IDS, catalog
 from specgraph.secular import _pencil
 
@@ -141,3 +147,37 @@ def test_regular_pencil_closed_form(family, size):
     d = to_discrete(g)
     assert pencil_det(d.adj) == want
     assert _pencil(d) == poly_normalize(want).coeffs
+
+
+def gnp_graphs():
+    """The connected G(20, 0.3) graphs of networkx seeds 0-9: all ten."""
+    graphs = [nx.gnp_random_graph(20, 0.3, seed=seed) for seed in range(10)]
+    return [from_edge_list(20, list(g.edges())) for g in graphs if nx.is_connected(g)]
+
+
+def test_exact_verbs_answer_on_gnp_20(tmp_path, capsys):
+    graphs = gnp_graphs()
+    assert len(graphs) == 10
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"gnp{i}.g"
+        path.write_text(format_graph(g))
+        assert run(["secular", str(path)]) == 0
+        line = capsys.readouterr().out
+        assert run(["compare", str(path), str(path)]) == 0
+        assert capsys.readouterr().out == "isospectral\n" + line
+
+
+@pytest.mark.xfail(strict=True, raises=ExactError,
+                   reason="np.roots puts float roots of the square-free z-factors off "
+                          "|z| = 1 beyond UNIT_CIRCLE_TOL; certified roots on the c side "
+                          "would mend it")
+def test_spectrum_refuses_gnp_20():
+    # every one of the ten is refused; a count that moves fails the test
+    refusals = []
+    for g in gnp_graphs():
+        try:
+            spectrum_report(g)
+        except ExactError as exc:
+            refusals.append(exc)
+    assert len(refusals) == 10
+    raise refusals[0]

@@ -12,10 +12,10 @@ import specgraph.graphs
 import specgraph.search
 from specgraph import (GraphError, canonical_form, catalog, classify,
                        discrete_from_adj, enumerate_connected_multi,
-                       enumerate_connected_simple, to_discrete)
+                       enumerate_connected_simple, ln_charpoly, to_discrete)
 from specgraph.graphs import DiscreteGraph, discrete_components
 
-from kernel_oracles import brute_force_canonical_form, reference_grow
+from kernel_oracles import brute_force_canonical_form, expanded_secular_poly, reference_grow
 
 
 def labeled_connected_count(n: int) -> int:
@@ -255,8 +255,9 @@ class TestClassify:
         assert fam.betti == (5, 5)
 
     def test_members_share_key_exactly(self):
-        from specgraph.search import _spectral_key
-
+        # each member's own line, the secular one expanded by the oracle
+        lines = {"secular": lambda d: expanded_secular_poly(d).line(),
+                 "ln": lambda d: ln_charpoly(d).line("lncp")}
         graphs = list(enumerate_connected_simple(4))
         for key in ("secular", "ln"):
             for fam in classify(graphs, key):
@@ -265,7 +266,7 @@ class TestClassify:
                     # members are row-major adjacency encodings
                     n = round(math.sqrt(len(member)))
                     adj = [[member[i * n + j] for j in range(n)] for i in range(n)]
-                    assert _spectral_key(discrete_from_adj(adj), key) == fam.key
+                    assert lines[key](discrete_from_adj(adj)) == fam.key
 
     def test_ln_families_with_equal_betti_match_secular(self):
         graphs = list(enumerate_connected_simple(5))

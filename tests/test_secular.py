@@ -9,17 +9,19 @@ import pytest
 
 import specgraph
 from specgraph import (ExactError, SecularError, SecularMatrixSpec, betti, classify,
-                       components, discrete_from_adj, enumerate_connected_simple, from_edge_list,
+                       components, discrete_from_adj, enumerate_connected_multi,
+                       enumerate_connected_simple, from_edge_list,
                        invisible_multiplicity, ln_charpoly, metric_isospectral,
                        pencil_det, poly_mul, poly_normalize, poly_pow,
                        scale_lengths, secular_poly, spectrum_report,
                        subdivide_edge, to_discrete, unit_subdivided)
 from specgraph.constructions import CATALOG_IDS, catalog
-from specgraph.secular import _c_to_z, _fundamental_roots, _pencil, _times_z2_minus_1
+from specgraph.secular import (SecularKey, _c_to_z, _discrete_key, _metric_key, _pencil,
+                               _times_z2_minus_1)
 
 from conftest import random_connected_multigraph
-from kernel_oracles import (build_scattering_matrix, faddeev_ln_charpoly, polymat_det,
-                            poly_roots_unit_circle, scattering_secular_poly)
+from kernel_oracles import (build_scattering_matrix, expanded_secular_poly, faddeev_ln_charpoly,
+                            polymat_det, poly_roots_unit_circle, scattering_secular_poly)
 
 K5_FACTORS = poly_mul(poly_mul(poly_pow([-1, 1], 7), poly_pow([1, 1], 5)),
                       poly_pow([2, 1, 2], 4))
@@ -112,10 +114,6 @@ class TestVertexMatrix:
             assert (_times_z2_minus_1(coeffs, power)
                     == poly_normalize(poly_mul(coeffs, poly_pow([-1, 0, 1], power))))
 
-    def test_failed_division_raises(self):
-        with pytest.raises(SecularError, match="not divisible"):
-            _times_z2_minus_1([1, 0, 1], -1)
-
     def test_one_degree_v_determinant_per_key(self, monkeypatch):
         calls = []
 
@@ -167,7 +165,7 @@ class TestVertexMatrix:
                  if name == "specgraph" or name.startswith("specgraph.")
                  for attr, value in vars(module).items() if hasattr(value, "cache_info")}
         assert "specgraph.secular._pencil" in sizes
-        assert "specgraph.secular._spectrum_roots" in sizes
+        assert "specgraph.secular._metric_key" in sizes
         assert "specgraph.mfunction._root_probes" in sizes
         assert set(sizes.values()) == {0}, sizes
 
@@ -330,6 +328,75 @@ class TestIsospectral:
         assert not metric_isospectral(one, two)
 
 
+def _disjoint_union(a, b):
+    """The shadow of a beside b: their adjacency matrices block-diagonal."""
+    return discrete_from_adj([list(row) + [0] * b.n for row in a.adj]
+                             + [[0] * a.n + list(row) for row in b.adj])
+
+
+class TestSecularKeyOracle:
+    """Grouping by `SecularKey` partitions graphs as grouping by the
+    expanded secular polynomial does (`expanded_secular_poly`), across
+    vertex counts, and each key expands to that polynomial."""
+
+    @staticmethod
+    def partition(graphs, key):
+        groups = {}
+        for i, d in enumerate(graphs):
+            groups.setdefault(key(d), set()).add(i)
+        return {frozenset(group) for group in groups.values()}
+
+    def test_keys_partition_as_expanded_polynomials(self):
+        # the connected multigraphs on 1-4 vertices with at most 5 edges and
+        # their disjoint unions of at most 5 edges, then a seeded slice of
+        # the simple graphs on 7 vertices
+        connected = [d for n in range(1, 5) for d in enumerate_connected_multi(n, 5)]
+        small = connected + [_disjoint_union(a, b)
+                             for a, b in itertools.combinations_with_replacement(connected, 2)
+                             if a.n_edges + b.n_edges <= 5]
+        assert len(small) == 254
+        graphs = small + random.Random(716).sample(list(enumerate_connected_simple(7)), 300)
+        partition = self.partition(graphs, _discrete_key)
+        assert partition == self.partition(graphs, expanded_secular_poly)
+        # some classes hold graphs of two vertex counts
+        assert sum(len({graphs[i].n for i in cls}) > 1 for cls in partition) == 19
+        for d in graphs:
+            key = _discrete_key(d)
+            assert key.m_2pi >= 1 and key.m_pi >= 0, d
+            assert key.poly() == expanded_secular_poly(d), d
+
+    def test_equal_keys_and_different_component_counts(self):
+        # one vertex with two loops, and a loop beside K2: the same key and
+        # secular polynomial, but one component against two
+        two_loops = from_edge_list(1, [(0, 0), (0, 0)])
+        loop_and_edge = from_edge_list(3, [(0, 0), (1, 2)])
+        assert _metric_key(two_loops) == _metric_key(loop_and_edge) == SecularKey(3, 1, (1,))
+        assert secular_poly(two_loops) == secular_poly(loop_and_edge)
+        assert not metric_isospectral(two_loops, loop_and_edge)
+        # a single edge: q = c^2 - 1 and E - V = -1 leave one root at each
+        # of z = 1 and z = -1
+        edge = _metric_key(from_edge_list(2, [(0, 1)]))
+        assert edge == SecularKey(1, 1, (1,))
+        assert edge.roots == ((math.pi, 1), (2 * math.pi, 1))
+
+    def test_comparisons_expand_nothing(self, monkeypatch):
+        expanded = []
+        poly = SecularKey.poly
+
+        def counting(key):
+            expanded.append(key)
+            return poly(key)
+
+        monkeypatch.setattr(SecularKey, "poly", counting)
+        secular_poly.cache_clear()
+        assert metric_isospectral(catalog("Gamma1"), catalog("Gamma2"))
+        assert not metric_isospectral(catalog("K5"), catalog("Gamma1"))
+        assert expanded == []
+        # classify expands one line per family
+        families = classify(enumerate_connected_simple(6), "secular")
+        assert len(expanded) == len(families) < 112
+
+
 class TestFundamentalRootsOracle:
     """spectrum_report reads the roots off the pencil; the oracle
     `poly_roots_unit_circle` takes them from the finished secular
@@ -377,28 +444,17 @@ class TestSpectrumReport:
         assert rep.multiplicity_at(2 * math.pi) == 6
         assert rep.multiplicity_at(math.pi) == 4
 
-    def test_negative_multiplicity_raises(self):
-        # q = c^2 + 1 has no root at c = +-1, so z = 1 and z = -1 would
-        # have the multiplicity -1
-        with pytest.raises(SecularError, match=re.escape("by (z^2 - 1)^1")):
-            _fundamental_roots([1, 0, 1], -1)
-        # one root c = 1 covers (z^2 - 1)^-2 at z = 1, but not at z = -1
-        with pytest.raises(SecularError, match="not divisible"):
-            _fundamental_roots([-1, 1], -2)
-        # a single edge: q = c^2 - 1 and E - V = -1 leave one root at each
-        assert _fundamental_roots([-1, 0, 1], -1) == [(math.pi, 1), (2 * math.pi, 1)]
-
     def test_roots_extracted_once_per_graph(self, monkeypatch):
         # invisible_multiplicity reports the spectrum again at every root;
-        # the roots are kept per graph, so they are found once
+        # the roots are kept with the graph's key, so they are found once
         calls = []
-        real = specgraph.secular._fundamental_roots
+        real = specgraph.secular.squarefree_factors
 
-        def counting(q, power):
-            calls.append((q, power))
-            return real(q, power)
+        def counting(rest):
+            calls.append(rest)
+            return real(rest)
 
-        monkeypatch.setattr(specgraph.secular, "_fundamental_roots", counting)
+        monkeypatch.setattr(specgraph.secular, "squarefree_factors", counting)
         g = catalog("Gamma1")
         secular_poly.cache_clear()
         rep = spectrum_report(g)
@@ -407,10 +463,10 @@ class TestSpectrumReport:
             invisible_multiplicity(g, k)
         assert spectrum_report(g) == rep
         d = to_discrete(unit_subdivided(g))
-        assert calls == [(_pencil(d), d.n_edges - d.n)]
-        # the roots come from the pencil: the secular polynomial is never built
+        assert calls == [_discrete_key(d).rest]
+        # the roots come from the key: the secular polynomial is never built
         assert secular_poly.cache_info().misses == 0
-        # clearing either key cache drops the roots with the pencils
+        # clearing either key cache drops the roots with the keys
         secular_poly.cache_clear()
         assert spectrum_report(g) == rep
         assert len(calls) == 2
