@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, to_discrete
 from .secular import _clears_pencil, _pencil
@@ -38,6 +39,15 @@ class LnCharpoly:
     """
 
     coeffs: tuple[Fraction, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Fraction.__hash__ takes a modular inverse per coefficient; equal
+        # Fractions, kept in lowest terms, have equal numerators and denominators
+        return hash(tuple(map(attrgetter("numerator", "denominator"), self.coeffs)))
 
     @property
     def degree(self) -> int:

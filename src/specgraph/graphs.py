@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -428,7 +429,7 @@ class DiscreteGraph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.adj)
 
-    @property
+    @cached_property
     def n_edges(self) -> int:
         return sum(sum(row) for row in self.adj) // 2
 
@@ -512,6 +513,12 @@ def canonical_form(d: DiscreteGraph) -> bytes:
     encoding is already above the best one found is cut.  The worst case
     is still exponential, so n is capped at CANONICAL_BOUND.
 
+    The search relies on one invariant: the members of a cell share their
+    entries toward the prefix, because placing a vertex splits every cell
+    by that vertex's row.  So a node reads a[v][prefix] once for its first
+    cell and compares the candidates on the rest of their rows only, and
+    the encoding built on the way down is the first rows of the leaf's.
+
     The same search yields automorphisms of d (McKay and Piperno, J. Symb.
     Comput. 60, 2014): each skipped twin gives the transposition of the two
     twins, and a leaf whose encoding equals the best one gives the map
@@ -537,57 +544,72 @@ def _canonical_search(d: DiscreteGraph) -> tuple[bytes, tuple[Permutation, ...]]
         raise GraphError("exhaustive canonicalization bound exceeded")
     if any(x > 255 for row in d.adj for x in row):
         raise GraphError("multiplicity too large for byte encoding")
-    a = d.adj
+    a, n = d.adj, d.n
     best = b""
     best_order: list[int] = []
     found: dict[Permutation, None] = {}
 
-    def twins(v: int, w: int) -> bool:
-        return all(a[v][x] == a[w][x] for x in range(d.n) if x != v and x != w)
-
     def descend(prefix: list[int], cells: list[list[int]], enc: bytes) -> None:
         nonlocal best, best_order
-        if all(len(cell) == 1 for cell in cells):
+        if len(prefix) + len(cells) == n:  # every cell is a single vertex
             order = prefix + [cell[0] for cell in cells]
-            enc = bytes(a[v][u] for v in order for u in order)
+            enc += bytes([a[v][u] for v in order[len(prefix):] for u in order])
             if not best or enc < best:
                 best, best_order = enc, order
             elif enc == best:
-                perm = [0] * d.n
+                perm = [0] * n
                 for v, w in zip(best_order, order):
                     perm[v] = w
                 found[tuple(perm)] = None
             return
-        rows = {}
-        for v in cells[0]:
+        first, rest = cells[0], cells[1:]
+        enc += bytes([a[first[0]][u] for u in prefix])
+        whole_first = itemgetter(*first) if len(first) > 1 else None
+        tails = []
+        for v in first:
             r = a[v]
-            rows[v] = bytes([r[u] for u in prefix] + [r[v]] + [
-                x for cell in cells for x in sorted([r[u] for u in cell if u != v])])
-        low = min(rows.values())
+            tail = [r[v]]
+            if whole_first:
+                # the entries toward the rest of the first cell: toward all of it, less one r[v]
+                others = sorted(whole_first(r))
+                others.remove(r[v])
+                tail += others
+            for cell in rest:
+                if len(cell) == 1:
+                    tail.append(r[cell[0]])
+                else:
+                    tail += sorted([r[u] for u in cell])
+            tails.append(bytes(tail))
+        low = min(tails)
         enc += low
         if best and enc > best[:len(enc)]:
             return
         tried: list[int] = []
-        for v in cells[0]:
-            if rows[v] != low:
+        for v, tail in zip(first, tails):
+            if tail != low:
                 continue
-            twin = next((w for w in tried if twins(v, w)), None)
-            if twin is not None:
-                perm = list(range(d.n))
-                perm[v], perm[twin] = twin, v
-                found[tuple(perm)] = None
-                continue
-            tried.append(v)
-            split = []
-            for cell in cells:
-                parts: dict[int, list[int]] = {}
-                for u in cell:
-                    if u != v:
-                        parts.setdefault(a[v][u], []).append(u)
-                split.extend(parts[x] for x in sorted(parts))
-            descend(prefix + [v], split, enc)
+            r = a[v]
+            for w in tried:
+                swap = list(range(n))
+                swap[v], swap[w] = w, v
+                # twins: v's row is w's read through the swap (equal tails give equal a[v][v])
+                if itemgetter(*swap)(a[w]) == r:
+                    found[tuple(swap)] = None
+                    break
+            else:
+                tried.append(v)
+                split = []
+                for cell in ([u for u in first if u != v], *rest) if whole_first else rest:
+                    if len(cell) == 1:
+                        split.append(cell)
+                        continue
+                    parts: dict[int, list[int]] = {}
+                    for u in cell:
+                        parts.setdefault(r[u], []).append(u)
+                    split += [parts[x] for x in sorted(parts)]
+                descend(prefix + [v], split, enc)
 
-    descend([], [list(range(d.n))] if d.n else [], b"")
+    descend([], [list(range(n))] if n else [], b"")
     return best, tuple(found)
 
 

@@ -19,7 +19,11 @@ compares keys, and expands only for printing.
 `brute_force_canonical_form` is the canonical form by definition: the
 least row-major adjacency encoding over all n! vertex orderings, and
 `brute_force_automorphism_orbits` the vertex orbits of the full
-automorphism group over the same orderings.  `reference_grow` is the
+automorphism group over the same orderings.  `reference_canonical_search`
+is the library's pruned search as first written, each node rebuilding
+every candidate's whole row; the library's search shares the entries
+toward the prefix within a cell and must return the same form and the
+same automorphism generators.  `reference_grow` is the
 vertex-growth enumeration without orbit pruning: every non-zero column
 of every class, in `itertools.product` order.
 `reference_m_function` is the M-function evaluated one lambda at a time:
@@ -79,6 +83,7 @@ from specgraph import (DiscreteGraph, ExactError, GraphError, LnCharpoly, MFunEv
                        discrete_from_adj, poly_mul, poly_normalize, poly_pow, spectrum_report,
                        squarefree_factors, to_discrete, unit_subdivided)
 from specgraph.exact import _deflate_linear
+from specgraph.graphs import CANONICAL_BOUND, Permutation
 from specgraph.mfunction import (_POLE_MAGNITUDE, _PROBE_EPS, _PROBE_WINDOW, DETECT_GRID_STEP,
                                  DETECT_REFINE_TOL, EDGE_SINGULAR_TOL, INTERIOR_COND_LIMIT,
                                  DetectionResult, SingularSampleError, _check_samples,
@@ -321,6 +326,68 @@ def brute_force_canonical_form(d: DiscreteGraph) -> bytes:
     """Least row-major adjacency encoding over every vertex ordering."""
     return min(bytes(d.adj[p[i]][p[j]] for i in range(d.n) for j in range(d.n))
                for p in permutations(range(d.n)))
+
+
+def reference_canonical_search(d: DiscreteGraph) -> tuple[bytes, tuple[Permutation, ...]]:
+    """The form of `canonical_form` and the automorphisms its search meets,
+    by the search as first written: every node rebuilds each candidate's
+    whole row."""
+    if d.n > CANONICAL_BOUND:
+        raise GraphError("exhaustive canonicalization bound exceeded")
+    if any(x > 255 for row in d.adj for x in row):
+        raise GraphError("multiplicity too large for byte encoding")
+    a = d.adj
+    best = b""
+    best_order: list[int] = []
+    found: dict[Permutation, None] = {}
+
+    def twins(v: int, w: int) -> bool:
+        return all(a[v][x] == a[w][x] for x in range(d.n) if x != v and x != w)
+
+    def descend(prefix: list[int], cells: list[list[int]], enc: bytes) -> None:
+        nonlocal best, best_order
+        if all(len(cell) == 1 for cell in cells):
+            order = prefix + [cell[0] for cell in cells]
+            enc = bytes(a[v][u] for v in order for u in order)
+            if not best or enc < best:
+                best, best_order = enc, order
+            elif enc == best:
+                perm = [0] * d.n
+                for v, w in zip(best_order, order):
+                    perm[v] = w
+                found[tuple(perm)] = None
+            return
+        rows = {}
+        for v in cells[0]:
+            r = a[v]
+            rows[v] = bytes([r[u] for u in prefix] + [r[v]] + [
+                x for cell in cells for x in sorted([r[u] for u in cell if u != v])])
+        low = min(rows.values())
+        enc += low
+        if best and enc > best[:len(enc)]:
+            return
+        tried: list[int] = []
+        for v in cells[0]:
+            if rows[v] != low:
+                continue
+            twin = next((w for w in tried if twins(v, w)), None)
+            if twin is not None:
+                perm = list(range(d.n))
+                perm[v], perm[twin] = twin, v
+                found[tuple(perm)] = None
+                continue
+            tried.append(v)
+            split = []
+            for cell in cells:
+                parts: dict[int, list[int]] = {}
+                for u in cell:
+                    if u != v:
+                        parts.setdefault(a[v][u], []).append(u)
+                split.extend(parts[x] for x in sorted(parts))
+            descend(prefix + [v], split, enc)
+
+    descend([], [list(range(d.n))] if d.n else [], b"")
+    return best, tuple(found)
 
 
 def brute_force_automorphism_orbits(d: DiscreteGraph) -> list[frozenset[int]]:

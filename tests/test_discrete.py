@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specgraph import (GraphError, discrete_from_adj, from_edge_list,
+from specgraph import (GraphError, LnCharpoly, discrete_from_adj, from_edge_list,
                        ln_charpoly, ln_isospectral,
                        metric_isospectral, proposition_check, to_discrete)
 from specgraph.constructions import catalog
@@ -71,6 +71,21 @@ class TestLnCharpoly:
             # exact multiplicity of mu = 0: leading zero coefficients
             zero_mult = next(i for i, c in enumerate(cp.coeffs) if c != 0)
             assert zero_mult == 1  # connected by construction
+
+    def test_relabelled_copies_hash_alike(self):
+        d = to_discrete(catalog("Gamma1"))
+        perm = list(range(d.n))
+        random.Random(70).shuffle(perm)
+        copy = discrete_from_adj([[d.adj[perm[i]][perm[j]] for j in range(d.n)]
+                                  for i in range(d.n)])
+        cp, cp_copy = ln_charpoly(d), ln_charpoly(copy)
+        assert cp is not cp_copy
+        assert cp == cp_copy and hash(cp) == hash(cp_copy) and len({cp, cp_copy}) == 1
+        # the hash is kept on the object, and agrees with == on int coefficients
+        assert vars(cp)["_hash"] == hash(cp)
+        k2 = LnCharpoly((Fraction(0), Fraction(-2), Fraction(1)))
+        assert LnCharpoly((0, -2, 1)) == k2 and hash(LnCharpoly((0, -2, 1))) == hash(k2)
+        assert cp != ln_charpoly(to_discrete(catalog("Gamma2p")))
 
     def test_zero_mult_counts_components(self):
         d = to_discrete(from_edge_list(4, [(0, 1), (2, 3)]))

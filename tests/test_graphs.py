@@ -2,7 +2,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -15,10 +15,12 @@ from specgraph import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                        scale_lengths, secular_poly, subdivide_edge,
                        suppress_degree2, to_discrete, unit_subdivided)
 from specgraph.constructions import catalog
-from specgraph.graphs import automorphism_generators, discrete_components
+from specgraph.graphs import _canonical_search, automorphism_generators, discrete_components
+from specgraph.search import enumerate_connected_multi, enumerate_connected_simple
 
 from conftest import random_connected_multigraph
-from kernel_oracles import brute_force_canonical_form, metric_isomorphic
+from kernel_oracles import (brute_force_canonical_form, metric_isomorphic,
+                            reference_canonical_search)
 
 
 def k5():
@@ -432,6 +434,12 @@ class TestDiscrete:
         with pytest.raises(TypeError):
             DiscreteGraph(2, ((0, 1), (1, 0)))
 
+    def test_edge_count_computed_once(self):
+        # the enumeration reads it once per parent and classify once per graph
+        d = to_discrete(from_edge_list(3, [(0, 0), (0, 1), (0, 1), (1, 2)]))
+        assert "n_edges" not in vars(d)
+        assert d.n_edges == 4 and vars(d)["n_edges"] == 4
+
     @pytest.mark.parametrize("adj", [[[0, 1], [1, 0]], ((0, 1), [1, 0]), [(0, 1), (1, 0)]])
     def test_adjacency_must_be_tuples(self, adj):
         # a list built a graph whose ln_charpoly raised TypeError:
@@ -522,6 +530,53 @@ class TestCanonicalFormOracle:
 
     def test_empty_graph(self):
         assert canonical_form(discrete_from_adj([])) == b""
+
+    @staticmethod
+    def assert_search_matches_reference(graphs):
+        # the same generator set means the same pruned columns in `_grow`,
+        # which tests each generator on its own
+        for d in graphs:
+            form, generators = _canonical_search(d)
+            want_form, want_generators = reference_canonical_search(d)
+            assert form == want_form, d.adj
+            assert set(generators) == set(want_generators), d.adj
+
+    def test_search_matches_reference_on_enumerated_graphs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specgraph.graphs, "_canonical_search",
+                            lambda d: calls.append(d) or _canonical_search(d))
+        list(enumerate_connected_simple(6))
+        assert len(calls) == 145
+        list(enumerate_connected_multi(4, 7))
+        assert len(calls) == 145 + 543
+        self.assert_search_matches_reference(calls)
+
+    def test_search_matches_reference_on_random_and_symmetric_graphs(self):
+        rng = random.Random(3202)
+        graphs = []
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            draws = 0 if rng.random() < 0.05 else rng.randint(1, 3 * n)
+            graphs.append(discrete_from_adj(random_multigraph_adj(rng, n, draws)))
+        seen = {"loop": sum(any(d.adj[v][v] for v in range(d.n)) for d in graphs),
+                "parallel": sum(any(x > 1 for x in chain(*d.adj)) for d in graphs),
+                "disconnected": sum(discrete_components(d) > 1 for d in graphs),
+                "edgeless": sum(d.n_edges == 0 for d in graphs),
+                "n8": sum(d.n == 8 for d in graphs)}
+        assert min(seen.values()) >= 50, seen
+
+        def simple(n, edge):
+            return discrete_from_adj([[int(i != j and edge(i, j)) for j in range(n)]
+                                      for i in range(n)])
+
+        for n in range(1, 9):
+            graphs.append(simple(n, lambda i, j: True))
+            graphs.append(simple(n, lambda i, j: min(i, j) == 0))
+            if n >= 3:
+                graphs.append(simple(n, lambda i, j: (i - j) % n in (1, n - 1)))
+            for a in range(1, n // 2 + 1):
+                graphs.append(simple(n, lambda i, j: (i < a) != (j < a)))
+        self.assert_search_matches_reference(graphs)
 
 
 class TestTextFormat:

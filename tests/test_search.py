@@ -1,7 +1,7 @@
 import math
 import random
 import re
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import networkx as nx
 import pytest
@@ -87,6 +87,25 @@ class TestEnumerateSimple:
             forms = [canonical_form(d) for d in enumerate_connected_simple(n)]
             assert len(set(forms)) == len(forms) == len(atlas[n]) == count
             assert set(forms) == set(atlas[n])
+
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("ignore:The hashes produced for graphs without node or "
+                                "edge attributes changed:UserWarning")
+    def test_n8_classes_pairwise_non_isomorphic(self):
+        graphs = list(enumerate_connected_simple(8))
+        assert len(graphs) == 11117  # OEIS A001349
+        buckets: dict[str, list[nx.Graph]] = {}
+        for d in graphs:
+            g = nx.Graph()
+            g.add_nodes_from(range(8))
+            g.add_edges_from((u, v) for u, v in combinations(range(8), 2) if d.adj[u][v])
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(g), []).append(g)
+        pairs = [(g, h) for bucket in buckets.values() for g, h in combinations(bucket, 2)]
+        assert pairs  # Weisfeiler-Lehman leaves some classes for the exact test
+        assert not any(nx.is_isomorphic(g, h) for g, h in pairs)
+        # 8! orderings take about 0.3 s per graph
+        for d in random.Random(8).sample(graphs, 20):
+            assert canonical_form(d) == brute_force_canonical_form(d), d.adj
 
 
 class TestEnumerateMulti:
