@@ -10,23 +10,25 @@ computed once per discrete graph (`secular._pencil`, from charpolys of
 D^-1 A modulo word primes by `exact.pencil_det`).  The secular key
 (`secular.SecularKey`) is q split at c = 1 and c = -1; the ln key is q
 shifted here to c = 1 - mu by exact integer additions, not evaluated a
-second time.  Clearing either key's cache (`ln_charpoly.cache_clear()`,
-`secular_poly.cache_clear()`) drops the shared pencils and the secular
-keys too.  Generic
-metric eigenvalues k^2 (k not a multiple of pi) satisfy 1 - cos(k) = mu
-for some normalized-Laplacian eigenvalue mu; together with the first
-Betti number this decides metric isospectrality (`proposition_check`).
+second time.  `ln_charpoly` is a key cache (`secular._key_cache`): its
+cache_clear() empties the shared pencils, the secular keys and every
+other key cache too.  For a unilateral graph the discrete graph is its
+shadow (`graphs.to_discrete`), the same adjacency that the secular key
+reads off the edge list (`graphs.unit_shadow`).  Generic metric
+eigenvalues k^2 (k not a multiple of pi) satisfy 1 - cos(k) = mu for
+some normalized-Laplacian eigenvalue mu; together with the first Betti
+number this decides metric isospectrality (`proposition_check`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 
 from .graphs import DiscreteGraph, GraphError, MetricGraph, betti, to_discrete
-from .secular import _clears_pencil, _pencil
+from .secular import _key_cache, _pencil
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,7 @@ class LnCharpoly:
         return f"{label}: " + " ".join(str(c) for c in self.coeffs)
 
 
-@_clears_pencil
-@lru_cache(maxsize=4096)
+@_key_cache(4096)
 def ln_charpoly(d: DiscreteGraph) -> LnCharpoly:
     """Exact charpoly of I - D^{-1}A (same spectrum as the normalized Laplacian).
 

@@ -13,6 +13,14 @@ construction: the MetricGraph and DiscreteGraph constructors check their
 invariants and raise GraphError, so surgery results need no separate
 check.  `from_edge_list` is the converting builder: it takes a vertex
 count and converts each length with Fraction.
+
+A discrete shadow forgets the lengths and keeps the adjacency, loops
+counted twice.  Both shadows come from the edge list through one
+builder, `_shadow`, which lays each edge out as a chain of new vertices
+and checks MAX_EXACT_VERTICES before any row is built: `to_discrete` is
+the shadow of g itself, and `unit_shadow` that of g's unit subdivision,
+the one discrete object behind both exact keys of an integer-length
+graph, built without the unit-edge MetricGraph of `unit_subdivided`.
 """
 
 from __future__ import annotations
@@ -358,6 +366,19 @@ def join_points(g: MetricGraph, points: Sequence[tuple[int, RationalLike]],
 MAX_UNIT_EDGES = 10_000
 
 
+def _unit_edges(g: MetricGraph) -> int:
+    """The number of unit edges g subdivides into; raises GraphError when a
+    length is not an integer, or when that number is above MAX_UNIT_EDGES."""
+    for l in g.lengths:
+        if l.denominator != 1:
+            raise GraphError(f"length {l} is not an integer; cannot subdivide to unit edges")
+    total = int(sum(g.lengths))
+    if total > MAX_UNIT_EDGES:
+        raise GraphError(f"subdivision would give {total} unit edges, "
+                         f"above the budget of {MAX_UNIT_EDGES}")
+    return total
+
+
 def unit_subdivided(g: MetricGraph) -> MetricGraph:
     """Subdivide every integer-length edge into unit pieces.
 
@@ -366,14 +387,7 @@ def unit_subdivided(g: MetricGraph) -> MetricGraph:
     a length is not an integer, or, before building anything, when the
     result would have more than MAX_UNIT_EDGES edges.
     """
-    for l in g.lengths:
-        if l.denominator != 1:
-            raise GraphError(f"length {l} is not an integer; cannot subdivide to unit edges")
-    total = int(sum(g.lengths))
-    if total > MAX_UNIT_EDGES:
-        raise GraphError(f"subdivision would give {total} unit edges, "
-                         f"above the budget of {MAX_UNIT_EDGES}")
-    if total == g.n_edges:
+    if _unit_edges(g) == g.n_edges:
         return g
     return _cut(g, [(e, [Fraction(t) for t in range(1, int(l))])
                     for e, l in enumerate(g.lengths) if l > 1])
@@ -443,7 +457,7 @@ def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
 
 
 #: most vertices a discrete shadow may have, checked before its matrix is
-#: built; every exact key goes through to_discrete.  secular_poly at 120
+#: built; every exact key goes through `_shadow`.  secular_poly at 120
 #: vertices (one run each, shared 2-core x86, Python 3.11) takes 0.09 s on
 #: a path, 0.8 s on a 10x12 grid and 9 s on K120, the slowest input
 #: admitted, of which 0.5 s is the pencil and the rest the (z^2 - 1)^7020
@@ -454,21 +468,50 @@ def discrete_from_adj(adj: Sequence[Sequence[int]]) -> DiscreteGraph:
 MAX_EXACT_VERTICES = 120
 
 
+def _shadow(g: MetricGraph, extra: Sequence[int]) -> list[list[int]]:
+    """Adjacency rows of the discrete shadow of g with edge i laid out as a
+    chain through extra[i] new vertices; loops count 2 on the diagonal.
+
+    The new vertices are appended in edge order, each chain numbered from
+    its edge's first end, as `_cut` numbers them.  Raises GraphError,
+    before any row is built, when the shadow would have more than
+    MAX_EXACT_VERTICES vertices.
+    """
+    n = g.n_vertices + sum(extra)
+    if n > MAX_EXACT_VERTICES:
+        raise GraphError(f"graph has {n} vertices, above the bound of "
+                         f"{MAX_EXACT_VERTICES} for exact keys")
+    adj = [[0] * n for _ in range(n)]
+    fresh = g.n_vertices
+    for (u, v), k in zip(g.ends, extra):
+        for w in range(fresh, fresh + k):
+            adj[u][w] += 1
+            adj[w][u] += 1
+            u = w
+        fresh += k
+        adj[u][v] += 1
+        adj[v][u] += 1
+    return adj
+
+
 def to_discrete(g: MetricGraph) -> DiscreteGraph:
     """Forget lengths; loops contribute 2 to their diagonal entry.
 
     Raises GraphError, before building anything, when g has more than
     MAX_EXACT_VERTICES vertices.
     """
-    n = g.n_vertices
-    if n > MAX_EXACT_VERTICES:
-        raise GraphError(f"graph has {n} vertices, above the bound of "
-                         f"{MAX_EXACT_VERTICES} for exact keys")
-    adj = [[0] * n for _ in range(n)]
-    for u, v in g.ends:
-        adj[u][v] += 1
-        adj[v][u] += 1
-    return discrete_from_adj(adj)
+    return discrete_from_adj(_shadow(g, [0] * g.n_edges))
+
+
+def unit_shadow(g: MetricGraph) -> DiscreteGraph:
+    """The discrete shadow of `unit_subdivided(g)`, read from g's edge list
+    without building the subdivision.
+
+    Refuses what unit_subdivided refuses, then what to_discrete refuses,
+    with their messages and in that order, before any row is built.
+    """
+    _unit_edges(g)
+    return discrete_from_adj(_shadow(g, [l.numerator - 1 for l in g.lengths]))
 
 
 def metric_from_discrete(d: DiscreteGraph) -> MetricGraph:

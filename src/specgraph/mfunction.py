@@ -58,13 +58,12 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import GraphError, MetricGraph
-from .secular import ROOT_MATCH_TOL, _derived_cache, spectrum_report
+from .graphs import GraphError, MetricGraph, _shadow
+from .secular import ROOT_MATCH_TOL, _key_cache, spectrum_report
 
 #: |sin kl| is <= 9.8e-16 at float edge poles, >= 1.6e-9 at regular samples (README)
 EDGE_SINGULAR_TOL = 1e-10
@@ -678,29 +677,25 @@ def _predicted_targets(g: MetricGraph, lengths: Sequence[float], k_max: float
     brackets are expected to change count, ascending, or two empty lists.
 
     For integer lengths, with A and D the adjacency and degree matrices of
-    the unit subdivision, an eigenvalue k^2 with sin k != 0 has cos k an
-    eigenvalue of D^-1/2 A D^-1/2 (von Below, LAA 71, 1985), and an
-    interior Dirichlet pole has cos k an eigenvalue of its block on the
-    non-contact vertices, which keep their full degrees.  Each such
-    arccos gives k and 2pi - k, shifted by multiples of 2pi; both lists
-    also hold the edge poles.  They only steer which bisection midpoints
-    `_refine` asks for, so a wrong or missing target costs stacked calls,
-    never a different count.  Other lengths, and subdivisions above
-    _PREDICT_MAX_VERTICES vertices, get no targets.
+    the unit subdivision, read off g's edge list by `graphs._shadow`
+    without the unit-edge budget of the exact keys, an eigenvalue k^2
+    with sin k != 0 has cos k an eigenvalue of D^-1/2 A D^-1/2 (von
+    Below, LAA 71, 1985), and an interior Dirichlet pole has cos k an
+    eigenvalue of its block on the non-contact vertices, which keep their
+    full degrees.  Each such arccos gives k and 2pi - k, shifted by
+    multiples of 2pi; both lists also hold the edge poles.  They only
+    steer which bisection midpoints `_refine` asks for, so a wrong or
+    missing target costs stacked calls, never a different count.  Other
+    lengths, and subdivisions above _PREDICT_MAX_VERTICES vertices, get
+    no targets.
     """
     if any(l.denominator != 1 for l in g.lengths):
         return [], []
-    n = g.n_vertices + sum(int(l) - 1 for l in g.lengths)
+    extra = [l.numerator - 1 for l in g.lengths]
+    n = g.n_vertices + sum(extra)
     if n > _PREDICT_MAX_VERTICES:
         return [], []
-    adj = np.zeros((n, n))
-    fresh = g.n_vertices
-    for (u, v), l in zip(g.ends, g.lengths):
-        chain = [u, *range(fresh, fresh + int(l) - 1), v]
-        fresh += int(l) - 1
-        for x, y in zip(chain, chain[1:]):
-            adj[x, y] += 1.0
-            adj[y, x] += 1.0
+    adj = np.array(_shadow(g, extra), dtype=float)
     scale = 1.0 / np.sqrt(adj.sum(1))
     sym = adj * scale.reshape(-1, 1) * scale
     contacts = set(g.contacts)
@@ -828,8 +823,7 @@ def _crossing_multiplicity(k: float, before: np.ndarray | None,
     return min(nb, na), True
 
 
-@_derived_cache
-@lru_cache(maxsize=256)
+@_key_cache(256)
 def _root_probes(g: MetricGraph) -> dict[float, tuple[np.ndarray | None, np.ndarray | None]]:
     """The crossing probes (see `_probes`) of every fundamental root of g,
     by root, from one kernel and one stacked evaluation.  Kept per graph,

@@ -22,6 +22,7 @@ enumerated graph already carries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Literal
 
 from . import graphs
@@ -118,8 +119,12 @@ def _grow(n: int, m_max: int, multi: bool) -> Iterator[DiscreteGraph]:
         for d in level.values():
             budget = m_max - d.n_edges - (n - 1 - k)
             perms = automorphism_generators(d)
-            for col in _columns(k, top, budget):
-                if not any(col) or any(tuple([col[i] for i in p]) < col for p in perms):
+            # columns with entries in 0..top and sum at most budget, the
+            # first entry varying fastest
+            for col in product(range(min(top, budget) + 1), repeat=k):
+                col = col[::-1]
+                if (sum(col) > budget or not any(col)
+                        or any(tuple([col[i] for i in p]) < col for p in perms)):
                     continue
                 for loops in range(budget - sum(col) + 1) if multi else (0,):
                     adj = [row + (c,) for row, c in zip(d.adj, col)] + [col + (2 * loops,)]
@@ -169,17 +174,6 @@ def _connected_without(adj: list[tuple[int, ...]], v: int) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(adj)
-
-
-def _columns(k: int, top: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Tuples of length k with entries in 0..top and sum at most budget,
-    the first entry varying fastest."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(min(top, budget) + 1):
-        for rest in _columns(k - 1, top, budget - last):
-            yield rest + (last,)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ q is the same pencil that gives the normalized-Laplacian charpoly at
 c = 1 - mu (`discrete.ln_charpoly`).  It is computed once per discrete
 graph and cached (`_pencil`): by `exact.pencil_det`, multimodular and
 exact by a proved coefficient bound, then checked against one Bareiss
-determinant at c = 2.  Both exact keys derive from it, and
-`secular_poly.cache_clear()` or `ln_charpoly.cache_clear()` drops it.
+determinant at c = 2.  Both exact keys derive from it.  For a metric
+graph with integer lengths the discrete graph is the shadow of its unit
+subdivision, read straight from the edge list (`graphs.unit_shadow`).
 
 Every question is answered from one canonical form, the `SecularKey`:
 q is split once at c = 1 and c = -1 (`_discrete_key`), and with the
@@ -31,8 +32,12 @@ compares component counts and keys.  `spectrum_report` reads the roots
 off the key: only the square-free factors of r are z-transformed and
 handed to numpy's companion-matrix root finder, the one floating-point
 step of the exact keys.  `secular_poly` expands the key to degree 2N,
-for printing only.  The key of a metric graph is cached per graph and
-emptied with the key caches.
+for printing only.  The key of a metric graph is cached per graph.
+
+Every cache of values derived from the pencils follows one policy,
+`_key_cache`: the cache_clear() of any of them (`_pencil`, `_metric_key`,
+`secular_poly`, `discrete.ln_charpoly`, `mfunction._root_probes`)
+empties them all.
 """
 
 from __future__ import annotations
@@ -46,8 +51,7 @@ import numpy as np
 
 from .exact import (ExactError, ProjectivePoly, _deflate_linear, _primitive, det_exact,
                     pencil_det, poly_mul, poly_normalize, poly_pow, squarefree_factors)
-from .graphs import (DiscreteGraph, GraphError, MetricGraph, components, to_discrete,
-                     unit_subdivided)
+from .graphs import DiscreteGraph, GraphError, MetricGraph, components, unit_shadow
 
 
 #: how near a fundamental root k must be to match it in multiplicity_at:
@@ -83,17 +87,6 @@ class SecularMatrixSpec:
                 for i, (row, deg) in enumerate(zip(self.adj, self.degrees))]
 
 
-def _as_unilateral(g: MetricGraph) -> MetricGraph:
-    """g with unit edges, by unit_subdivided even when g already has them
-    (it returns such a g itself), so that MAX_UNIT_EDGES bounds every
-    input of the exact keys."""
-    if any(l.denominator != 1 for l in g.lengths):
-        raise SecularError(
-            "graph not unilateral and lengths are not integers; "
-            "secular analysis needs unit edges")
-    return unit_subdivided(g)
-
-
 def _c_to_z(q: Sequence[int]) -> list[int]:
     """Coefficients of (2z)^V * q((z^2 + 1) / 2z) for q of degree V, i.e.
     of sum_j q_j (z^2 + 1)^j (2z)^(V - j), by homogeneous Horner."""
@@ -121,20 +114,28 @@ def _times_z2_minus_1(coeffs: list[int], power: int) -> ProjectivePoly:
     return poly_normalize(poly_mul(factor, coeffs))
 
 
-#: caches of values derived from the pencils, which the key caches'
-#: cache_clear() empties too (`_clears_pencil`)
-_DERIVED_CACHES: list = []
+#: the own cache_clear of every `_key_cache`
+_KEY_CACHE_CLEARS: list = []
 
 
-def _derived_cache(cached):
-    """Register the lru_cache cached, whose values derive from the pencils
-    or the keys and roots read off them, to be emptied with the key caches."""
-    _DERIVED_CACHES.append(cached)
-    return cached
+def _key_cache(maxsize: int):
+    """lru_cache(maxsize) for values derived from the pencils, or from the
+    keys and roots read off them, whose cache_clear() empties every key
+    cache, so that a cleared cache recomputes its determinants."""
+    def decorate(f):
+        cached = lru_cache(maxsize=maxsize)(f)
+        _KEY_CACHE_CLEARS.append(cached.cache_clear)
+
+        def cache_clear() -> None:
+            for clear in _KEY_CACHE_CLEARS:
+                clear()
+
+        cached.cache_clear = cache_clear
+        return cached
+    return decorate
 
 
-@_derived_cache
-@lru_cache(maxsize=4096)
+@_key_cache(4096)
 def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     """Coefficients of q(c) = det(A - cD) of d, projectively normalized:
     the one determinant behind both exact keys of d.
@@ -160,22 +161,6 @@ def _pencil(d: DiscreteGraph) -> tuple[int, ...]:
     if det_exact(SecularMatrixSpec(d.adj, degrees).entry_matrix(2)) != q_at_2:
         raise ExactError("pencil check failed: det(A - 2D) differs from q(2)")
     return poly_normalize(q).coeffs
-
-
-def _clears_pencil(cached):
-    """Make cached.cache_clear() empty every derived cache too: the
-    `_pencil` cache, the keys factored from it (`_metric_key`) and what
-    other modules register with `_derived_cache`, so that a cleared key
-    cache recomputes its determinants."""
-    clear = cached.cache_clear
-
-    def cache_clear() -> None:
-        clear()
-        for derived in _DERIVED_CACHES:
-            derived.cache_clear()
-
-    cached.cache_clear = cache_clear
-    return cached
 
 
 @dataclass(frozen=True)
@@ -261,17 +246,19 @@ def _discrete_key(d: DiscreteGraph) -> SecularKey:
     return SecularKey(mults[0], mults[1], tuple(rest))
 
 
-@_derived_cache
-@lru_cache(maxsize=4096)
+@_key_cache(4096)
 def _metric_key(g: MetricGraph) -> SecularKey:
     """The secular key of g, built once per graph, with its roots cached on
-    it; integer edge lengths are subdivided into unit edges first, other
-    lengths are rejected."""
-    return _discrete_key(to_discrete(_as_unilateral(g)))
+    it, from the shadow of g's unit subdivision (`graphs.unit_shadow`);
+    lengths that are not integers are rejected."""
+    if any(l.denominator != 1 for l in g.lengths):
+        raise SecularError(
+            "graph not unilateral and lengths are not integers; "
+            "secular analysis needs unit edges")
+    return _discrete_key(unit_shadow(g))
 
 
-@_clears_pencil
-@lru_cache(maxsize=4096)
+@_key_cache(4096)
 def secular_poly(g: MetricGraph) -> ProjectivePoly:
     """Exact secular polynomial of g, degree 2N, projectively normalized.
 
@@ -320,8 +307,7 @@ def spectrum_report(g: MetricGraph) -> SpectrumReport:
 
     The roots are read off g's `SecularKey`, not off `secular_poly`, and
     kept with the key per graph, so repeated reports on one graph cost a
-    cache lookup until `secular_poly.cache_clear()` or
-    `ln_charpoly.cache_clear()`; UNIT_CIRCLE_TOL is read when they are
-    first found.
+    cache lookup until a key cache is cleared; UNIT_CIRCLE_TOL is read
+    when they are first found.
     """
     return SpectrumReport(_metric_key(g).roots, components(g))

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations
@@ -14,8 +15,9 @@ from specgraph import (DiscreteGraph, GraphError, GraphFormatError, MetricGraph,
                        m_function, metric_from_discrete, parse_graph,
                        scale_lengths, secular_poly, subdivide_edge,
                        suppress_degree2, to_discrete, unit_subdivided)
-from specgraph.constructions import catalog
-from specgraph.graphs import _canonical_search, automorphism_generators, discrete_components
+from specgraph.constructions import CATALOG_IDS, catalog
+from specgraph.graphs import (_canonical_search, automorphism_generators, discrete_components,
+                              unit_shadow)
 from specgraph.search import enumerate_connected_multi, enumerate_connected_simple
 
 from conftest import random_connected_multigraph
@@ -446,6 +448,81 @@ class TestDiscrete:
         # unhashable type: 'list'
         with pytest.raises(GraphError, match="^adjacency matrix and every row must be tuples$"):
             DiscreteGraph(adj)
+
+
+def counted_adjacency(n: int, ends) -> tuple[tuple[int, ...], ...]:
+    """The adjacency of n vertices counted edge by edge from an end list,
+    a loop twice on its diagonal entry."""
+    adj = [[0] * n for _ in range(n)]
+    for u, v in ends:
+        adj[u][v] += 1
+        adj[v][u] += 1
+    return tuple(map(tuple, adj))
+
+
+class TestUnitShadow:
+    """The shadows read off the edge list (`to_discrete`, `unit_shadow`)
+    against the adjacency counted from the ends of g and of its unit
+    subdivision."""
+
+    def test_shadows_match_counted_adjacency(self):
+        graphs = [catalog(name) for name in CATALOG_IDS]
+        rng = random.Random(3303)
+        for _ in range(2000):
+            n = rng.randint(1, 7)
+            edges = [(rng.randrange(v), v, rng.randint(1, 4)) for v in range(1, n)]
+            for _ in range(rng.randint(1 if n == 1 else 0, 6)):
+                edges.append((rng.randrange(n), rng.randrange(n), rng.randint(1, 4)))
+            contacts = rng.sample(range(n), rng.randint(0, min(3, n)))
+            graphs.append(from_edge_list(n, edges, contacts))
+        seen = Counter()
+        for g in graphs:
+            assert to_discrete(g).adj == counted_adjacency(g.n_vertices, g.ends)
+            unit = unit_subdivided(g)
+            assert unit_shadow(g).adj == counted_adjacency(unit.n_vertices, unit.ends), g
+            seen["loops"] += any(u == v for u, v in g.ends)
+            seen["long loops"] += any(u == v and l > 1 for (u, v), l in zip(g.ends, g.lengths))
+            seen["parallel"] += len(set(map(frozenset, g.ends))) < g.n_edges
+            seen["long"] += not g.is_unilateral
+            seen["contacts"] += bool(g.contacts)
+        assert len(graphs) == 2036
+        assert min(seen.values()) >= 900, seen
+
+    def test_refusals_keep_their_messages_and_order(self, monkeypatch):
+        # each refusal names the first budget g breaks, in the order
+        # integer lengths, unit edges, vertices, as unit_subdivided and
+        # then to_discrete give them
+        def refusal(call, g):
+            with pytest.raises(GraphError) as info:
+                call(g)
+            return str(info.value)
+
+        half = from_edge_list(2, [(0, 1, Fraction(1, 2)), (0, 1, 200)])
+        long = from_edge_list(2, [(0, 1, 130)])
+        path = from_edge_list(3, [(0, 1, 2), (1, 2, 2)])
+        cases = [(half, {}, "length 1/2 is not an integer; cannot subdivide to unit edges"),
+                 (half, {"MAX_UNIT_EDGES": 5}, "length 1/2 is not an integer"),
+                 (long, {"MAX_UNIT_EDGES": 5},
+                  "subdivision would give 130 unit edges, above the budget of 5"),
+                 (long, {}, "graph has 131 vertices, above the bound of 120 for exact keys"),
+                 (path, {"MAX_EXACT_VERTICES": 4},
+                  "graph has 5 vertices, above the bound of 4 for exact keys")]
+        for g, budgets, message in cases:
+            with monkeypatch.context() as patch:
+                for name, value in budgets.items():
+                    patch.setattr(specgraph.graphs, name, value)
+                got = refusal(unit_shadow, g)
+                assert got.startswith(message), (got, message)
+                assert got == refusal(lambda g: to_discrete(unit_subdivided(g)), g)
+        with monkeypatch.context() as patch:
+            patch.setattr(specgraph.graphs, "MAX_EXACT_VERTICES", 2)
+            assert refusal(to_discrete, path) == ("graph has 3 vertices, above the bound "
+                                                  "of 2 for exact keys")
+        # the vertex bound is checked before any row is built: this one
+        # edge would need 10^12 rows
+        monkeypatch.setattr(specgraph.graphs, "MAX_UNIT_EDGES", 10 ** 13)
+        assert refusal(unit_shadow, from_edge_list(2, [(0, 1, 10 ** 12)])).startswith(
+            "graph has 1000000000001 vertices")
 
 
 class TestCanonicalForm:

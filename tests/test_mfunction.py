@@ -19,6 +19,7 @@ from specgraph import (DEFAULT_SAMPLES, DetectionResult, GraphError, SingularSam
                        metric_isospectral, secular_poly, spectrum_report, steklov_eigs,
                        steklov_equivalent, steklov_sweep)
 from specgraph.constructions import CATALOG_IDS, catalog
+from specgraph.graphs import unit_shadow
 from specgraph.mfunction import (_PROBE_EPS, DETECT_GRID_STEP, _counts, _edge_pole_candidates,
                                  _grid_brackets, _Kernel, _probes, _refine)
 
@@ -724,6 +725,18 @@ class TestPrediction:
         assert specgraph.mfunction._predicted_targets(g, float_lengths(g), 3.0) != ([], [])
         monkeypatch.setattr(specgraph.mfunction, "_PREDICT_MAX_VERTICES", 63)
         assert specgraph.mfunction._predicted_targets(g, float_lengths(g), 3.0) == ([], [])
+
+    def test_targets_skip_the_unit_edge_budget(self, monkeypatch, stacked_calls):
+        # 4 vertices after subdivision but 10,002 unit edges: the exact
+        # keys refuse the graph, while detect still gets its targets
+        g = from_edge_list(2, [(0, 1)] * 9999 + [(0, 1, 3)], (0,))
+        with pytest.raises(GraphError, match="10002 unit edges, above the budget of 10000"):
+            unit_shadow(g)
+        crossings, poles = specgraph.mfunction._predicted_targets(g, float_lengths(g), 7.0)
+        assert crossings and poles
+        (predicted, no, shifted), _ = self.outcomes(monkeypatch, stacked_calls, g, 7.0)
+        assert predicted == no == shifted
+        assert len(predicted[0].points) == 2
 
     def test_crossings_are_the_secular_roots(self):
         # away from k = pi and 2 pi, the predicted crossings in each of the

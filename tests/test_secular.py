@@ -58,6 +58,10 @@ class TestSecularMatrix:
         g = from_edge_list(2, [(0, 1, Fraction(1, 2))])
         with pytest.raises(SecularError, match="unit edges"):
             secular_poly(g)
+        # before the budgets, which this graph breaks too
+        g = from_edge_list(2, [(0, 1, Fraction(1, 2)), (0, 1, 20000)])
+        with pytest.raises(SecularError, match="secular analysis needs unit edges"):
+            _metric_key(g)
 
 
 class TestVertexMatrix:
@@ -168,6 +172,23 @@ class TestVertexMatrix:
         assert "specgraph.secular._metric_key" in sizes
         assert "specgraph.mfunction._root_probes" in sizes
         assert set(sizes.values()) == {0}, sizes
+
+    @pytest.mark.parametrize("name", ["secular._pencil", "secular._metric_key",
+                                      "secular.secular_poly", "discrete.ln_charpoly",
+                                      "mfunction._root_probes"])
+    def test_any_key_cache_clear_empties_all(self, name):
+        # one cache policy: the pencils, the keys and what is read off
+        # them are emptied together, whichever cache is cleared
+        caches = [specgraph.secular._pencil, specgraph.secular._metric_key,
+                  secular_poly, ln_charpoly, specgraph.mfunction._root_probes]
+        g = catalog("Gamma1")
+        invisible_multiplicity(g, 2 * math.pi)
+        secular_poly(g)
+        ln_charpoly(to_discrete(g))
+        assert all(cache.cache_info().currsize for cache in caches)
+        module, attr = name.split(".")
+        getattr(getattr(specgraph, module), attr).cache_clear()
+        assert [cache.cache_info().currsize for cache in caches] == [0] * 5
 
 
 def _random_component(rng, tree):
